@@ -33,16 +33,12 @@ import sys
 import time
 
 from repro.bench.harness import save_result
-from repro.bench.registry import REGISTRY, legacy_table
+from repro.bench.registry import REGISTRY
 from repro.core import (
     measure_training,
     paper_default_config,
     paper_tuned_config,
 )
-
-#: Legacy tuple view (description, fn, full kwargs, quick kwargs), kept
-#: for external callers; :mod:`repro.bench.registry` is the source of truth.
-EXPERIMENTS = legacy_table()
 
 #: Shared exit codes (the convention ``repro bench compare`` set).
 EXIT_OK, EXIT_FAILURE, EXIT_USAGE = 0, 1, 2
@@ -102,8 +98,6 @@ def _build_runner(parallel: bool, workers: int, no_cache: bool,
         return runner
     if not parallel and trace_dir is None:
         return None
-    import os
-
     from repro.runner import Runner
 
     workers = (workers or (os.cpu_count() or 1)) if parallel else 0
@@ -115,21 +109,13 @@ def _build_runner(parallel: bool, workers: int, no_cache: bool,
 def cmd_run(ids: list[str], quick: bool, parallel: bool = False,
             workers: int = 0, no_cache: bool = False, resume: bool = False,
             journal_path: str | None = None, retries: int = 1,
-            trace_dir: str | None = None, fast: bool | None = None,
-            backend: str = "local") -> int:
+            trace_dir: str | None = None, backend: str = "local") -> int:
     """Run the selected experiments, journaling each for ``--resume``."""
     from repro.runner import RunJournal
 
     if backend == "fabric" and trace_dir is not None:
         return fail("--trace-dir requires the local backend", usage=True)
 
-    if fast is not None:
-        from repro.sim import fastpath
-
-        fastpath.set_fast_path(fast)
-        # Worker processes re-read the environment at import, so the
-        # flag survives both fork and spawn start methods.
-        os.environ[fastpath.ENV_VAR] = "1" if fast else "0"
     if ids == ["all"]:
         ids = list(REGISTRY)
     unknown = [i for i in ids if i not in REGISTRY]
@@ -849,14 +835,6 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--trace-dir", metavar="DIR", default=None,
                        help="capture span traces of traced points into DIR "
                             "(one <key>.trace.json per traced measurement)")
-    run_p.add_argument("--fast", action="store_true", default=None,
-                       dest="fast",
-                       help="force the simulator fast path on "
-                            "(default: on, or REPRO_FAST_PATH)")
-    run_p.add_argument("--no-fast", action="store_false", default=None,
-                       dest="fast",
-                       help="force the reference simulation path "
-                            "(bit-identical results, more kernel events)")
     run_p.add_argument("--backend", default="local",
                        choices=("local", "fabric"),
                        help="execution backend: 'local' (inline/process "
@@ -1070,7 +1048,7 @@ def main(argv: list[str] | None = None) -> int:
                        workers=args.workers, no_cache=args.no_cache,
                        resume=args.resume, journal_path=args.journal,
                        retries=args.retries, trace_dir=args.trace_dir,
-                       fast=args.fast, backend=args.backend)
+                       backend=args.backend)
     if args.command == "cache":
         return cmd_cache(args.cache_command, args.dir,
                          getattr(args, "json", False))

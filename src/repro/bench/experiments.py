@@ -65,7 +65,7 @@ __all__ = [
     "e14_efficiency_attribution",
     "e15_interrupt_resume",
     "e16_critical_path",
-    "e17_fastpath_speedup",
+    "e17_prefix_memo",
 ]
 
 #: The paper evaluates up to 22 nodes × 6 V100 = 132 GPUs.
@@ -1197,155 +1197,72 @@ def e16_critical_path(
     )
 
 
-def e17_fastpath_speedup(
+def e17_prefix_memo(
     *,
-    gpu_counts: tuple[int, ...] = (1, 6, 24),
-    iterations: int = 2,
-    seed: int = 0,
     ladder: tuple[int, ...] = (2, 3, 5),
-    ladder_gpus: int = 6,
+    gpus: int = 6,
+    seed: int = 0,
 ) -> ExperimentResult:
-    """E17 (extension) — simulator fast path: equivalence and speedup.
+    """E17 (extension) — prefix memoization: equivalence and savings.
 
-    Two accelerations are measured against their correctness contracts.
-    First, the **flow-level transfer shortcut**
-    (:meth:`~repro.cluster.fabric.Fabric._fast_transfer_viable`): every
-    E6-quick sweep point is simulated under both paths and compared
-    component-by-component — the shortcut must be invisible in every
-    compared payload, with the kernel event counter the only difference
-    (the elision the shortcut exists to buy).  Second, **prefix
-    memoization** (:mod:`repro.runner.prefix`): an iterations ladder is
-    materialized from one shared simulation prefix and compared against
-    fresh per-point runs, with the iteration accounting showing what was
-    never re-simulated.
+    An iterations ladder is materialized from one shared simulation
+    prefix (:mod:`repro.runner.prefix`) and compared against fresh
+    per-point runs, with the iteration accounting showing what was never
+    re-simulated.
 
-    The ``measured`` block holds only deterministic quantities
-    (equivalence booleans, shortcut hit rates, elided event counts,
-    iteration accounting) so the bench sentinel can baseline this
-    experiment; wall-clock seconds and speedups are reported in the rows
-    and notes, where run-to-run noise cannot trip the gate.
+    The ``measured`` block holds only deterministic quantities (the
+    equivalence boolean and the iteration accounting) so the bench
+    sentinel can baseline this experiment; wall-clock seconds and the
+    speedup are reported in the rows and notes, where run-to-run noise
+    cannot trip the gate.
     """
     import pickle
     import tempfile
     import time
 
-    from repro.core.sweep import clear_profile_cache
     from repro.runner.prefix import PrefixStore, prefix_run
-    from repro.sim import fast_path
 
-    def _equivalent(hot, ref) -> bool:
-        """The differential-harness comparison, component by component.
-
-        Whole-tuple pickles can differ in string-memoization structure
-        alone, so each compared payload is pickled separately (the same
-        rule the resume contract's tests follow).
-        """
-        if pickle.dumps(hot.stats) != pickle.dumps(ref.stats):
-            return False
-        he, re_ = hot.timeline.events, ref.timeline.events
-        if len(he) != len(re_):
-            return False
-        if any(pickle.dumps(a) != pickle.dumps(b) for a, b in zip(he, re_)):
-            return False
-        return (
-            pickle.dumps(hot.runtime_stats) == pickle.dumps(ref.runtime_stats)
-            and pickle.dumps(hot.link_utilization)
-            == pickle.dumps(ref.link_utilization)
-        )
-
-    configs = (("default", paper_default_config()),
-               ("tuned", paper_tuned_config()))
-    rows = []
-    measured: dict[str, float] = {}
-    all_identical = True
-    ref_wall = fast_wall = 0.0
-    total_elided = 0
-    for gpus in gpu_counts:
-        for name, cfg in configs:
-            clear_profile_cache()
-            t0 = time.perf_counter()
-            with fast_path(False):
-                ref = measure_training(gpus, cfg, iterations=iterations,
-                                       seed=seed)
-            t1 = time.perf_counter()
-            clear_profile_cache()
-            with fast_path(True):
-                hot = measure_training(gpus, cfg, iterations=iterations,
-                                       seed=seed)
-            t2 = time.perf_counter()
-            ref_wall += t1 - t0
-            fast_wall += t2 - t1
-            identical = _equivalent(hot, ref)
-            all_identical = all_identical and identical
-            fp = hot.fast_path or {}
-            total_elided += fp.get("events_elided", 0)
-            rows.append({
-                "gpus": gpus,
-                "config": name,
-                "bit identical": "yes" if identical else "NO",
-                "hit rate": f"{fp.get('hit_rate', 0.0) * 100:.1f}%",
-                "elided": fp.get("events_elided", 0),
-                "ref (ms)": round((t1 - t0) * 1e3, 1),
-                "fast (ms)": round((t2 - t1) * 1e3, 1),
-            })
-            measured[f"bit_identical_{name}_{gpus}"] = float(identical)
-            measured[f"fast_hit_rate_{name}_{gpus}"] = round(
-                fp.get("hit_rate", 0.0), 6)
-    measured["bit_identical_all"] = float(all_identical)
-    measured["events_elided_total"] = float(total_elided)
-
-    # Prefix memoization: a fresh ladder vs naive per-point runs.
     cfg = paper_tuned_config()
-    points = [TrainPoint(gpus=ladder_gpus, config=cfg, iterations=n,
-                         seed=seed) for n in ladder]
+    points = [TrainPoint(gpus=gpus, config=cfg, iterations=n, seed=seed)
+              for n in ladder]
     t0 = time.perf_counter()
-    naive = [p.execute() for p in points]
+    fresh = [p.execute() for p in points]
     t1 = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         memoized, pstats = prefix_run(points, store=PrefixStore(tmp))
     t2 = time.perf_counter()
-    memo_identical = all(
+    identical = all(
         pickle.dumps(a.stats) == pickle.dumps(b.stats)
-        for a, b in zip(naive, memoized)
+        for a, b in zip(fresh, memoized)
     )
-    all_identical = all_identical and memo_identical
     saved = 1.0 - (pstats.iterations_simulated
                    / max(1, pstats.iterations_reference))
-    rows.append({
-        "gpus": ladder_gpus,
-        "config": f"ladder it={list(ladder)}",
-        "bit identical": "yes" if memo_identical else "NO",
-        "hit rate": f"{saved * 100:.1f}% it saved",
-        "elided": pstats.iterations_reference - pstats.iterations_simulated,
-        "ref (ms)": round((t1 - t0) * 1e3, 1),
-        "fast (ms)": round((t2 - t1) * 1e3, 1),
-    })
-    measured["prefix_bit_identical"] = float(memo_identical)
-    measured["prefix_iterations_reference"] = float(
-        pstats.iterations_reference)
-    measured["prefix_iterations_simulated"] = float(
-        pstats.iterations_simulated)
-    measured["prefix_saved_fraction"] = round(saved, 4)
-    measured["bit_identical_all"] = float(all_identical)
-
-    sweep_speedup = ref_wall / fast_wall if fast_wall > 0 else 1.0
-    memo_speedup = (t1 - t0) / (t2 - t1) if t2 > t1 else 1.0
+    speedup = (t1 - t0) / (t2 - t1) if t2 > t1 else 1.0
     return ExperimentResult(
         experiment="E17",
-        title="Fast-path equivalence and speedup "
-              f"({', '.join(str(g) for g in gpu_counts)} GPUs + "
-              f"it={list(ladder)} ladder)",
-        rows=rows,
+        title="Prefix memoization: equivalence and savings "
+              f"({gpus} GPUs, it={list(ladder)} ladder)",
+        rows=[{
+            "gpus": gpus,
+            "ladder": f"it={list(ladder)}",
+            "bit identical": "yes" if identical else "NO",
+            "it simulated": pstats.iterations_simulated,
+            "it reference": pstats.iterations_reference,
+            "saved": f"{saved * 100:.1f}%",
+            "fresh (ms)": round((t1 - t0) * 1e3, 1),
+            "memoized (ms)": round((t2 - t1) * 1e3, 1),
+        }],
         paper={"note": "extension; not a paper experiment"},
-        measured=measured,
-        notes="transfer shortcut: every sweep point is bit-identical "
-              "across paths (the kernel event counter is the only "
-              "allowed difference); lock-step collectives keep route "
-              "links contended, so the shortcut's wall win on this "
-              f"sweep is {sweep_speedup:.2f}x — well below the 5x "
-              "target (see EXPERIMENTS.md for why the guard rarely "
-              "fires under collectives); prefix memoization "
+        measured={
+            "prefix_bit_identical": float(identical),
+            "prefix_iterations_reference": float(
+                pstats.iterations_reference),
+            "prefix_iterations_simulated": float(
+                pstats.iterations_simulated),
+            "prefix_saved_fraction": round(saved, 4),
+        },
+        notes="prefix memoization "
               f"re-simulated {pstats.iterations_simulated} of "
               f"{pstats.iterations_reference} ladder iterations "
-              f"({memo_speedup:.2f}x wall on the ladder)",
+              f"({speedup:.2f}x wall on the ladder)",
     )

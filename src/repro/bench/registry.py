@@ -7,8 +7,7 @@ separately.  The spec records the driver function, both argument sets,
 classification tags and — the property the runner exploits — whether the
 driver accepts a ``runner=`` for parallel cached execution.
 
-``REGISTRY`` is the single source of truth; ``legacy_table()`` renders
-the old tuple view for callers that still want it.
+``REGISTRY`` is the single source of truth.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from repro.bench.harness import ExperimentResult
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runner import Runner
 
-__all__ = ["REGISTRY", "ExperimentSpec", "get", "ids", "legacy_table"]
+__all__ = ["REGISTRY", "ExperimentSpec", "get", "ids"]
 
 
 @dataclass(frozen=True)
@@ -195,13 +194,11 @@ _SPECS = (
         parallelizable=True,
     ),
     ExperimentSpec(
-        "E17", "simulator fast path: equivalence & speedup (extension)",
-        E.e17_fastpath_speedup,
-        full_kwargs={"gpu_counts": (1, 6, 24, 96), "iterations": 2,
-                     "ladder": (2, 3, 5, 8)},
-        quick_kwargs={"gpu_counts": (1, 6, 24), "iterations": 2,
-                      "ladder": (2, 3, 5)},
-        tags=("extension", "fastpath"),
+        "E17", "prefix memoization: equivalence & savings (extension)",
+        E.e17_prefix_memo,
+        full_kwargs={"ladder": (2, 3, 5, 8)},
+        quick_kwargs={"ladder": (2, 3, 5)},
+        tags=("extension", "prefix"),
     ),
 )
 
@@ -222,12 +219,3 @@ def get(exp_id: str) -> ExperimentSpec:
         raise KeyError(
             f"unknown experiment {exp_id!r}; known: {', '.join(REGISTRY)}"
         ) from None
-
-
-def legacy_table() -> dict[str, tuple]:
-    """The pre-registry ``(description, fn, full, quick)`` tuple view."""
-    return {
-        spec.id: (spec.title, spec.fn, dict(spec.full_kwargs),
-                  dict(spec.quick_kwargs))
-        for spec in _SPECS
-    }

@@ -90,20 +90,13 @@ COMMENTARY = {
            "under tuning, while the per-bucket path totals reconcile "
            "with E14's telemetry attribution to float precision "
            "(measured reconcile error: 0).",
-    "E17": "Extension (simulator fast path): the flow-level transfer "
-           "shortcut and prefix memoization, measured against their "
-           "correctness contracts. Every sweep point is bit-identical "
-           "under both transfer paths (the kernel event counter is the "
-           "only allowed difference — the elided link-grant events), "
-           "and an iterations ladder materialized from one shared "
-           "prefix matches fresh per-point runs exactly. Honest "
-           "speedup accounting: lock-step collectives keep route links "
-           "contended, so the shortcut's hit rate on training sweeps "
-           "is 0–8%, and the measured wall win (~1.0–1.1x) falls far "
-           "short of the original 5x target; the robust saving is "
-           "prefix memoization, which re-simulates only the largest "
-           "ladder member (e.g. 8 of 18 iterations on the 2/3/5/8 "
-           "ladder, ~2.3x wall on the ladder).",
+    "E17": "Extension (prefix memoization): an iterations ladder is "
+           "materialized from one shared simulation prefix and matches "
+           "fresh per-point runs exactly, while re-simulating only the "
+           "largest ladder member (8 of 18 iterations on the 2/3/5/8 "
+           "ladder, ~2x wall on the ladder). The simulator has one "
+           "transfer path; DESIGN §10 records why there is no "
+           "uncontended-transfer shortcut.",
 }
 
 HEADER = """\

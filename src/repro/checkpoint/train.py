@@ -277,6 +277,5 @@ def resume_training(checkpoint: "TrainCheckpoint | str | Path", *,
         trace=tracer,
         checkpoint=new_checkpoint,
         checkpoints=new_checkpoints,
-        fast_path=runtime.fast_path_report(),
         interrupted=trainer.job_killed,
     )

@@ -25,9 +25,8 @@ from typing import Any
 
 from repro.cluster.topology import Device, Topology
 from repro.sim import Environment
-from repro.sim.fastpath import fast_path_enabled
 
-__all__ = ["Fabric", "FastPathStats", "LinkDownError", "TransferStats"]
+__all__ = ["Fabric", "LinkDownError", "TransferStats"]
 
 
 class LinkDownError(RuntimeError):
@@ -41,39 +40,6 @@ class LinkDownError(RuntimeError):
     def __init__(self, label: str) -> None:
         super().__init__(f"link {label} is down")
         self.label = label
-
-
-@dataclass
-class FastPathStats:
-    """Counters for the flow-level transfer shortcut (diagnostics only).
-
-    Excluded from every compared payload: the split between fast and
-    reference transfers depends on queue coincidences, and the whole
-    point of the fast path is that the split is *unobservable* in
-    simulated time.
-    """
-
-    #: Transfers completed through the closed-form shortcut.
-    fast: int = 0
-    #: Transfers that took the reference per-step path.
-    fallback: int = 0
-    #: Kernel events elided (one grant event per fast-acquired link).
-    events_elided: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of transfers that took the shortcut."""
-        total = self.fast + self.fallback
-        return self.fast / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-able snapshot for diagnostics and E17 reporting."""
-        return {
-            "fast": self.fast,
-            "fallback": self.fallback,
-            "events_elided": self.events_elided,
-            "hit_rate": round(self.hit_rate, 6),
-        }
 
 
 @dataclass
@@ -102,7 +68,6 @@ class Fabric:
         self.topology = topology
         self.env: Environment = topology.env
         self.stats = TransferStats()
-        self.fast_stats = FastPathStats()
         #: Optional span recorder (``repro.trace``); observation only.
         self.tracer: Any = None
 
@@ -170,37 +135,6 @@ class Fabric:
             raise ValueError(f"bandwidth_derate must be in (0, 1], got {bandwidth_derate}")
         return self._transfer(src, dst, nbytes, extra_latency, bandwidth_derate)
 
-    def _fast_transfer_viable(self, info) -> bool:
-        """True when the closed-form shortcut is provably equivalent.
-
-        The reference path acquires the route's links through one queued
-        grant event per link, popped in sequence at the current timestamp.
-        Eliding those events is safe exactly when nothing else could have
-        interleaved between the grant pops:
-
-        * every route link is **idle** (free with an empty wait queue), so
-          each grant would have been immediate; and
-        * no other event is pending at the current timestamp — neither in
-          the queue (``peek() > now``) nor later in the current dispatch
-          cascade (``_cascade_rest == 0``) — so no concurrent process can
-          request a route link, flap it down, or observe its occupancy
-          between the grants the reference path would have scheduled.
-
-        Under these conditions the shortcut acquires at the same instant,
-        computes the same duration float, and releases at the same
-        instant as the reference path; only the grant events (and hence
-        the kernel event counter) differ.
-        """
-        env = self.env
-        queue = env._queue
-        if env._cascade_rest or (queue and queue[0][0] <= env._now):
-            return False
-        for link in info.acquire_order:
-            resource = link.resource
-            if resource._waiting or len(resource._users) >= resource.capacity:
-                return False
-        return True
-
     def _transfer(self, src, dst, nbytes, extra_latency, bandwidth_derate):
         env = self.env
         start = env.now
@@ -213,27 +147,13 @@ class Fabric:
             + extra_latency
             + nbytes / (info.bottleneck_Bps * bandwidth_derate)
         )
-        order = info.acquire_order
         held = []
-        if fast_path_enabled() and self._fast_transfer_viable(info):
-            # Flow-level shortcut: the route is uncontended and the
-            # queue is quiet at this instant, so the reference path's
-            # grant events would all pop back-to-back right now.
-            # Acquire event-free; only the duration timeout remains.
-            for link in order:
-                held.append((link, link.resource.try_acquire()))
-            fs = self.fast_stats
-            fs.fast += 1
-            fs.events_elided += len(order)
-        else:
-            self.fast_stats.fallback += 1
-            # Reference path: acquire links in canonical global order
-            # (deadlock-free: every transfer holding link k can only be
-            # waiting on links > k).
-            for link in order:
-                req = link.resource.request()
-                yield req
-                held.append((link, req))
+        # Acquire links in canonical global order (deadlock-free: every
+        # transfer holding link k can only be waiting on links > k).
+        for link in info.acquire_order:
+            req = link.resource.request()
+            yield req
+            held.append((link, req))
         acquired_at = env.now
         # A link may have flapped down while we queued for the route;
         # release everything and fail so the sender can back off.

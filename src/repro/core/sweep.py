@@ -102,11 +102,6 @@ class Measurement:
     #: ``{boundary: TrainCheckpoint}`` for the plan's explicit ``at``
     #: boundaries — the handles :mod:`repro.runner.prefix` resumes from.
     checkpoints: dict | None = None
-    #: Simulator fast-path counters (fast/fallback/events_elided) for
-    #: this run's fabric traffic.  Diagnostics only: the split depends
-    #: on which execution path ran, so it is excluded from every
-    #: compared payload — both paths yield bit-identical results.
-    fast_path: dict | None = None
     #: True when the run was killed before completing (``ProcessKill`` /
     #: ``CheckpointPlan.stop_at``) — the stats above are partial.
     interrupted: bool = False
@@ -332,7 +327,6 @@ def measure_training(
         trace=tracer,
         checkpoint=train_checkpoint,
         checkpoints=train_checkpoints,
-        fast_path=runtime.fast_path_report(),
         interrupted=trainer.job_killed,
     )
 

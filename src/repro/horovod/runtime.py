@@ -161,15 +161,6 @@ class HorovodRuntime:
         """Currently participating ranks, sorted."""
         return sorted(self.active)
 
-    def fast_path_report(self) -> dict:
-        """Simulator fast-path counters under this runtime's traffic.
-
-        Every collective this runtime fuses ultimately moves bytes
-        through the fabric; this surfaces the shortcut/reference split
-        (diagnostics only, never part of a compared payload).
-        """
-        return self.comm.fast_path_report()
-
     # -- worker API -----------------------------------------------------------
     def submit(self, rank: int, name: str, payload: Any) -> Event:
         """Enqueue ``payload`` (this rank's gradient tensor ``name``).

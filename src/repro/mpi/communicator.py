@@ -115,15 +115,6 @@ class Comm:
         """Number of ranks."""
         return len(self.devices)
 
-    def fast_path_report(self) -> dict:
-        """Fabric fast-path counters for this communicator's transfers.
-
-        Diagnostics only — the split between shortcut and reference
-        transfers is excluded from every compared payload (see
-        :class:`~repro.cluster.fabric.FastPathStats`).
-        """
-        return self.fabric.fast_stats.as_dict()
-
     def node_of(self, rank: int) -> int:
         """Physical node hosting ``rank``."""
         return self.devices[rank].node

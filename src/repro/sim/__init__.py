@@ -34,13 +34,6 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.fastpath import (
-    SimConfig,
-    fast_path,
-    fast_path_enabled,
-    set_fast_path,
-    sim_config,
-)
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
 
@@ -53,12 +46,7 @@ __all__ = [
     "Process",
     "RandomStreams",
     "Resource",
-    "SimConfig",
     "SimulationError",
     "Store",
     "Timeout",
-    "fast_path",
-    "fast_path_enabled",
-    "set_fast_path",
-    "sim_config",
 ]

@@ -414,13 +414,6 @@ class Environment:
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active: Process | None = None
-        #: Callbacks of the event being dispatched that have not run yet.
-        #: Non-zero means code is executing mid-cascade: a later callback
-        #: of the *same* event could still observe or mutate shared state
-        #: at this timestamp.  Fast-path shortcuts (the fabric's
-        #: closed-form transfer) refuse to fire mid-cascade — see
-        #: :mod:`repro.sim.fastpath`.
-        self._cascade_rest = 0
         #: Optional observation-only hook object (``on_schedule(env, event,
         #: delay)`` / ``on_step(env, event, depth)``) — see
         #: :class:`repro.telemetry.TelemetryProbe`.  Must never create
@@ -506,10 +499,7 @@ class Environment:
         if self.monitor is not None:
             self.monitor.on_step(self, event, len(self._queue))
         callbacks, event.callbacks = event.callbacks, None
-        rest = len(callbacks)
         for callback in callbacks:
-            rest -= 1
-            self._cascade_rest = rest
             callback(event)
         if not event._ok and not event.defused:
             raise event._value
@@ -523,8 +513,7 @@ class Environment:
         in one tight loop: one heap pop, one monitor check and one
         callback walk per event, with no per-event method-call or
         attribute-lookup overhead on top.  Semantics are identical to
-        calling :meth:`step` in a loop — the differential and
-        zero-perturbation suites compare the two paths event for event.
+        calling :meth:`step` in a loop.
         """
         queue = self._queue
         pop = heapq.heappop
@@ -539,15 +528,8 @@ class Environment:
                 monitor.on_step(self, event, len(queue))
             callbacks = event.callbacks
             event.callbacks = None
-            if len(callbacks) == 1:
-                self._cascade_rest = 0
-                callbacks[0](event)
-            else:
-                rest = len(callbacks)
-                for callback in callbacks:
-                    rest -= 1
-                    self._cascade_rest = rest
-                    callback(event)
+            for callback in callbacks:
+                callback(event)
             if not event._ok and not event.defused:
                 raise event._value
 
@@ -566,8 +548,6 @@ class Environment:
             self._drain(None, None)
             return None
         if isinstance(until, Event):
-            sentinel: list[Event] = []
-            until.callbacks.append(sentinel.append) if not until.processed else None
             self._drain(None, until)
             if not until.processed:
                 raise SimulationError(

@@ -18,31 +18,7 @@ from typing import Any
 
 from repro.sim.engine import Environment, Event, SimulationError
 
-__all__ = ["FastGrant", "Resource", "Store"]
-
-
-class FastGrant:
-    """Event-free grant token returned by :meth:`Resource.try_acquire`.
-
-    Holds the resource exactly like a granted :class:`Request` (it lives
-    in the resource's user set and is returned via
-    :meth:`Resource.release`) but its creation schedules **no** kernel
-    event — the caller proved the grant would have been immediate, so the
-    notification event the reference path pays is elided.  This is the
-    acquisition primitive of the fabric fast path
-    (:mod:`repro.sim.fastpath`).
-    """
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        self.resource = resource
-
-    def __enter__(self) -> "FastGrant":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.resource.release(self)
+__all__ = ["Resource", "Store"]
 
 
 class Request(Event):
@@ -83,7 +59,7 @@ class Resource:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.env = env
         self.capacity = capacity
-        self._users: set[Request | FastGrant] = set()
+        self._users: set[Request] = set()
         self._waiting: deque[Request] = deque()
 
     @property
@@ -100,27 +76,6 @@ class Resource:
         """Request the resource; the returned event fires when granted."""
         return Request(self)
 
-    @property
-    def idle(self) -> bool:
-        """True when a new request would be granted immediately."""
-        return not self._waiting and len(self._users) < self.capacity
-
-    def try_acquire(self) -> "FastGrant | None":
-        """Acquire immediately without scheduling a grant event, or fail.
-
-        Returns a :class:`FastGrant` token (release it with
-        :meth:`release`) when the resource is :attr:`idle`, else ``None``.
-        Because no event is created, the caller must only use this where
-        the reference path's grant notification could not have interleaved
-        with any other event — see the fast-path guard in
-        :meth:`repro.cluster.fabric.Fabric._fast_transfer_viable`.
-        """
-        if self._waiting or len(self._users) >= self.capacity:
-            return None
-        token = FastGrant(self)
-        self._users.add(token)
-        return token
-
     def _on_request(self, req: Request) -> None:
         if len(self._users) < self.capacity:
             self._users.add(req)
@@ -128,7 +83,7 @@ class Resource:
         else:
             self._waiting.append(req)
 
-    def release(self, req: "Request | FastGrant") -> None:
+    def release(self, req: Request) -> None:
         """Release a granted request, or cancel a queued one.
 
         Releasing a request that is neither held nor queued is an error —

@@ -131,3 +131,14 @@ class TestE10:
         methods = {row["method"] for row in res.rows}
         assert methods == {"staged", "autotune"}
         assert res.measured["autotune_measurements"] >= 5
+
+
+class TestE17:
+    def test_prefix_memo_tiny_ladder(self):
+        res = E.e17_prefix_memo(ladder=(2, 3), gpus=2)
+        assert res.measured["prefix_bit_identical"] == 1.0
+        # Only the largest member is simulated; the 2-iteration member
+        # resumes from its boundary checkpoint.
+        assert res.measured["prefix_iterations_simulated"] == 3
+        assert res.measured["prefix_iterations_reference"] == 5
+        assert res.rows[0]["bit identical"] == "yes"

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench import experiments as E
 from repro.bench.harness import ExperimentResult
-from repro.bench.registry import REGISTRY, ExperimentSpec, get, ids, legacy_table
+from repro.bench.registry import REGISTRY, ExperimentSpec, get, ids
 
 
 def test_every_spec_well_formed():
@@ -64,17 +64,6 @@ def test_spec_run_with_runner(tmp_path):
     result = spec.run(quick=True, runner=runner)
     assert result.experiment == "E4"
     assert runner.stats.points > 0
-
-
-def test_legacy_table_matches_registry():
-    table = legacy_table()
-    assert set(table) == set(REGISTRY)
-    for exp_id, (desc, fn, full, quick) in table.items():
-        spec = REGISTRY[exp_id]
-        assert desc == spec.title
-        assert fn is spec.fn
-        assert full == spec.full_kwargs
-        assert quick == spec.quick_kwargs
 
 
 def test_specs_are_frozen():

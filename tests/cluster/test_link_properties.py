@@ -6,7 +6,7 @@ Hypothesis-driven invariants over the α–β link model:
   one directed route finish at exactly the sum of their unloaded
   durations, and every route link's ``busy_seconds``/``bytes_carried``
   account for each transfer once (no time or bytes created or lost by
-  queueing).  Holds identically under both transfer paths.
+  queueing).
 * **Degrade/restore round-trips** — any sequence of ``set_factor`` calls
   composes from ``base_spec`` (never accretes), and ``set_factor(1.0)``
   restores the pristine spec object exactly.
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Device, Fabric, build_summit
 from repro.cluster.links import Link, LinkSpec
-from repro.sim import Environment, fast_path
+from repro.sim import Environment
 from repro.sim.units import MiB, microseconds
 
 SIZES = st.lists(st.integers(min_value=0, max_value=64 * MiB),
@@ -37,15 +37,14 @@ def make_fabric(nodes=1):
 
 
 @prop
-@given(sizes=SIZES, fast=st.booleans())
-def test_serialized_transfers_conserve_link_seconds(sizes, fast):
+@given(sizes=SIZES)
+def test_serialized_transfers_conserve_link_seconds(sizes):
     """Makespan of N contended transfers == Σ unloaded durations."""
-    with fast_path(fast):
-        env, fabric = make_fabric()
-        src, dst = Device.gpu(0, 0), Device.gpu(0, 1)
-        durations = [fabric.transfer_seconds(src, dst, n) for n in sizes]
-        events = [fabric.transfer(src, dst, n) for n in sizes]
-        env.run()
+    env, fabric = make_fabric()
+    src, dst = Device.gpu(0, 0), Device.gpu(0, 1)
+    durations = [fabric.transfer_seconds(src, dst, n) for n in sizes]
+    events = [fabric.transfer(src, dst, n) for n in sizes]
+    env.run()
     assert env.now == pytest.approx(sum(durations))
     # FIFO queueing: transfer k completes at the k-th partial sum.
     done = 0.0
@@ -60,22 +59,21 @@ def test_serialized_transfers_conserve_link_seconds(sizes, fast):
 
 
 @prop
-@given(sizes=SIZES, fast=st.booleans())
-def test_route_holds_every_link_for_the_same_duration(sizes, fast):
+@given(sizes=SIZES)
+def test_route_holds_every_link_for_the_same_duration(sizes):
     """Busy-seconds conservation across a multi-link route.
 
     A wormhole transfer occupies all route links for its whole duration,
     so Σ_links busy_seconds == Σ_transfers duration × route_length.
     """
-    with fast_path(fast):
-        env, fabric = make_fabric(nodes=2)
-        src, dst = Device.gpu(0, 0), Device.gpu(1, 0)
-        route = fabric.topology.route(src, dst)
-        assert len(route) > 1
-        durations = [fabric.transfer_seconds(src, dst, n) for n in sizes]
-        for n in sizes:
-            fabric.transfer(src, dst, n)
-        env.run()
+    env, fabric = make_fabric(nodes=2)
+    src, dst = Device.gpu(0, 0), Device.gpu(1, 0)
+    route = fabric.topology.route(src, dst)
+    assert len(route) > 1
+    durations = [fabric.transfer_seconds(src, dst, n) for n in sizes]
+    for n in sizes:
+        fabric.transfer(src, dst, n)
+    env.run()
     for link in route:
         assert link.busy_seconds == pytest.approx(sum(durations))
         assert link.bytes_carried == sum(sizes)

@@ -37,7 +37,6 @@ def make_trace() -> str:
     from repro.core.knobs import paper_tuned_config
     from repro.core.sweep import clear_profile_cache, measure_training
     from repro.faults import FaultSchedule, RankCrash, StragglerGPU
-    from repro.sim import fast_path
     from repro.trace import merged_chrome_trace
 
     clear_profile_cache()
@@ -51,15 +50,8 @@ def make_trace() -> str:
         StragglerGPU(rank=1, start_s=1.0, duration_s=1.0, slowdown=2.0),
         RankCrash(rank=2, start_s=2.5),
     )
-    # Pin the reference execution path: the merged trace embeds the
-    # telemetry counter track, whose kernel-event metrics (queue depth,
-    # events processed) are the one observable the fast path is allowed
-    # to change.  Pinning keeps the golden stable under either
-    # REPRO_FAST_PATH setting; fast≡reference on every other field is
-    # covered by tests/sim/test_fastpath_differential.py.
-    with fast_path(False):
-        m = measure_training(3, cfg, iterations=3, jitter_std=0.0, seed=0,
-                             schedule=schedule, telemetry=True, trace="links")
+    m = measure_training(3, cfg, iterations=3, jitter_std=0.0, seed=0,
+                         schedule=schedule, telemetry=True, trace="links")
     return merged_chrome_trace(m.timeline, m.telemetry.registry, m.trace)
 
 

@@ -4,13 +4,14 @@ import json
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import main
+from repro.bench.registry import REGISTRY
 
 
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for exp_id in EXPERIMENTS:
+    for exp_id in REGISTRY:
         assert exp_id in out
 
 
@@ -42,10 +43,11 @@ def test_measure_with_model(capsys):
 
 
 def test_every_registered_experiment_has_quick_kwargs():
-    for exp_id, (desc, driver, full, quick) in EXPERIMENTS.items():
-        assert callable(driver), exp_id
-        assert isinstance(full, dict) and isinstance(quick, dict)
-        assert desc
+    for exp_id, spec in REGISTRY.items():
+        assert callable(spec.fn), exp_id
+        assert isinstance(spec.full_kwargs, dict)
+        assert isinstance(spec.quick_kwargs, dict)
+        assert spec.title
 
 
 def test_version_flag(capsys):
@@ -100,15 +102,6 @@ def test_run_quick_e14(tmp_path, monkeypatch, capsys):
     assert saved["measured"]["max_bucket_sum_error"] < 0.02
     # Tuned strictly beats default on tunable overhead at >= 24 GPUs.
     assert saved["measured"]["overhead_delta_24"] > 0
-
-
-def test_registry_backs_the_legacy_table():
-    from repro.bench.registry import REGISTRY
-
-    assert set(EXPERIMENTS) == set(REGISTRY)
-    for exp_id, (desc, driver, full, quick) in EXPERIMENTS.items():
-        spec = REGISTRY[exp_id]
-        assert driver is spec.fn and desc == spec.title
 
 
 def test_list_marks_parallelizable(capsys):

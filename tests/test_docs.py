@@ -49,7 +49,7 @@ def test_design_experiment_ids_have_drivers(design):
         assert f"| {exp_id} |" in design, exp_id
     for fn in ("e1_single_gpu_throughput", "e13_degraded_rail",
                "e14_efficiency_attribution", "e16_critical_path",
-               "e17_fastpath_speedup"):
+               "e17_prefix_memo"):
         assert hasattr(experiments, fn)
 
 
@@ -63,8 +63,8 @@ def test_examples_referenced_exist(readme):
 
 
 def test_cli_registry_matches_design(design):
-    from repro.__main__ import EXPERIMENTS
+    from repro.bench.registry import REGISTRY
 
-    for exp_id in EXPERIMENTS:
+    for exp_id in REGISTRY:
         base = exp_id.rstrip("b")
         assert f"| {base} |" in design or f"| {exp_id} |" in design, exp_id
