@@ -141,7 +141,10 @@ class Fabric:
         info = self.topology.route_info(src, dst)
         if info is None:
             return 0.0
-        self._check_route_up(info)
+        links = info.links
+        for link in links:
+            if not link.up:
+                raise LinkDownError(link.label)
         duration = (
             info.latency_s
             + extra_latency
@@ -157,24 +160,18 @@ class Fabric:
         acquired_at = env.now
         # A link may have flapped down while we queued for the route;
         # release everything and fail so the sender can back off.
-        down = next((l for l in info.links if not l.up), None)
-        if down is not None:
-            for link, req in held:
-                link.resource.release(req)
-            raise LinkDownError(down.label)
+        for down in links:
+            if not down.up:
+                for link, req in held:
+                    link.resource.release(req)
+                raise LinkDownError(down.label)
         yield env.timeout(duration)
         for link, req in held:
             link.record(nbytes, duration)
             link.resource.release(req)
         elapsed = env.now - start
-        self.stats.record(nbytes, elapsed, [l.spec.name for l in info.links])
+        self.stats.record(nbytes, elapsed, [l.spec.name for l in links])
         if self.tracer is not None and self.tracer.link_detail:
             self.tracer.on_transfer(src, dst, nbytes, start, acquired_at,
                                     env.now, info)
         return elapsed
-
-    @staticmethod
-    def _check_route_up(info) -> None:
-        for link in info.links:
-            if not link.up:
-                raise LinkDownError(link.label)

@@ -6,6 +6,15 @@ whose edges each carry one :class:`~repro.cluster.links.Link`.  Routes are
 minimum-latency shortest paths, computed lazily and cached — on the
 fat-tree topologies we build, these coincide with the routes a real
 subnet manager would program.
+
+Every simulated point builds a fresh topology, so the shortest-path
+searches are memoized across instances, keyed by the topology's
+construction history: the endpoints, latency and direction of every
+:meth:`Topology.add_device` / :meth:`Topology.add_link` call, in order.
+Those are all the latency-weighted search reads, including the graph's
+insertion order that breaks ties, so two topologies with the same
+history get the same routes.  Fault injection changes a link's
+bandwidth or up state, never its latency, so it cannot change a route.
 """
 
 from __future__ import annotations
@@ -18,6 +27,16 @@ from repro.cluster.links import Link, LinkSpec
 from repro.sim import Environment
 
 __all__ = ["Device", "RouteInfo", "Topology"]
+
+#: Construction history -> {(src, dst): device path}, shared by every
+#: topology built the same way.  Threads simulating concurrently (the
+#: service scheduler) may both search a missing path; they store the
+#: same value, so no lock is needed.
+_PATHS: dict[tuple, dict[tuple["Device", "Device"], list["Device"]]] = {}
+
+
+def _latency(a, b, data) -> float:
+    return data["link"].latency_s
 
 
 @dataclass(frozen=True)
@@ -103,11 +122,16 @@ class Topology:
         self.graph = nx.DiGraph()
         self._route_cache: dict[tuple[Device, Device], list[Link]] = {}
         self._route_info_cache: dict[tuple[Device, Device], RouteInfo] = {}
+        #: Every construction call so far, as plain tuples (the memo key).
+        self._history: list[tuple] = []
+        #: This shape's entry in the shared path memo, once looked up.
+        self._paths: dict[tuple[Device, Device], list[Device]] | None = None
 
     # -- construction ----------------------------------------------------
     def add_device(self, device: Device) -> Device:
         """Register a device (idempotent)."""
         self.graph.add_node(device)
+        self._record((device.kind, device.node, device.index))
         return device
 
     def add_link(self, a: Device, b: Device, spec: LinkSpec, duplex: bool = True) -> None:
@@ -123,8 +147,14 @@ class Topology:
         self.graph.add_edge(a, b, link=Link(self.env, spec, f"{a}->{b}"))
         if duplex:
             self.graph.add_edge(b, a, link=Link(self.env, spec, f"{b}->{a}"))
-        self._route_cache.clear()
-        self._route_info_cache.clear()
+        self._record((a.kind, a.node, a.index, b.kind, b.node, b.index,
+                      spec.latency_s, duplex))
+        self._invalidate_routes()
+
+    def _record(self, call: tuple) -> None:
+        """Append a construction call to the history (the route memo key)."""
+        self._history.append(call)
+        self._paths = None
 
     # -- queries ----------------------------------------------------------
     def devices(self, kind: str | None = None) -> list[Device]:
@@ -158,9 +188,13 @@ class Topology:
             return []
         cached = self._route_cache.get((src, dst))
         if cached is None:
-            path = nx.shortest_path(
-                self.graph, src, dst, weight=lambda a, b, d: d["link"].latency_s
-            )
+            paths = self._paths
+            if paths is None:
+                paths = self._paths = _PATHS.setdefault(tuple(self._history), {})
+            path = paths.get((src, dst))
+            if path is None:
+                path = paths[(src, dst)] = nx.shortest_path(
+                    self.graph, src, dst, weight=_latency)
             cached = [self.graph.edges[u, v]["link"] for u, v in zip(path, path[1:])]
             self._route_cache[(src, dst)] = cached
         return cached

@@ -242,7 +242,11 @@ class HorovodRuntime:
 
     def _maybe_ready(self, entry: _TensorEntry) -> None:
         """Queue ``entry`` once every active rank has submitted it."""
-        if entry.queued or not self.active <= entry.payloads.keys():
+        payloads = entry.payloads
+        # Fewer submitters than active ranks cannot cover them: the size
+        # check spares most submissions the O(ranks) subset test.
+        if (entry.queued or len(payloads) < len(self.active)
+                or not self.active <= payloads.keys()):
             return
         entry.queued = True
         # Snapshot who takes part: everyone who submitted and is not
@@ -451,7 +455,8 @@ class HorovodRuntime:
         else:
             elem = 2 if self.config.compression == "fp16" else 4
             aligned = (wire_bytes + elem - 1) // elem * elem
-            fused = [VirtualBuffer(aligned, elem) for _ in ranks]
+            # Virtual buffers are immutable: every rank can share one.
+            fused = [VirtualBuffer(aligned, elem)] * len(ranks)
 
         start = self.env.now
         algorithm = (
@@ -496,7 +501,10 @@ class HorovodRuntime:
         self.stats.tensors_reduced += len(entries)
         self.stats.bytes_reduced += group.nbytes
 
-        # Hand each participating rank its averaged tensor back.
+        # Hand each participating rank its averaged tensor back (in
+        # virtual mode, one immutable result buffer per tensor, shared).
+        outs = None if numpy_mode else [
+            VirtualBuffer((e.nbytes + 3) // 4 * 4) for e in entries]
         for i, rank in enumerate(ranks):
             if numpy_mode:
                 flat = results[i]
@@ -507,22 +515,26 @@ class HorovodRuntime:
                     e.events[rank].succeed(flat[offset:offset + n].reshape(shape))
                     offset += n
             else:
-                for e in entries:
-                    e.events[rank].succeed(VirtualBuffer((e.nbytes + 3) // 4 * 4))
+                for e, out in zip(entries, outs):
+                    e.events[rank].succeed(out)
 
         # Extra submitters — a rank that rejoined after this group's
         # participant snapshot — adopt the group consensus (elastic
         # Horovod semantics: late arrivals take the survivors' average).
+        # Participants are a subset of each entry's submitters, so an
+        # entry with no more submitters than participants has none.
         flat0 = results[0] if numpy_mode else None
         offset = 0
-        for e in entries:
+        for k, e in enumerate(entries):
             n = next(iter(e.payloads.values())).size if numpy_mode else 0
-            for rank in sorted(set(e.payloads) - participants - self._removed):
-                if e.events[rank].triggered:
-                    continue
-                if numpy_mode:
-                    shape = e.payloads[rank].shape
-                    e.events[rank].succeed(flat0[offset:offset + n].reshape(shape))
-                else:
-                    e.events[rank].succeed(VirtualBuffer((e.nbytes + 3) // 4 * 4))
+            if len(e.payloads) > len(participants):
+                for rank in sorted(set(e.payloads) - participants - self._removed):
+                    if e.events[rank].triggered:
+                        continue
+                    if numpy_mode:
+                        shape = e.payloads[rank].shape
+                        e.events[rank].succeed(
+                            flat0[offset:offset + n].reshape(shape))
+                    else:
+                        e.events[rank].succeed(outs[k])
             offset += n

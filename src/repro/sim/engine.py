@@ -20,8 +20,8 @@ events, because the MPI and Horovod layers lean on all of them.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Generator
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 __all__ = [
@@ -127,7 +127,8 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self, NORMAL)
+        env = self.env
+        env._schedule(self, NORMAL, env._now)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -142,7 +143,8 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = False
         self._value = exception
-        self.env._schedule(self, NORMAL)
+        env = self.env
+        env._schedule(self, NORMAL, env._now)
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -180,15 +182,22 @@ class Timeout(Event):
 
     def __init__(self, env: "Environment", delay: float, value: Any = None,
                  _at: float | None = None) -> None:
-        if _at is not None:
-            delay = _at - env.now
+        # Fields are set here rather than through Event.__init__:
+        # timeouts are among the kernel's most frequent events.
+        if _at is None:
+            when = env._now + delay
+        else:
+            when = _at
+            delay = _at - env._now
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, NORMAL, delay, at=_at)
+        self._ok = True
+        self.defused = False
+        self.delay = delay
+        env._schedule(self, NORMAL, when, delay)
 
     # Timeouts are triggered at construction; succeed/fail are invalid.
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover
@@ -208,7 +217,7 @@ class Initialize(Event):
         self.callbacks.append(process._rcb)
         self._ok = True
         self._value = None
-        env._schedule(self, URGENT)
+        env._schedule(self, URGENT, env._now)
 
 
 class Process(Event):
@@ -254,21 +263,40 @@ class Process(Event):
         """
         if not self.is_alive:
             raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
+        env = self.env
+        if self is env.active_process:
             raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
+        event = Event(env)
         event._ok = False
         event._value = Interrupt(cause)
         event.defused = True
-        event.callbacks.append(self._rcb)
-        self.env._schedule(event, URGENT)
-        # Detach from the old target so its trigger no longer resumes us.
-        if self._target is not None and self._target.callbacks is not None:
+        event.callbacks.append(self._interrupted)
+        env._schedule(event, URGENT, env._now)
+        self._detach()
+
+    def _detach(self) -> None:
+        """Stop waiting on the current target: its trigger no longer resumes us."""
+        target = self._target
+        if target is not None and target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._rcb)
+                target.callbacks.remove(self._rcb)
             except ValueError:  # pragma: no cover - already detached
                 pass
         self._target = None
+
+    def _interrupted(self, event: Event) -> None:
+        """Deliver an interrupt, unless the process has terminated since.
+
+        Several interrupts can be queued in one step; if the process
+        returns while handling the first, the rest are dropped (SimPy
+        semantics).  If it survives and waits on a new target before the
+        next one lands, that wait is abandoned, as :meth:`interrupt`
+        abandons the one it interrupts.
+        """
+        if self._value is not _PENDING:
+            return
+        self._detach()
+        self._resume(event)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
@@ -287,12 +315,12 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                env._schedule(self, NORMAL)
+                env._schedule(self, NORMAL, env._now)
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
-                env._schedule(self, NORMAL)
+                env._schedule(self, NORMAL, env._now)
                 break
 
             if not isinstance(next_target, Event):
@@ -333,26 +361,29 @@ class Condition(Event):
         events: list[Event],
     ) -> None:
         super().__init__(env)
-        self._events = list(events)
+        self._events = events = list(events)
         self._evaluate = evaluate
         self._count = 0
-        for event in self._events:
+        for event in events:
             if event.env is not env:
                 raise SimulationError("cannot mix events from different environments")
-        if not self._events:
+        if not events:
             self.succeed(self._collect())
             return
-        for event in self._events:
-            if event.processed:
-                self._check(event)
+        check = self._check
+        for event in events:
+            callbacks = event.callbacks
+            if callbacks is None:  # already processed
+                check(event)
             else:
-                event.callbacks.append(self._check)
+                callbacks.append(check)
 
     def _collect(self) -> dict[Event, Any]:
-        return {e: e._value for e in self._events if e.processed and e._ok}
+        return {e: e._value for e in self._events
+                if e.callbacks is None and e._ok}
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:  # already triggered
             if not event._ok:
                 event.defused = True
             return
@@ -479,11 +510,15 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0,
-                  at: float | None = None) -> None:
+    def _schedule(self, event: Event, priority: int, when: float,
+                  delay: float = 0.0) -> None:
+        """Push ``event`` onto the queue to fire at ``when``.
+
+        The one function that enqueues events (so one call per kernel
+        event).  ``delay`` is only reported to the monitor.
+        """
         self._eid += 1
-        when = (self._now + delay) if at is None else at
-        heapq.heappush(self._queue, (when, priority, self._eid, event))
+        heappush(self._queue, (when, priority, self._eid, event))
         if self.monitor is not None:
             self.monitor.on_schedule(self, event, delay)
 
@@ -495,7 +530,7 @@ class Environment:
         """Process exactly one event, advancing time to its timestamp."""
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        self._now, _, _, event = heapq.heappop(self._queue)
+        self._now, _, _, event = heappop(self._queue)
         if self.monitor is not None:
             self.monitor.on_step(self, event, len(self._queue))
         callbacks, event.callbacks = event.callbacks, None
@@ -516,7 +551,7 @@ class Environment:
         calling :meth:`step` in a loop.
         """
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         while queue:
             if until is not None and until.callbacks is None:
                 return

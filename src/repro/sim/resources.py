@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from repro.sim.engine import Environment, Event, SimulationError
+from repro.sim.engine import _PENDING, NORMAL, Environment, Event, SimulationError
 
 __all__ = ["Resource", "Store"]
 
@@ -35,9 +35,23 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
+        # Fields are set here rather than through Event.__init__ and
+        # succeed(): every link grant of every transfer is a Request.
+        env = resource.env
+        self.env = env
+        self.callbacks = []
+        self.defused = False
         self.resource = resource
-        resource._on_request(self)
+        users = resource._users
+        if len(users) < resource.capacity:
+            users.add(self)
+            self._ok = True
+            self._value = None
+            env._schedule(self, NORMAL, env._now)
+        else:
+            self._ok = None
+            self._value = _PENDING
+            resource._waiting.append(self)
 
     def __enter__(self) -> "Request":
         return self
@@ -75,13 +89,6 @@ class Resource:
     def request(self) -> Request:
         """Request the resource; the returned event fires when granted."""
         return Request(self)
-
-    def _on_request(self, req: Request) -> None:
-        if len(self._users) < self.capacity:
-            self._users.add(req)
-            req.succeed()
-        else:
-            self._waiting.append(req)
 
     def release(self, req: Request) -> None:
         """Release a granted request, or cancel a queued one.

@@ -103,6 +103,13 @@ class DistributedTrainer:
         #: with ``every`` / ``stop_at`` works).
         self.checkpoint_plan = checkpoint
         self._resume_state = resume_state
+        #: The backward pass's (emission offset, tensor name, payload)
+        #: triples.  Virtual buffers are immutable, so every rank and
+        #: iteration submits the same one per tensor.
+        self._emissions = [
+            (offset, tensor.name, VirtualBuffer(tensor.nbytes))
+            for offset, tensor in profile.emission_schedule
+        ]
         self._iteration_marks: dict[int, float] = {}
         self._input_stall = 0.0
         self._alive: set[int] = set(range(runtime.size))
@@ -319,14 +326,13 @@ class DistributedTrainer:
         # Backward: submit each tensor at its (jittered) emission time.
         events = []
         previous = 0.0
-        for offset, tensor in profile.emission_schedule:
+        submit = self.runtime.submit
+        for offset, name, payload in self._emissions:
             delta = (offset - previous) * jitter * self._fault_mult(rank)
             if delta > 0:
                 yield self.env.timeout(delta)
             previous = offset
-            events.append(
-                self.runtime.submit(rank, tensor.name, VirtualBuffer(tensor.nbytes))
-            )
+            events.append(submit(rank, name, payload))
         last_emit_s = self.env.now
         yield self.env.all_of(events)
         barrier_s = self.env.now

@@ -1,8 +1,12 @@
 """Tests for devices, links, and the Summit topology."""
 
+import networkx as nx
 import pytest
 
-from repro.cluster import Device, LinkSpec, Topology, build_summit
+from repro.cluster import (
+    Device, Fabric, LinkDownError, LinkSpec, Topology, build_summit,
+)
+from repro.cluster import topology as topology_mod
 from repro.cluster.summit import SUMMIT_NODE, SummitNodeSpec
 from repro.sim import Environment
 from repro.sim.units import gbyte_per_s, microseconds
@@ -117,3 +121,137 @@ def test_route_latency_is_sum():
     assert topo.route_latency(Device.gpu(0, 0), Device.gpu(0, 1)) == pytest.approx(
         microseconds(1.9)
     )
+
+
+# -- route memo across topology instances ------------------------------------
+
+
+def _endpoints(topo, route):
+    """A link list as the device path it walks."""
+    ends = {id(data["link"]): (u, v)
+            for u, v, data in topo.graph.edges(data=True)}
+    path = [ends[id(route[0])][0]]
+    for link in route:
+        u, v = ends[id(link)]
+        assert u == path[-1]
+        path.append(v)
+    return path
+
+
+def _gpu_pairs(topo):
+    gpus = topo.gpus()
+    return [(a, b) for a in gpus for b in gpus if a != b]
+
+
+@pytest.fixture
+def count_searches(monkeypatch):
+    """Count the shortest-path searches topologies run."""
+    calls = []
+    search = nx.shortest_path
+
+    def counting(graph, src, dst, **kwargs):
+        calls.append((src, dst))
+        return search(graph, src, dst, **kwargs)
+
+    monkeypatch.setattr(topology_mod.nx, "shortest_path", counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def summit_22_routed():
+    """A 132-GPU Summit with every GPU pair routed (fills the memo)."""
+    topo = build_summit(Environment(), nodes=22)
+    for a, b in _gpu_pairs(topo):
+        topo.route(a, b)
+    return topo
+
+
+def test_memoized_routes_match_a_fresh_search(summit_22_routed):
+    topo = build_summit(Environment(), nodes=22)
+    for a, b in _gpu_pairs(topo):
+        fresh = nx.shortest_path(topo.graph, a, b,
+                                 weight=lambda u, v, d: d["link"].latency_s)
+        # Same path, over this topology's own links.
+        assert topo.route(a, b) == [topo.link(u, v)
+                                    for u, v in zip(fresh, fresh[1:])]
+
+
+def test_same_shape_routes_run_no_search(summit_22_routed, count_searches):
+    topo = build_summit(Environment(), nodes=22)
+    for a, b in _gpu_pairs(topo):
+        topo.route(a, b)
+        topo.route_info(a, b)
+    assert count_searches == []
+
+
+def _diamond(env, via_c_latency=2e-6, extra=False):
+    """a -> {b, c} -> d: the route goes via b unless a->c gets faster."""
+    topo = Topology(env)
+    a, b, c, d = (Device.gpu(0, i) for i in range(4))
+    topo.add_link(a, b, LinkSpec("l", 1e-6, 1e9))
+    topo.add_link(b, d, LinkSpec("l", 1e-6, 1e9))
+    topo.add_link(a, c, LinkSpec("l", via_c_latency, 1e9))
+    topo.add_link(c, d, LinkSpec("l", 1e-6, 1e9))
+    if extra:
+        topo.add_link(a, d, LinkSpec("direct", 0.5e-6, 1e9))
+    return topo, a, b, c, d
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty route memo, so search counts do not depend on test order."""
+    monkeypatch.setattr(topology_mod, "_PATHS", {})
+
+
+def test_memo_keys_on_latency_and_links(fresh_memo, count_searches):
+    env = Environment()
+    base, a, b, c, d = _diamond(env)
+    assert _endpoints(base, base.route(a, d)) == [a, b, d]
+    faster_c, *_ = _diamond(env, via_c_latency=0.5e-6)
+    assert _endpoints(faster_c, faster_c.route(a, d)) == [a, c, d]
+    direct, *_ = _diamond(env, extra=True)
+    assert _endpoints(direct, direct.route(a, d)) == [a, d]
+    assert len(count_searches) == 3
+    assert len({id(t._paths) for t in (base, faster_c, direct)}) == 3
+    # The same shape again shares the first entry.
+    again, *_ = _diamond(env)
+    assert _endpoints(again, again.route(a, d)) == [a, b, d]
+    assert again._paths is base._paths
+    assert len(count_searches) == 3
+
+
+def test_add_link_after_routing_invalidates(fresh_memo, count_searches):
+    topo, a, b, c, d = _diamond(Environment())
+    assert _endpoints(topo, topo.route(a, d)) == [a, b, d]
+    topo.add_link(a, d, LinkSpec("direct", 0.5e-6, 1e9))
+    assert _endpoints(topo, topo.route(a, d)) == [a, d]
+    assert topo.route_info(a, d).links == (topo.link(a, d),)
+    assert len(count_searches) == 2
+
+
+def test_faults_on_a_memoized_topology(fresh_memo, count_searches):
+    env = Environment()
+    src, dst = Device.gpu(0, 0), Device.gpu(1, 0)
+    nic, switch = Device.nic(0, 0), Device.switch(1)
+    build_summit(env, nodes=2).route(src, dst)
+    topo = build_summit(env, nodes=2)
+    route = topo.route(src, dst)
+    healthy = topo.route_info(src, dst).bottleneck_Bps
+    assert len(count_searches) == 1  # the second topology hit the memo
+
+    topo.degrade_link(nic, switch, 0.25)
+    assert topo.route(src, dst) == route
+    assert topo.route_info(src, dst).bottleneck_Bps == pytest.approx(
+        topo.link(nic, switch).bandwidth_Bps)
+    assert topo.route_info(src, dst).bottleneck_Bps < healthy
+
+    topo.set_link_up(nic, switch, False)
+    assert topo.route(src, dst) == route
+    Fabric(topo).transfer(src, dst, 1 << 20)
+    with pytest.raises(LinkDownError):
+        env.run()
+
+    topo.restore_link(nic, switch)
+    assert topo.route(src, dst) == route
+    assert topo.route_info(src, dst).bottleneck_Bps == healthy
+    assert len(count_searches) == 1

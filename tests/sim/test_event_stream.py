@@ -1,0 +1,192 @@
+"""Exactness gate: the kernel's event stream, hashed.
+
+Speed work on the simulator (kernel, link model, MPI, runtime, trainer)
+must not move simulated behaviour at all: the same events, of the same
+types, scheduled and dispatched in the same order at the same times.
+Comparing ``events_scheduled`` counts cannot see a reordering; these
+digests can.
+
+Each scenario runs with an observation-only monitor on
+``Environment.monitor`` that hashes
+
+* every scheduled event: type name, ``now`` and ``delay``;
+* every dispatched event: type name, ``now`` and the queue depth left;
+
+and, separately, the run's outputs (statistics, timeline, link
+utilization, fault report).  Outputs are hashed as ``repr`` text, which
+round-trips floats exactly and, unlike pickle bytes, does not depend on
+the Python or numpy version.
+
+The expected digests were recorded on the kernel before its hot path
+was optimised.  A mismatch means simulated behaviour changed; only a
+deliberate behaviour change may re-record them (``--regen`` prints the
+current values).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from repro.core import sweep
+from repro.core.knobs import paper_default_config, paper_tuned_config
+from repro.faults import FaultSchedule, LinkFlap, RankCrash, StragglerGPU
+
+#: scenario -> (event-stream digest, outputs digest), SHA-256 hex.
+EXPECTED = {
+    "default_12": (
+        "560c89f9816f01c7af52d4fbdb4e3cf543c578689fec15781d16c1d1a5b18807",
+        "63b15defcf01ae66c3a2e7a2dae14614e0b2a1a13b4eb66f37791a4e1bc17972"),  # 71339 events
+    "tuned_12": (
+        "d8d6cb3b93b949a7f663da66aa07581d3f3d273d2c648356d7010cd28f78f478",
+        "e39a6fa0fecc49bd669b053bc52bb66650798b274f5a8dc5d0175500a8fd483c"),  # 74422 events
+    "faulted_12": (
+        "199f95a8c282f8de0404b88f929364f1fbfa2129c4abfb93ccb7eb9bbfa06dde",
+        "13b4c759989bf03c9c9c0290c8c66f811a6cc42a4fba3ee5eb48541d3ff2c949"),  # 40472 events
+    "osu_allreduce_12": (
+        "7f13ee35555a53f76c62d5c4a8863ce845516df9a98350f36988cb0ba4247652",
+        "ec8b75e2c328dbb7f217603e309f6ad500c99a4f4943fb203917737b86685aec"),  # 6078 events
+}
+
+
+class StreamHash:
+    """Monitor hashing every scheduled and dispatched kernel event."""
+
+    def __init__(self) -> None:
+        self._sha = hashlib.sha256()
+        self.scheduled = 0
+        self.dispatched = 0
+
+    def on_schedule(self, env, event, delay) -> None:
+        self.scheduled += 1
+        self._sha.update(
+            f"S {type(event).__name__} {float(env.now)!r} {float(delay)!r}\n"
+            .encode())
+
+    def on_step(self, env, event, depth) -> None:
+        self.dispatched += 1
+        self._sha.update(
+            f"D {type(event).__name__} {float(env.now)!r} {depth}\n".encode())
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
+def _outputs_digest(*parts) -> str:
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def _measure(monkeypatch, config, iterations=2, **kwargs):
+    """``measure_training`` at 12 GPUs with a hashing kernel monitor."""
+    stream = StreamHash()
+    environment = sweep.Environment
+
+    def monitored(*args, **kw):
+        env = environment(*args, **kw)
+        env.monitor = stream
+        return env
+
+    monkeypatch.setattr(sweep, "Environment", monitored)
+    m = sweep.measure_training(12, config, iterations=iterations,
+                               jitter_std=0.0, seed=0, **kwargs)
+    outputs = _outputs_digest(
+        dataclasses.asdict(m.stats),
+        dataclasses.asdict(m.runtime_stats),
+        [dataclasses.astuple(ev) for ev in m.timeline.events],
+        m.link_utilization,
+        m.fault_report,
+    )
+    return stream, outputs, m
+
+
+def run_default_12(monkeypatch):
+    # Spectrum MPI defaults: recursive doubling, rendezvous above eager.
+    return _measure(monkeypatch, paper_default_config())
+
+
+def run_tuned_12(monkeypatch):
+    # MVAPICH2-GDR with hierarchical allreduce and 128 MiB fusion.
+    return _measure(monkeypatch, paper_tuned_config())
+
+
+def run_faulted_12(monkeypatch):
+    # The golden trace's straggler + crash under a negotiation deadline,
+    # plus a fast-flapping rail: some transfers find the route down up
+    # front, others find it down only after queueing for the links and
+    # take the release-and-raise path.
+    cfg = paper_default_config()
+    cfg = dataclasses.replace(cfg, horovod=cfg.horovod.with_(
+        cycle_time_s=50e-3, negotiation_deadline_s=0.2, suspect_retries=1,
+    ))
+    schedule = FaultSchedule.of(
+        StragglerGPU(rank=1, start_s=1.0, duration_s=1.0, slowdown=2.0),
+        RankCrash(rank=2, start_s=2.5),
+        LinkFlap(link=("nic:0:0", "switch:-1:1"), start_s=0.5,
+                 duration_s=2.0, period_s=0.0137, down_s=0.0031),
+    )
+    return _measure(monkeypatch, cfg, iterations=3, schedule=schedule)
+
+
+def run_osu_allreduce_12(monkeypatch):
+    from repro.cluster import Fabric, build_summit
+    from repro.mpi.communicator import Comm
+    from repro.mpi.libraries import MVAPICH2_GDR
+    from repro.mpi.osu import osu_allreduce
+    from repro.sim import Environment
+
+    stream = StreamHash()
+    env = Environment()
+    env.monitor = stream
+    topo = build_summit(env, nodes=2)
+    comm = Comm(Fabric(topo), topo.gpus(), MVAPICH2_GDR)
+    result = osu_allreduce(comm, 4 << 20, iterations=3)
+    outputs = _outputs_digest(
+        dataclasses.asdict(result),
+        dataclasses.asdict(comm.fabric.stats),
+        comm.fabric.utilization_report(),
+        comm.messages_sent,
+    )
+    return stream, outputs, result
+
+
+SCENARIOS = {
+    "default_12": run_default_12,
+    "tuned_12": run_tuned_12,
+    "faulted_12": run_faulted_12,
+    "osu_allreduce_12": run_osu_allreduce_12,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_event_stream_unchanged(monkeypatch, name):
+    stream, outputs, _ = SCENARIOS[name](monkeypatch)
+    assert stream.scheduled == stream.dispatched
+    assert (stream.hexdigest(), outputs) == EXPECTED[name], (
+        f"{name}: {stream.scheduled} events scheduled")
+
+
+def test_faulted_run_exercises_failure_handling(monkeypatch):
+    """The faulted scenario really retries transfers, suspects a
+    straggler and evicts the crashed rank, so its digest guards the
+    failure-handling code too."""
+    _, _, m = run_faulted_12(monkeypatch)
+    report = m.fault_report
+    assert report["transfer_retries"] > 0
+    assert report["rank_crashes"] == 1
+    assert report["suspects_cleared"] >= 1
+
+
+if __name__ == "__main__":
+    import sys
+
+    if "--regen" in sys.argv:
+        mp = pytest.MonkeyPatch()
+        for key, fn in SCENARIOS.items():
+            with mp.context() as patch:
+                stream, outputs, _ = fn(patch)
+            print(f'    "{key}": (\n        "{stream.hexdigest()}",\n'
+                  f'        "{outputs}"),  # {stream.scheduled} events')
+    else:
+        print(__doc__)

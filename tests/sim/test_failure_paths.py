@@ -125,6 +125,58 @@ def test_double_interrupt_before_resume():
     assert hits == ["a", "b"]
 
 
+def test_interrupt_queued_for_a_process_that_returned_is_dropped():
+    """The victim returns while handling the first of two interrupts
+    queued in one step: the second is dropped, as in SimPy, instead of
+    being thrown into the finished generator."""
+    env = Environment()
+
+    def victim_proc(env):
+        try:
+            yield env.timeout(100)
+        except Interrupt as intr:
+            return intr.cause
+
+    victim = env.process(victim_proc(env))
+
+    def interrupter(env):
+        yield env.timeout(1)
+        victim.interrupt("a")
+        victim.interrupt("b")
+
+    env.process(interrupter(env))
+    env.run()
+    assert victim.ok and victim.value == "a"
+    assert env.now == 100
+
+
+def test_second_interrupt_abandons_the_wait_the_first_left_behind():
+    """A victim that survives the first interrupt and waits again is
+    taken off that wait by the second one, so the abandoned event
+    firing later does not resume the finished process."""
+    env = Environment()
+
+    def sleeper(env):
+        for _ in range(2):
+            try:
+                yield env.timeout(100)
+            except Interrupt:
+                pass
+        return "done"
+
+    victim = env.process(sleeper(env))
+
+    def interrupter(env):
+        yield env.timeout(1)
+        victim.interrupt("a")
+        victim.interrupt("b")
+
+    env.process(interrupter(env))
+    env.run()
+    assert victim.ok and victim.value == "done"
+    assert env.now == 101
+
+
 def test_failed_allof_member_after_condition_failed_is_defused():
     env = Environment()
 
