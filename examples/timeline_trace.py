@@ -15,6 +15,7 @@ Usage::
 import argparse
 
 from repro.core import measure_training, paper_default_config, paper_tuned_config
+from repro.trace import merged_chrome_trace
 
 
 def main() -> None:
@@ -40,7 +41,7 @@ def main() -> None:
               f"{seconds / iters * 1e3:>15.2f} {spans:>7}")
 
     with open(args.out, "w") as fh:
-        fh.write(m.timeline.to_chrome_trace())
+        fh.write(merged_chrome_trace(m.timeline))
     print(f"\nwrote {len(m.timeline.events)} spans to {args.out} "
           f"(open in chrome://tracing)")
 

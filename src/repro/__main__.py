@@ -588,6 +588,16 @@ def cmd_faults_run(schedule_path: str, gpus: int, config_name: str,
     return 0
 
 
+def _run_arg_error(gpus: int, iterations: int) -> str | None:
+    """Why ``--gpus``/``--iterations`` cannot make a measured run, if so."""
+    if gpus < 1:
+        return f"--gpus must be >= 1, got {gpus}"
+    if iterations < 2:
+        return (f"--iterations must be >= 2 (one warmup iteration plus at "
+                f"least one measured), got {iterations}")
+    return None
+
+
 def cmd_measure(gpus: int, config_name: str, iterations: int,
                 model: str, as_json: bool = False,
                 trace: bool = False) -> int:
@@ -595,21 +605,21 @@ def cmd_measure(gpus: int, config_name: str, iterations: int,
     configs = {"default": paper_default_config, "tuned": paper_tuned_config}
     if config_name not in configs:
         return fail(f"config must be one of {sorted(configs)}", usage=True)
+    error = _run_arg_error(gpus, iterations)
+    if error:
+        return fail(error, usage=True)
     m = measure_training(gpus, configs[config_name](), model=model,
                          iterations=iterations, jitter_std=0.03,
-                         telemetry=as_json or trace,
-                         trace="spans" if trace else None)
-    trace_summary = None
-    if trace:
+                         trace="spans" if as_json or trace else None)
+    report = None
+    if as_json or trace:
         from repro.trace import explain_measurement
 
-        trace_summary = explain_measurement(m).trace_summary()
+        report = explain_measurement(m)
+    trace_summary = report.trace_summary() if trace else None
     if as_json:
         import json
 
-        from repro.telemetry import attribute_measurement
-
-        att = attribute_measurement(m)
         print(json.dumps({
             "gpus": gpus,
             "config": config_name,
@@ -630,11 +640,11 @@ def cmd_measure(gpus: int, config_name: str, iterations: int,
             },
             "link_utilization": m.link_utilization,
             "attribution": {
-                "mean_wall_s": att.mean_wall_s,
-                "totals_s": att.totals(),
-                "shares": att.shares(),
-                "overhead_share": att.overhead_share(),
-                "max_sum_error": att.max_sum_error,
+                "mean_wall_s": report.mean_wall_s,
+                "totals_s": report.totals(),
+                "shares": report.shares(),
+                "overhead_share": report.overhead_share(),
+                "max_sum_error": report.max_sum_error,
             },
             **({"trace_summary": trace_summary}
                if trace_summary is not None else {}),
@@ -655,33 +665,31 @@ def cmd_telemetry(gpus: int, config_name: str, iterations: int, model: str,
     """Run one instrumented measurement and print/export the attribution."""
     from pathlib import Path
 
-    from repro.telemetry import (
-        attribute_measurement,
-        merge_chrome_trace,
-        to_jsonl,
-        to_prometheus,
-    )
+    from repro.telemetry import to_jsonl, to_prometheus
+    from repro.trace import explain_measurement, merged_chrome_trace
 
     configs = {"default": paper_default_config, "tuned": paper_tuned_config}
     if config_name not in configs:
         return fail(f"config must be one of {sorted(configs)}", usage=True)
+    error = _run_arg_error(gpus, iterations)
+    if error:
+        return fail(error, usage=True)
     m = measure_training(gpus, configs[config_name](), model=model,
                          iterations=iterations, jitter_std=0.03,
-                         telemetry=True)
-    att = attribute_measurement(m)
+                         trace="spans")
     print(f"{m.config.label}  model={model}")
     print(f"{gpus} GPUs: {m.images_per_second:.1f} img/s, "
           f"{m.scaling_efficiency * 100:.1f}% scaling efficiency\n")
-    print(att.table())
+    print(explain_measurement(m).table())
     if export_dir is not None:
         out = Path(export_dir)
         out.mkdir(parents=True, exist_ok=True)
-        registry = m.telemetry.registry
+        registry = m.trace.registry
         (out / "metrics.prom").write_text(to_prometheus(registry))
         (out / "telemetry.jsonl").write_text(
-            to_jsonl(registry, m.telemetry.iteration_samples))
+            to_jsonl(registry, m.trace.iteration_records()))
         (out / "trace.json").write_text(
-            merge_chrome_trace(m.timeline, registry))
+            merged_chrome_trace(m.timeline, registry))
         print(f"\n[exported metrics.prom, telemetry.jsonl, trace.json "
               f"to {out}]")
     return 0
@@ -701,9 +709,12 @@ def cmd_trace_run(gpus: int, config_name: str, iterations: int, model: str,
     configs = {"default": paper_default_config, "tuned": paper_tuned_config}
     if config_name not in configs:
         return fail(f"config must be one of {sorted(configs)}", usage=True)
+    error = _run_arg_error(gpus, iterations)
+    if error:
+        return fail(error, usage=True)
     m = measure_training(gpus, configs[config_name](), model=model,
                          iterations=iterations, jitter_std=0.03,
-                         telemetry=True, trace=level)
+                         trace=level)
     report = explain_measurement(m)
     print(f"{m.config.label}  model={model}")
     print(f"{gpus} GPUs: {m.images_per_second:.1f} img/s, "
@@ -714,7 +725,7 @@ def cmd_trace_run(gpus: int, config_name: str, iterations: int, model: str,
         out.mkdir(parents=True, exist_ok=True)
         save_spans(m.trace, out / "spans.json")
         (out / "trace.json").write_text(merged_chrome_trace(
-            m.timeline, m.telemetry.registry, m.trace))
+            m.timeline, m.trace.registry, m.trace))
         (out / "critical_path.txt").write_text(report.report() + "\n")
         print(f"\n[exported spans.json, trace.json, critical_path.txt "
               f"to {out}]")
@@ -727,7 +738,10 @@ def cmd_explain(target: str) -> int:
     ``target`` is either a span JSON file written by
     ``repro trace run --out`` / the runner's ``--trace-dir``, or an
     experiment id whose saved ``bench_results/<id>.json`` carries a
-    ``trace_summary`` block (E16).
+    ``trace_summary`` block (E16).  A span file carries its run context
+    (GPU count, config label, warmup iterations) but not the runtime
+    timeline, so a faulted run's idle tail is never split off into
+    ``fault_suspect`` here.
     """
     import json
     from pathlib import Path
@@ -742,8 +756,7 @@ def cmd_explain(target: str) -> int:
             recorder = load_spans(path)
         except (ValueError, json.JSONDecodeError) as err:
             return fail(f"bad trace file {path}: {err}", usage=True)
-        report = compute_critical_path(recorder, label=path.stem)
-        print(report.report())
+        print(compute_critical_path(recorder).report())
         return 0
     if target in REGISTRY:
         from repro.bench.harness import load_result
@@ -968,7 +981,7 @@ def main(argv: list[str] | None = None) -> int:
                                  "mobilenetv2"))
     meas_p.add_argument("--json", action="store_true",
                         help="machine-readable output (includes the "
-                             "telemetry attribution summary)")
+                             "efficiency attribution summary)")
     meas_p.add_argument("--trace", action="store_true",
                         help="also trace spans and report the critical "
                              "path (adds trace_summary to --json)")
@@ -1005,7 +1018,15 @@ def main(argv: list[str] | None = None) -> int:
                              "and critical_path.txt into DIR")
     explain_p = sub.add_parser(
         "explain",
-        help="critical-path diagnosis of a span JSON or saved experiment")
+        help="critical-path diagnosis of a span JSON or saved experiment",
+        description="Critical-path diagnosis of a span JSON file (from "
+                    "`repro trace run --out` or `repro run --trace-dir`) "
+                    "or of a saved experiment result with a trace_summary "
+                    "block (E16).  A span file carries the run's GPU "
+                    "count, config label and warmup iterations, but no "
+                    "runtime timeline: a faulted run's file holds no "
+                    "SUSPECT windows, so its idle tail is reported as "
+                    "fusion_wait, never fault_suspect.")
     explain_p.add_argument("target",
                            help="a spans .json file or an experiment id "
                                 "with a saved trace_summary (E16)")

@@ -957,21 +957,21 @@ def e14_efficiency_attribution(
     """E14 (extension) — where does the efficiency go?
 
     Runs the default and tuned configurations at each GPU count with
-    full telemetry and decomposes every steady-state iteration on the
-    critical path (:mod:`repro.telemetry.attribution`) into buckets that
-    sum to wall time: compute, input stall, straggler skew, exposed
-    communication, fusion/cycle wait, and fault-suspect stall.  The
-    per-bucket default-vs-tuned delta is the paper's efficiency claim
-    (70% → 92% at 132 GPUs) *explained*: tuning must shrink the exposed
-    communication + fusion-wait share, not just the headline number.
+    span tracing and folds every steady-state iteration's critical path
+    (:mod:`repro.trace.critical`) into buckets that sum to wall time:
+    compute, input stall, straggler skew, exposed communication,
+    fusion/cycle wait, and fault-suspect stall.  The per-bucket
+    default-vs-tuned delta is the paper's efficiency claim (70% → 92% at
+    132 GPUs) *explained*: tuning must shrink the exposed communication
+    + fusion-wait share, not just the headline number.
     """
-    from repro.telemetry import BUCKETS, attribute_measurement
+    from repro.trace import BUCKETS, explain_measurement
 
     configs = (("default", paper_default_config()),
                ("tuned", paper_tuned_config()))
     results = iter(_resolve(
         [TrainPoint(gpus=gpus, config=cfg, iterations=iterations,
-                    seed=seed, telemetry=True)
+                    seed=seed, trace="spans")
          for gpus in gpu_counts
          for _name, cfg in configs],
         runner,
@@ -983,19 +983,19 @@ def e14_efficiency_attribution(
         overheads = {}
         for name, cfg in configs:
             m = next(results)
-            att = attribute_measurement(m)
-            shares = att.shares()
-            worst_sum_error = max(worst_sum_error, att.max_sum_error)
-            overheads[name] = att.overhead_share()
+            rep = explain_measurement(m)
+            shares = rep.shares()
+            worst_sum_error = max(worst_sum_error, rep.max_sum_error)
+            overheads[name] = rep.overhead_share()
             row = {
                 "gpus": gpus,
                 "config": name,
-                "iter (ms)": round(att.mean_wall_s * 1e3, 1),
+                "iter (ms)": round(rep.mean_wall_s * 1e3, 1),
                 "efficiency": f"{m.scaling_efficiency * 100:.1f}%",
             }
             for bucket in BUCKETS:
                 row[bucket] = f"{shares[bucket] * 100:.1f}%"
-            row["sum err"] = f"{att.max_sum_error * 100:.2f}%"
+            row["sum err"] = f"{rep.max_sum_error * 100:.2f}%"
             rows.append(row)
             measured[f"overhead_share_{name}_{gpus}"] = round(
                 overheads[name], 4
@@ -1126,19 +1126,17 @@ def e16_critical_path(
     on longest, and per-span slack.  The headline claim is E14's
     efficiency story at span granularity — tuning collapses the exposed
     allreduce *critical-path share* at 132 GPUs, not just the aggregate
-    overhead bucket.  Each critical path is reconciled against the E14
-    attribution buckets; the worst absolute disagreement is a measured
-    key (it must sit at float tolerance — both decompositions walk the
-    same instants).
+    overhead bucket.  The buckets are reconciled against wall time: the
+    worst |Σ bucket totals − mean wall| is a measured key (it must sit
+    at float tolerance — the path tiles each iteration).
     """
-    from repro.telemetry import BUCKETS, attribute_measurement
     from repro.trace import explain_measurement
 
     configs = (("default", paper_default_config()),
                ("tuned", paper_tuned_config()))
     results = iter(_resolve(
         [TrainPoint(gpus=gpus, config=cfg, iterations=iterations,
-                    seed=seed, telemetry=True, trace="links")
+                    seed=seed, trace="links")
          for gpus in gpu_counts
          for _name, cfg in configs],
         runner,
@@ -1151,12 +1149,10 @@ def e16_critical_path(
     for gpus in gpu_counts:
         for name, _cfg in configs:
             m = next(results)
-            att = attribute_measurement(m)
             rep = explain_measurement(m)
-            cp_tot, att_tot = rep.totals(), att.totals()
             worst_reconcile = max(
                 worst_reconcile,
-                max(abs(cp_tot[b] - att_tot[b]) for b in BUCKETS),
+                abs(sum(rep.totals().values()) - rep.mean_wall_s),
             )
             share = rep.exposed_allreduce_share
             dwell = rep.dwell_by_phase()

@@ -4,8 +4,8 @@ A checkpoint is taken at an **iteration barrier** — the one instant where
 every alive rank sits at the same simulated time with no tensors in
 flight — so the whole mutable simulation state (clock, per-rank RNG
 streams and pipeline clocks, runtime membership and caches, fabric and
-communicator counters, timeline, fault-injector progress, telemetry
-probe) reduces to a flat picklable dict.  The
+communicator counters, timeline, fault-injector progress, span
+recorder) reduces to a flat picklable dict.  The
 :class:`~repro.train.trainer.DistributedTrainer` produces that dict; this
 module wraps it with the run's knob spec into a :class:`TrainCheckpoint`
 and rebuilds a live simulation from it.
@@ -13,7 +13,7 @@ and rebuilds a live simulation from it.
 The resume contract is **bit-identical continuation**: a run interrupted
 at boundary *k* and resumed via :func:`resume_training` yields the same
 :class:`~repro.core.sweep.Measurement` payload (training statistics,
-timeline, link utilization, fault report, telemetry attribution buckets)
+timeline, link utilization, fault report, attribution buckets)
 as the same run left uninterrupted.  Kernel-level event *counts* (e.g.
 ``sim_events_processed_total``) are excluded: a resumed run pays a few
 bootstrap events the uninterrupted run does not.
@@ -200,7 +200,6 @@ def resume_training(checkpoint: "TrainCheckpoint | str | Path", *,
         link.bytes_carried = carried
         link.busy_seconds = busy
 
-    probe = pickle.loads(state["probe"]) if state["probe"] is not None else None
     trace_blob = state.get("trace")
     tracer = pickle.loads(trace_blob) if trace_blob is not None else None
     job = TrainJob(
@@ -221,28 +220,24 @@ def resume_training(checkpoint: "TrainCheckpoint | str | Path", *,
         if state["injector"] is not None:
             injector.stats = dataclasses.replace(state["injector"])
         trainer = DistributedTrainer(
-            runtime, profile, job, faults=injector, probe=probe,
-            resume_state=state, checkpoint=plan,
+            runtime, profile, job, faults=injector, resume_state=state,
+            checkpoint=plan,
         )
         injector.bind(runtime=runtime, trainer=trainer)
         injector.start_resumed()
     else:
         trainer = DistributedTrainer(
-            runtime, profile, job, probe=probe, resume_state=state,
-            checkpoint=plan,
+            runtime, profile, job, resume_state=state, checkpoint=plan,
         )
-    if probe is not None:
-        probe.attach(env=env, comm=comm, runtime=runtime, trainer=trainer,
-                     fabric=fabric)
-        probe.registry.counter(
-            "checkpoint_resumes_total", "runs resumed from a checkpoint"
-        ).inc()
     if tracer is not None:
         tracer.attach(env=env, comm=comm, runtime=runtime, trainer=trainer,
                       fabric=fabric)
+        tracer.registry.counter(
+            "checkpoint_resumes_total", "runs resumed from a checkpoint"
+        ).inc()
     stats = trainer.run()
-    if probe is not None:
-        probe.finalize()
+    if tracer is not None:
+        tracer.finalize()
     fault_report = None
     if injector is not None:
         fault_report = build_fault_report(
@@ -273,7 +268,6 @@ def resume_training(checkpoint: "TrainCheckpoint | str | Path", *,
         single_gpu_images_per_second=profile.images_per_second,
         link_utilization=fabric.utilization_report(),
         fault_report=fault_report,
-        telemetry=probe,
         trace=tracer,
         checkpoint=new_checkpoint,
         checkpoints=new_checkpoints,

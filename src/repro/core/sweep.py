@@ -90,11 +90,9 @@ class Measurement:
     link_utilization: dict = None
     #: Resilience counters, present when a fault schedule was injected.
     fault_report: dict | None = None
-    #: :class:`~repro.telemetry.TelemetryProbe` attached to the run, when
-    #: measured with ``telemetry=True`` (feeds the attribution engine).
-    telemetry: object = None
     #: :class:`~repro.trace.SpanRecorder` attached to the run, when
-    #: measured with ``trace=`` (feeds the critical-path engine).
+    #: measured with ``trace=``: spans for the critical-path engine, and
+    #: the run's simulated-time metrics on ``trace.registry``.
     trace: object = None
     #: :class:`~repro.checkpoint.TrainCheckpoint` captured at the last
     #: plan boundary, when measured with ``checkpoint=``.
@@ -168,7 +166,6 @@ def measure_training(
     negotiation: str = "analytic",
     fault=None,
     schedule=None,
-    telemetry=None,
     checkpoint=None,
     trace=None,
 ) -> Measurement:
@@ -187,13 +184,6 @@ def measure_training(
     :class:`~repro.faults.FaultInjector` is wired across topology,
     runtime and trainer, and the Measurement gains a ``fault_report``.
 
-    ``telemetry`` attaches observability: ``True`` builds a fresh
-    :class:`~repro.telemetry.TelemetryProbe`, or pass an existing probe.
-    The probe is threaded through every layer (observation-only — the
-    simulated timings are unchanged) and returned on
-    ``Measurement.telemetry``, ready for
-    :func:`~repro.telemetry.attribute_measurement`.
-
     ``checkpoint`` captures resumable state at iteration boundaries: an
     int is shorthand for ``CheckpointPlan(every=n)``, or pass a full
     :class:`~repro.checkpoint.CheckpointPlan` (``stop_at`` interrupts the
@@ -202,13 +192,15 @@ def measure_training(
     on ``Measurement.checkpoint``, ready for
     :func:`~repro.checkpoint.resume_training`.
 
-    ``trace`` attaches span tracing: ``"spans"`` (or ``True``) records the
-    hierarchical span tree down to per-rank algorithm steps, ``"links"``
-    additionally records per-link transfer spans; an existing
-    :class:`~repro.trace.SpanRecorder` is also accepted.  Like the probe,
-    tracing is observation-only — simulated timings are bit-identical —
-    and the recorder is returned on ``Measurement.trace``, ready for
-    :func:`~repro.trace.compute_critical_path`.
+    ``trace`` attaches the run's observer, a
+    :class:`~repro.trace.SpanRecorder`: ``"spans"`` (or ``True``) records
+    the hierarchical span tree down to per-rank algorithm steps plus the
+    simulated-time metric registry, ``"links"`` additionally records
+    per-link transfer spans; an existing recorder is also accepted.  The
+    recorder is threaded through every layer (observation-only — the
+    simulated timings are bit-identical), stamped with the run context
+    and returned on ``Measurement.trace``, ready for
+    :func:`~repro.trace.explain_measurement`.
     """
     if gpus < 1:
         raise ValueError(f"gpus must be >= 1, got {gpus}")
@@ -246,40 +238,31 @@ def measure_training(
         seed=seed,
     )
     fabric = comm.fabric
-    probe = None
-    if telemetry:
-        from repro.telemetry import TelemetryProbe
-
-        probe = telemetry if isinstance(telemetry, TelemetryProbe) else TelemetryProbe()
     injector = None
     if schedule is not None:
         from repro.faults import FaultInjector
 
         injector = FaultInjector(env, schedule, topology=topo, timeline=timeline)
         trainer = DistributedTrainer(
-            runtime, profile, job, faults=injector, probe=probe, checkpoint=plan
+            runtime, profile, job, faults=injector, checkpoint=plan
         )
         injector.bind(runtime=runtime, trainer=trainer).start()
     else:
-        trainer = DistributedTrainer(
-            runtime, profile, job, probe=probe, checkpoint=plan
-        )
-    if probe is not None:
-        probe.attach(
-            env=env, comm=comm, runtime=runtime, trainer=trainer, fabric=fabric
-        )
+        trainer = DistributedTrainer(runtime, profile, job, checkpoint=plan)
     tracer = None
     if trace:
         from repro.trace import SpanRecorder
 
         tracer = (trace if isinstance(trace, SpanRecorder)
                   else SpanRecorder(level="spans" if trace is True else trace))
+        tracer.run = {"gpus": gpus, "label": config.label,
+                      "warmup_iterations": warmup_iterations}
         tracer.attach(
             env=env, comm=comm, runtime=runtime, trainer=trainer, fabric=fabric
         )
     stats = trainer.run()
-    if probe is not None:
-        probe.finalize()
+    if tracer is not None:
+        tracer.finalize()
     fault_report = None
     if injector is not None:
         fault_report = build_fault_report(
@@ -323,7 +306,6 @@ def measure_training(
         single_gpu_images_per_second=profile.images_per_second,
         link_utilization=fabric.utilization_report(),
         fault_report=fault_report,
-        telemetry=probe,
         trace=tracer,
         checkpoint=train_checkpoint,
         checkpoints=train_checkpoints,

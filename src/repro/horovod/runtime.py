@@ -132,11 +132,7 @@ class HorovodRuntime:
         self.gpu = gpu
         self.timeline = timeline if timeline is not None else Timeline()
         self.control_bytes_per_tensor = control_bytes_per_tensor
-        #: Optional telemetry hook (``on_cycle`` / ``on_negotiation`` /
-        #: ``on_group`` / ``on_detect``) — see
-        #: :class:`repro.telemetry.TelemetryProbe`.
-        self.probe: Any = None
-        #: Optional span recorder (``repro.trace``); observation only.
+        #: Optional observer (:class:`repro.trace.SpanRecorder`).
         self.tracer: Any = None
         self.stats = RuntimeStats()
         self._entries: dict[str, _TensorEntry] = {}
@@ -264,8 +260,8 @@ class HorovodRuntime:
             if self._shutdown:
                 return
             self.stats.cycles += 1
-            if self.probe is not None:
-                self.probe.on_cycle(len(self._entries), len(self._ready))
+            if self.tracer is not None:
+                self.tracer.on_cycle(len(self._entries))
             if not self._entries:
                 continue
             if self.config.negotiation_deadline_s is not None:
@@ -335,8 +331,8 @@ class HorovodRuntime:
                 info.next_retry_at = now + backoff
                 # Each re-probe is one small control round to the rank.
                 probe_s = self.comm.control_round_seconds(64, cached=True)
-                if self.probe is not None:
-                    self.probe.on_detect(probe_s)
+                if self.tracer is not None:
+                    self.tracer.on_detect(probe_s)
                 yield self.env.timeout(probe_s)
             elif rank in self._crash_reports:
                 self._confirm_crash(rank, info)
@@ -383,12 +379,11 @@ class HorovodRuntime:
                 self._response_cache.add(signature)
         self.stats.negotiations += 1
         self.stats.negotiation_seconds += self.env.now - start
-        if self.probe is not None:
-            self.probe.on_negotiation(self.env.now - start, cached, len(ready))
         self.timeline.record(
             "NEGOTIATE", f"cycle_{self.stats.cycles}", start, self.env.now
         )
         if self.tracer is not None:
+            self.tracer.on_negotiation(self.env.now - start, cached)
             self.tracer.record(
                 "NEGOTIATE", f"cycle_{self.stats.cycles}", start, self.env.now,
                 cycle=self.stats.cycles, cached=cached, tensors=len(ready))
@@ -408,15 +403,13 @@ class HorovodRuntime:
         queued_since = max(t.ready_time for t in group.tensors)
         if self.env.now > queued_since:
             self.timeline.record("QUEUE", label, queued_since, self.env.now)
-        if self.probe is not None:
-            self.probe.on_group(
-                group.nbytes, len(entries), len(ranks),
-                self.config.fusion_threshold_bytes,
-                max(0.0, self.env.now - queued_since),
-            )
         tracer = self.tracer
         gspan = None
         if tracer is not None:
+            tracer.on_group(
+                group.nbytes, len(entries), self.config.fusion_threshold_bytes,
+                max(0.0, self.env.now - queued_since),
+            )
             gspan = tracer.begin(
                 "GROUP", label, min(self.env.now, queued_since),
                 tensors=len(entries), bytes=int(group.nbytes),

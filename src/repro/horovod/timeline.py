@@ -3,13 +3,13 @@
 Horovod can emit a Chrome-trace JSON (``HOROVOD_TIMELINE``) that the paper's
 methodology uses to find where cycles go (negotiation vs. queueing vs.
 allreduce).  :class:`Timeline` is the equivalent here: runtime components
-record phase spans, and :meth:`Timeline.to_chrome_trace` writes the same
-``traceEvents`` JSON structure, loadable in ``chrome://tracing`` / Perfetto.
+record phase spans, and :func:`repro.trace.merged_chrome_trace` writes
+them as the same ``traceEvents`` JSON structure, loadable in
+``chrome://tracing`` / Perfetto.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 __all__ = ["Timeline", "TimelineEvent"]
@@ -72,24 +72,3 @@ class Timeline:
         """All spans of one phase, in record order."""
         return [ev for ev in self.events if ev.phase == phase]
 
-    def to_chrome_trace(self) -> str:
-        """Serialize as Chrome-trace JSON (µs units, complete events).
-
-        Events are emitted in ascending ``ts`` order (stable for ties),
-        which trace viewers tolerate but schema checks can rely on.
-        """
-        trace = {
-            "traceEvents": [
-                {
-                    "name": ev.label,
-                    "cat": ev.phase,
-                    "ph": "X",
-                    "ts": ev.start_s * 1e6,
-                    "dur": ev.duration_s * 1e6,
-                    "pid": 0,
-                    "tid": PHASES.index(ev.phase),
-                }
-                for ev in sorted(self.events, key=lambda e: e.start_s)
-            ]
-        }
-        return json.dumps(trace, indent=1)

@@ -98,10 +98,7 @@ class Comm:
         self.transfer_timeout_s = transfer_timeout_s
         self._mailboxes = [_Mailbox() for _ in devices]
         self._tags = itertools.count()
-        #: Optional telemetry hook (``on_allreduce(algorithm, nbytes,
-        #: ranks, seconds)``) — see :class:`repro.telemetry.TelemetryProbe`.
-        self.probe: Any = None
-        #: Optional span recorder (``repro.trace``); observation only.
+        #: Optional observer (:class:`repro.trace.SpanRecorder`).
         self.tracer: Any = None
         #: Number of point-to-point messages sent (control + data).
         self.messages_sent = 0
@@ -282,10 +279,7 @@ class Comm:
         yield self.env.all_of(procs)
         if cspan is not None:
             self.tracer.end(cspan, self.env.now)
-        if self.probe is not None:
-            self.probe.on_allreduce(
-                name, nbytes, len(group), self.env.now - started_s
-            )
+            self.tracer.on_allreduce(name, nbytes, self.env.now - started_s)
         results = [p.value for p in procs]
         if average:
             results = [ops.scale(r, 1.0 / len(group)) for r in results]

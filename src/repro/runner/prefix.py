@@ -26,9 +26,9 @@ events, runtime stats, link utilization — excluding kernel event counts.
 ``tests/runner/test_prefix_memo.py`` is the gate.
 
 Eligibility is deliberately conservative (:func:`memoizable`): points
-with a fault schedule, telemetry or tracing stay on the fresh path —
-fault windows are wall-clock-positioned (not per-iteration), and probe /
-tracer state embeds kernel event counters that would distinguish a
+with a fault schedule or an observer stay on the fresh path — fault
+windows are wall-clock-positioned (not per-iteration), and the span
+recorder's metrics embed kernel event counters that would distinguish a
 resumed run from a fresh one.
 
 A :class:`PrefixStore` optionally persists the captured prefix
@@ -64,13 +64,12 @@ def memoizable(point) -> bool:
 
     Scheduled faults are positioned in simulated seconds, not
     iterations, so truncating a run changes which windows fire inside
-    it; probe and tracer snapshots embed kernel event counters that the
+    it; span-recorder snapshots embed kernel event counters that the
     resume contract explicitly excludes.  Such points run fresh.
     """
     return (
         isinstance(point, TrainPoint)
         and point.schedule is None
-        and not point.telemetry
         and point.trace is None
         and point.iterations >= 1
     )

@@ -133,8 +133,7 @@ class TrainPoint(SimPoint):
     seed: int = 0
     negotiation: str = "analytic"
     schedule: FaultSchedule | None = None
-    telemetry: bool = False
-    #: Span-tracing level (``None`` | ``"spans"`` | ``"links"``) — see
+    #: Observer level (``None`` | ``"spans"`` | ``"links"``) — see
     #: ``measure_training``'s ``trace=``.
     trace: str | None = None
 
@@ -153,7 +152,6 @@ class TrainPoint(SimPoint):
             seed=self.seed,
             negotiation=self.negotiation,
             schedule=self.schedule,
-            telemetry=self.telemetry,
             trace=self.trace,
         )
 

@@ -447,8 +447,8 @@ class Environment:
         self._active: Process | None = None
         #: Optional observation-only hook object (``on_schedule(env, event,
         #: delay)`` / ``on_step(env, event, depth)``) — see
-        #: :class:`repro.telemetry.TelemetryProbe`.  Must never create
-        #: events or mutate kernel state.
+        #: :class:`repro.trace.SpanRecorder`.  Must never create events or
+        #: mutate kernel state.
         self.monitor: Any = None
 
     @property
@@ -465,7 +465,7 @@ class Environment:
     def events_scheduled(self) -> int:
         """Total events ever scheduled (monotone kernel fingerprint).
 
-        Observation-only instrumentation (probes, span tracers) must not
+        Observation-only instrumentation (the span recorder) must not
         change this count: the zero-perturbation tests compare it between
         instrumented and bare runs of the same workload.
         """

@@ -1,35 +1,25 @@
-"""Observability subsystem: metrics, cross-layer instrumentation, attribution.
+"""Metrics: a labeled registry on simulated time, plus its exporters.
 
-``repro.telemetry`` watches a measured run from the inside and explains
-where its time goes:
+``repro.telemetry`` holds the numbers a run reports, not the hooks that
+produce them:
 
-* :mod:`~repro.telemetry.metrics` — a process-wide :class:`MetricRegistry`
-  of labeled counters/gauges/histograms keyed on **simulated** time;
-* :mod:`~repro.telemetry.instrument` — a :class:`TelemetryProbe` threaded
-  through the DES kernel, MPI layer, Horovod runtime and trainer via
-  optional, observation-only hooks;
-* :mod:`~repro.telemetry.attribution` — the critical-path engine that
-  decomposes each iteration into compute / input-stall / straggler-skew /
-  exposed-comm / fusion-wait / fault-suspect buckets summing to wall time;
-* :mod:`~repro.telemetry.export` — Prometheus text exposition, JSONL event
-  log, and counter-track merging into the Chrome trace.
+* :mod:`~repro.telemetry.metrics` — a :class:`MetricRegistry` of labeled
+  counters/gauges/histograms keyed on **simulated** time.  A simulated
+  run's registry lives on its observer,
+  :class:`repro.trace.SpanRecorder` (``Measurement.trace.registry``); the
+  runner, fabric and service keep their own for wall-clock operations;
+* :mod:`~repro.telemetry.export` — Prometheus text exposition (and its
+  parser) and the JSONL event log.
+
+Efficiency attribution (E14's buckets) is the per-bucket fold of the
+critical path, :mod:`repro.trace.critical`.
 """
 
-from repro.telemetry.attribution import (
-    BUCKETS,
-    IterationBreakdown,
-    RunAttribution,
-    attribute_measurement,
-    attribute_samples,
-    compare_attributions,
-)
 from repro.telemetry.export import (
-    merge_chrome_trace,
     parse_prometheus,
     to_jsonl,
     to_prometheus,
 )
-from repro.telemetry.instrument import IterationSample, TelemetryProbe
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -40,21 +30,12 @@ from repro.telemetry.metrics import (
 )
 
 __all__ = [
-    "BUCKETS",
     "DEFAULT_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",
-    "IterationBreakdown",
-    "IterationSample",
     "MetricFamily",
     "MetricRegistry",
-    "RunAttribution",
-    "TelemetryProbe",
-    "attribute_measurement",
-    "attribute_samples",
-    "compare_attributions",
-    "merge_chrome_trace",
     "parse_prometheus",
     "to_jsonl",
     "to_prometheus",

@@ -1,6 +1,6 @@
-"""Exporters: Prometheus text exposition, JSONL event log, Chrome trace.
+"""Exporters: Prometheus text exposition and a JSONL event log.
 
-Three views of the same :class:`~repro.telemetry.metrics.MetricRegistry`:
+Two views of the same :class:`~repro.telemetry.metrics.MetricRegistry`:
 
 * :func:`to_prometheus` — the Prometheus text exposition format
   (``# HELP`` / ``# TYPE`` headers, ``name{label="v"} value`` samples,
@@ -8,11 +8,11 @@ Three views of the same :class:`~repro.telemetry.metrics.MetricRegistry`:
   scraper — or :func:`parse_prometheus`, which the tests round-trip
   through — can consume a run's final counters;
 * :func:`to_jsonl` — one JSON object per sample (plus every point of the
-  tracked time series and, optionally, the per-rank iteration samples),
-  an append-friendly event log;
-* :func:`merge_chrome_trace` — the runtime's phase-span Chrome trace with
-  the registry's tracked series appended as counter (``"ph": "C"``) rows,
-  so queue depths render under the phase spans in ``chrome://tracing``.
+  tracked time series and, optionally, the per-rank iteration records),
+  an append-friendly event log.
+
+The registry's tracked series reach the Chrome trace through
+:func:`repro.trace.merged_chrome_trace`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Any
 from repro.telemetry.metrics import Histogram, MetricRegistry
 
 __all__ = [
-    "merge_chrome_trace",
     "parse_prometheus",
     "to_jsonl",
     "to_prometheus",
@@ -165,11 +164,11 @@ def parse_prometheus(text: str) -> dict[str, Any]:
     return {"types": types, "help": help_texts, "samples": samples}
 
 
-def to_jsonl(registry: MetricRegistry, samples: list | None = None) -> str:
+def to_jsonl(registry: MetricRegistry, iterations: list | None = None) -> str:
     """One JSON object per line: final values, track points, iterations.
 
-    ``samples`` (optional) is a list of
-    :class:`~repro.telemetry.instrument.IterationSample`; each becomes an
+    ``iterations`` (optional) is a list of per-rank iteration dicts
+    (:meth:`repro.trace.SpanRecorder.iteration_records`); each becomes an
     ``{"event": "iteration", ...}`` record, making the log a complete
     machine-readable account of the run.
     """
@@ -209,37 +208,7 @@ def to_jsonl(registry: MetricRegistry, samples: list | None = None) -> str:
                         "labels": labels,
                         "value": v,
                     }))
-    for sample in samples or ():
-        lines.append(json.dumps({
-            "event": "iteration",
-            "rank": sample.rank,
-            "iteration": sample.iteration,
-            "start_s": sample.start_s,
-            "stall_s": sample.stall_s,
-            "forward_s": sample.forward_s,
-            "backward_s": sample.backward_s,
-            "wait_s": sample.wait_s,
-            "optimizer_s": sample.optimizer_s,
-            "end_s": sample.end_s,
-        }))
+    for record in iterations or ():
+        lines.append(json.dumps({"event": "iteration", **record}))
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def merge_chrome_trace(timeline, registry: MetricRegistry,
-                       recorder=None) -> str:
-    """The timeline's Chrome trace plus tracked series as counter rows.
-
-    ``timeline`` is the runtime's
-    :class:`~repro.horovod.timeline.Timeline`; every tracked
-    counter/gauge series in ``registry`` becomes ``"ph": "C"`` events on
-    a dedicated ``counters`` thread row so Perfetto draws it under the
-    phase spans.  ``recorder`` (optional, a
-    :class:`~repro.trace.SpanRecorder`) adds the span hierarchy and
-    cross-rank flow arrows.  Delegates to
-    :func:`repro.trace.export.merged_chrome_trace` — one coherent
-    pid/tid scheme, metadata first, events sorted by timestamp.
-    """
-    # Lazy import: repro.trace imports attribution from this package.
-    from repro.trace.export import merged_chrome_trace
-
-    return merged_chrome_trace(timeline, registry, recorder)

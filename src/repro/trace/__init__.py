@@ -1,16 +1,19 @@
-"""Span tracing and critical-path diagnosis for simulated training runs.
+"""The simulated-time observation plane: spans, metrics, critical path.
 
-``repro.trace`` answers the question the flat E14 attribution cannot:
-*which* rank, link or fused buffer bounded each iteration.  A
-:class:`SpanRecorder` hooks into every layer of the stack (observation
-only — tracing on is bit-identical to tracing off), and
-:func:`compute_critical_path` refines each steady iteration into an
-ordered critical path whose bucket totals reconcile exactly with the
-attribution engine.  Exporters: merged span-aware Chrome trace, a
-self-contained JSON span format, and a plain-text bottleneck report.
+``repro.trace`` answers "where did the time go" for a simulated training
+run, and *which* rank, link or fused buffer bounded each iteration.  A
+:class:`SpanRecorder` is the run's one observer: it hooks every layer of
+the stack (observation only — an observed run is bit-identical to a bare
+one), records hierarchical spans and keeps the run's simulated-time
+metric registry.  :func:`compute_critical_path` walks each steady
+iteration into an ordered critical path whose per-bucket fold is E14's
+efficiency attribution.  Exporters: the merged Chrome trace (timeline,
+counter tracks and spans), a self-contained JSON span format, and a
+plain-text bottleneck report.
 """
 
 from repro.trace.critical import (
+    BUCKETS,
     CriticalPathReport,
     IterationPath,
     PathSegment,
@@ -28,6 +31,7 @@ from repro.trace.spans import (
 )
 
 __all__ = [
+    "BUCKETS",
     "SPAN_SCHEMA_VERSION",
     "CriticalPathReport",
     "IterationPath",

@@ -1,18 +1,36 @@
-"""Exact simulated critical path and ranked bottleneck diagnosis.
+"""Efficiency attribution as an exact simulated critical path.
 
-The PR 2 attribution engine (:mod:`repro.telemetry.attribution`) splits
-each steady iteration's wall time into six buckets.  This module refines
-that flat decomposition into an ordered *critical path*: a sequence of
-:class:`PathSegment` intervals that tile the marking rank's iteration
-wall time, each pinned to the concrete span (and rank, and link) that
-bounded the simulation during that interval.
+The paper's headline is a scaling-efficiency number; this module explains
+it.  Each steady iteration of the marking rank (the lowest-numbered
+alive rank, whose optimizer completion defines the trainer's iteration
+marks) is walked into an ordered *critical path*: a sequence of
+:class:`PathSegment` intervals that tile its wall time, each pinned to
+the concrete span (and rank, and link) that bounded the simulation
+during that interval.  Folding segment seconds per bucket gives E14's
+attribution, which sums to wall time by construction:
 
-The construction deliberately mirrors the attribution formulas step for
-step — same marking rank, same tail window, same clipped-union sweep of
-communication spans, same suspect-fraction split — so summing segment
-seconds per bucket reproduces the E14 buckets to float rounding.  That
-reconciliation is an enforced invariant, not an aspiration
-(``tests/trace/test_critical.py``).
+``compute``
+    The marking rank's own busy time: forward + backward + optimizer,
+    including its compute jitter and any fault slowdown.
+``input_stall``
+    Waiting on the input pipeline before the forward pass.
+``straggler_skew``
+    From the marking rank's last gradient emission until the *slowest*
+    rank's last emission — time the synchronous barrier is stretched by
+    peer compute skew, before any communication could finish.
+``exposed_comm``
+    Within the tail window (last emission anywhere → barrier), the time
+    covered by communication work on the coordinator's critical path:
+    negotiation, pack/unpack memcpys, compression, and the allreduce
+    itself (a clipped-union sweep of those spans over the window).
+``fusion_wait``
+    The remainder of the tail window: the coordinator idling for its next
+    cycle tick while gradients sit in the fusion queue — the
+    ``HOROVOD_CYCLE_TIME`` cost the paper tunes.
+``fault_suspect``
+    The idle-tail fraction that co-occurs with an active failure-detector
+    suspicion (``SUSPECT`` windows of the runtime timeline): stall
+    attributable to a suspected-missing rank rather than to cycle cadence.
 
 On top of the per-iteration paths the report ranks *dwell*: longest-path
 seconds by phase, by bounding rank (the straggler that stretched the
@@ -24,18 +42,50 @@ could have grown without moving the barrier (0 for on-path spans).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
-from repro.telemetry.attribution import BUCKETS, COMM_PHASES, _union_seconds
 from repro.trace.spans import Span, SpanRecorder
 
 __all__ = [
+    "BUCKETS",
     "CriticalPathReport",
     "IterationPath",
     "PathSegment",
     "compute_critical_path",
     "explain_measurement",
 ]
+
+#: Attribution buckets, in report order.
+BUCKETS = (
+    "compute",
+    "input_stall",
+    "straggler_skew",
+    "exposed_comm",
+    "fusion_wait",
+    "fault_suspect",
+)
+
+#: Span categories that are communication work on the critical path.
+COMM_PHASES = (
+    "NEGOTIATE", "ALLREDUCE", "MEMCPY_IN", "MEMCPY_OUT",
+    "COMPRESS", "DECOMPRESS",
+)
+
+
+def _union_seconds(spans: Iterable[tuple[float, float]],
+                   lo: float, hi: float) -> float:
+    """Total length of the union of ``spans`` clipped to ``[lo, hi]``."""
+    clipped = sorted(
+        (max(s, lo), min(e, hi)) for s, e in spans if e > lo and s < hi
+    )
+    total = 0.0
+    cursor = lo
+    for s, e in clipped:
+        s = max(s, cursor)
+        if e > s:
+            total += e - s
+            cursor = e
+    return total
 
 
 @dataclass(frozen=True)
@@ -44,9 +94,9 @@ class PathSegment:
 
     ``bucket`` is an attribution bucket name, or ``"cycle_wait"`` for
     idle-tail intervals that the iteration-level suspect fraction later
-    splits into ``fusion_wait``/``fault_suspect`` (exactly as the
-    attribution engine does).  ``sid`` points at the bounding span when
-    one exists; ``rank`` at the rank whose work bounded the interval.
+    splits into ``fusion_wait``/``fault_suspect``.  ``sid`` points at the
+    bounding span when one exists; ``rank`` at the rank whose work
+    bounded the interval.
     """
 
     start_s: float
@@ -104,14 +154,24 @@ def _bounding_step(allreduce_span: Span,
 
 
 def compute_critical_path(recorder: SpanRecorder, timeline: Any = None,
-                          warmup_iterations: int = 1, gpus: int = 0,
-                          label: str = "") -> "CriticalPathReport":
+                          warmup_iterations: int | None = None,
+                          gpus: int | None = None,
+                          label: str | None = None) -> "CriticalPathReport":
     """Walk the span DAG into per-iteration critical paths.
 
     ``timeline`` (optional) supplies failure-detector SUSPECT windows for
-    the idle-tail split, exactly as in ``attribute_samples``; without it
-    the suspect fraction is 0 (fault-free traces are unaffected).
+    the idle-tail split; without it the suspect fraction is 0 (fault-free
+    traces are unaffected).  ``warmup_iterations``, ``gpus`` and
+    ``label`` default to the recorder's run context (``recorder.run``),
+    falling back to 1, 0 and ``""``.
     """
+    run = recorder.run
+    if warmup_iterations is None:
+        warmup_iterations = run.get("warmup_iterations", 1)
+    if gpus is None:
+        gpus = run.get("gpus", 0)
+    if label is None:
+        label = run.get("label", "")
     children = recorder.child_index()
     comm = sorted((s for s in recorder.spans if s.cat in COMM_PHASES),
                   key=lambda s: (s.start_s, s.end_s, s.sid))
@@ -174,8 +234,8 @@ def compute_critical_path(recorder: SpanRecorder, timeline: Any = None,
                 f"rank {straggler_rank} backward (straggler)",
                 sid=straggler_sid, rank=straggler_rank))
 
-        # Tail window: the same clipped-union sweep the attribution
-        # engine runs, but keeping *which* span covered each interval.
+        # Tail window: a clipped-union sweep of the communication spans
+        # that keeps *which* span covered each interval.
         tail_lo = min(emit_max, barrier)
         window = [s for s in comm
                   if s.end_s > tail_lo and s.start_s < barrier]
@@ -284,21 +344,28 @@ class CriticalPathReport:
         return sum(p.path_s for p in self.iterations) / self.n
 
     def totals(self) -> dict[str, float]:
-        """Mean seconds per attribution bucket — E14-comparable."""
+        """Mean seconds per attribution bucket — E14's numbers."""
         return {
             bucket: sum(p.buckets()[bucket] for p in self.iterations) / self.n
             for bucket in BUCKETS
         }
 
     def shares(self) -> dict[str, float]:
+        """Mean bucket seconds as a fraction of mean wall time."""
         wall = self.mean_wall_s
         return {k: v / wall for k, v in self.totals().items()}
 
+    def overhead_share(self) -> float:
+        """Exposed-comm + fusion-wait share (the tunable overhead)."""
+        shares = self.shares()
+        return shares["exposed_comm"] + shares["fusion_wait"]
+
     @property
     def max_sum_error(self) -> float:
-        """Worst relative |path − wall| across iterations."""
+        """Worst relative |Σ buckets − wall| across iterations."""
         return max(
-            abs(p.path_s - p.wall_s) / p.wall_s if p.wall_s > 0 else 0.0
+            abs(sum(p.buckets().values()) - p.wall_s) / p.wall_s
+            if p.wall_s > 0 else 0.0
             for p in self.iterations
         )
 
@@ -372,18 +439,30 @@ class CriticalPathReport:
             ],
         }
 
+    def _bucket_lines(self) -> list[str]:
+        totals, shares = self.totals(), self.shares()
+        lines = [f"{'bucket':<16} {'ms/iter':>10} {'share':>8}"]
+        for bucket in BUCKETS:
+            lines.append(f"{bucket:<16} {totals[bucket] * 1e3:>10.2f} "
+                         f"{shares[bucket] * 100:>7.1f}%")
+        return lines
+
+    def table(self) -> str:
+        """Fixed-width per-bucket attribution table."""
+        return "\n".join([
+            f"-- attribution: {self.label} @ {self.gpus} GPUs "
+            f"(wall {self.mean_wall_s * 1e3:.1f} ms/iter) --",
+            *self._bucket_lines(),
+        ])
+
     def report(self) -> str:
         """Plain-text critical-path report."""
-        totals, shares = self.totals(), self.shares()
         lines = [
             f"-- critical path: {self.label or 'run'} @ {self.gpus} GPUs "
             f"({self.mean_path_s * 1e3:.1f} ms/iter over {self.n} steady "
             f"iterations, level={self.level}) --",
-            f"{'bucket':<16} {'ms/iter':>10} {'share':>8}",
+            *self._bucket_lines(),
         ]
-        for bucket in BUCKETS:
-            lines.append(f"{bucket:<16} {totals[bucket] * 1e3:>10.2f} "
-                         f"{shares[bucket] * 100:>7.1f}%")
         lines.append(
             f"exposed allreduce critical-path share: "
             f"{self.exposed_allreduce_share * 100:.1f}%")
@@ -410,16 +489,14 @@ class CriticalPathReport:
 
 
 def explain_measurement(measurement) -> CriticalPathReport:
-    """Critical path of a traced :class:`~repro.core.sweep.Measurement`."""
+    """Critical path of a traced :class:`~repro.core.sweep.Measurement`.
+
+    The runtime timeline adds the failure detector's SUSPECT windows,
+    which a saved span file does not carry.
+    """
     recorder = getattr(measurement, "trace", None)
     if recorder is None:
         raise ValueError(
             "measurement carries no trace; run measure_training with "
             "trace='spans' (or 'links')")
-    return compute_critical_path(
-        recorder,
-        timeline=measurement.timeline,
-        warmup_iterations=measurement.stats.warmup_iterations,
-        gpus=measurement.gpus,
-        label=measurement.config.label,
-    )
+    return compute_critical_path(recorder, timeline=measurement.timeline)

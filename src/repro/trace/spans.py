@@ -1,9 +1,9 @@
-"""Hierarchical span recording against simulated time.
+"""The one observer of a simulated run: hierarchical spans plus metrics.
 
 A :class:`SpanRecorder` is an observation-only hook threaded through the
-simulation stack — trainer, Horovod runtime, communicator and fabric all
-carry an optional ``tracer`` attribute that defaults to ``None``, exactly
-like the telemetry probe.  When attached, each layer records *spans*:
+simulation stack — kernel (``Environment.monitor``), trainer, Horovod
+runtime, communicator and fabric all carry an optional slot that
+defaults to ``None``.  When attached, each layer records *spans*:
 ``(category, name, start_s, end_s, parent, tags)`` intervals in simulated
 seconds, nested parent/child:
 
@@ -17,13 +17,22 @@ seconds, nested parent/child:
                 └─ ALG_STEP (per rank)
                      └─ TRANSFER (per link traversal; ``level="links"``)
 
+The same hooks update the run's simulated-time
+:class:`~repro.telemetry.MetricRegistry` (``recorder.registry``): kernel
+event counts and queue depths, collective counts/bytes/seconds, Horovod
+cycles, negotiations and fusion occupancy, per-phase trainer seconds,
+and — pulled by :meth:`SpanRecorder.finalize` — per-link-type traffic.
+
 The recorder never creates simulation events and never reads anything but
-``env.now`` at instants the instrumented code already reaches: tracing on
-vs. off is bit-identical (enforced by ``tests/trace/test_perturbation``).
+``env.now`` at instants the instrumented code already reaches: an
+observed run is bit-identical to a bare one (enforced by
+``tests/trace/test_perturbation``).
 
 Spans are picklable (they ride inside training checkpoints) and round-trip
 through a self-contained JSON format via :func:`save_spans` /
-:func:`load_spans`.
+:func:`load_spans`, together with the run context (GPU count, config
+label, warmup iterations) that :func:`~repro.trace.compute_critical_path`
+takes its defaults from.
 """
 
 from __future__ import annotations
@@ -32,6 +41,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator
+
+from repro.telemetry.metrics import MetricRegistry
 
 __all__ = [
     "SPAN_SCHEMA_VERSION",
@@ -42,12 +53,17 @@ __all__ = [
     "well_nested_violations",
 ]
 
-#: Version stamp for the on-disk span JSON format.
-SPAN_SCHEMA_VERSION = 1
+#: Version stamp for the on-disk span JSON format (2: adds ``run``).
+SPAN_SCHEMA_VERSION = 2
 
 #: Recorder detail levels: ``"spans"`` stops at per-rank algorithm steps,
 #: ``"links"`` additionally records one TRANSFER span per link traversal.
 LEVELS = ("spans", "links")
+
+#: Sample the tracked event-queue-depth gauge every N kernel steps — the
+#: histogram sees every step; the track stays small enough to merge into
+#: a Chrome trace.
+QUEUE_TRACK_STRIDE = 64
 
 
 @dataclass
@@ -80,12 +96,11 @@ class Span:
 
 
 class SpanRecorder:
-    """Collects spans from every instrumented layer of one simulation.
+    """Spans and simulated-time metrics from every layer of one simulation.
 
-    Attach with :meth:`attach` after the stack is built (mirrors
-    ``TelemetryProbe.attach``).  The recorder keeps a little cross-layer
-    rendezvous state so children can find parents created in other
-    layers:
+    Attach with :meth:`attach` after the stack is built.  The recorder
+    keeps a little cross-layer rendezvous state so children can find
+    parents created in other layers:
 
     - ``comm_parent``: sid of the runtime's in-flight ALLREDUCE span,
       set around the ``comm.allreduce`` yield (the coordinator serialises
@@ -93,6 +108,10 @@ class SpanRecorder:
     - ``_rank_parent``: world rank -> sid of that rank's open ALG_STEP,
       registered by :meth:`wrap_alg` so fabric TRANSFER spans can parent
       under the algorithm step that issued the send.
+
+    ``run`` holds the run context (``gpus``, ``label``,
+    ``warmup_iterations``) that :func:`~repro.core.sweep.measure_training`
+    stores and :func:`save_spans` persists.
     """
 
     def __init__(self, level: str = "spans") -> None:
@@ -100,11 +119,85 @@ class SpanRecorder:
             raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
         self.level = level
         self.spans: list[Span] = []
+        self.run: dict = {}
         self._next_sid = 0
         self.comm_parent: int | None = None
         self._rank_parent: dict[int, int] = {}
         self._env: Any = None
         self._device_rank: dict[Any, int] = {}
+        self._fabric: Any = None
+        self._comm: Any = None
+        self._runtime: Any = None
+        self._steps = 0
+        self.registry = r = MetricRegistry()
+        # -- sim kernel ---------------------------------------------------
+        self._events_total = r.counter(
+            "sim_events_processed_total", "DES events popped and dispatched")
+        self._queue_depth = r.histogram(
+            "sim_event_queue_depth", "event-queue depth observed at each step",
+            buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, float("inf")))
+        self._queue_track = r.gauge(
+            "sim_event_queue_depth_now", "event-queue depth (sampled track)",
+            track=True)
+        self._schedule_delay = r.histogram(
+            "sim_schedule_delay_seconds",
+            "queue residency: delay between scheduling and dispatch")
+        # -- MPI ----------------------------------------------------------
+        self._allreduce_ops = r.counter(
+            "mpi_allreduce_total", "collective invocations",
+            labelnames=("algorithm",))
+        self._allreduce_seconds = r.counter(
+            "mpi_allreduce_seconds_total", "wall seconds inside collectives",
+            labelnames=("algorithm",))
+        self._allreduce_bytes = r.counter(
+            "mpi_allreduce_bytes_total", "payload bytes per collective",
+            labelnames=("algorithm",))
+        self._messages_total = r.counter(
+            "mpi_messages_total", "point-to-point messages (control + data)")
+        # -- Horovod runtime ----------------------------------------------
+        self._cycles = r.counter(
+            "hvd_cycles_total", "coordinator ticks")
+        self._outstanding = r.gauge(
+            "hvd_outstanding_tensors", "tensors awaiting negotiation",
+            track=True)
+        self._negotiations = r.counter(
+            "hvd_negotiations_total", "negotiation rounds",
+            labelnames=("cached",))
+        self._negotiation_latency = r.histogram(
+            "hvd_negotiation_seconds", "per-round negotiation latency")
+        self._fusion_occupancy = r.histogram(
+            "hvd_fusion_occupancy_ratio",
+            "fused-group bytes / fusion threshold",
+            buckets=(0.1, 0.25, 0.5, 0.75, 0.9, 1.0, float("inf")))
+        self._fusion_tensors = r.histogram(
+            "hvd_fusion_tensors_per_group", "tensors packed per fused op",
+            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, float("inf")))
+        self._fusion_wait = r.histogram(
+            "hvd_fusion_queue_wait_seconds",
+            "ready-to-execution wait (cycle wait + serialization)")
+        self._detector_seconds = r.counter(
+            "hvd_detector_seconds_total", "failure-detector probe time")
+        self._cache_hit_ratio = r.gauge(
+            "hvd_cache_hit_ratio", "response-cache hits / negotiations")
+        # -- trainer ------------------------------------------------------
+        self._phase_seconds = r.counter(
+            "train_phase_seconds_total", "per-phase busy/wait seconds",
+            labelnames=("phase",))
+        self._iterations = r.counter(
+            "train_iterations_total", "rank-iterations completed")
+        # -- links (pulled at finalize) -----------------------------------
+        self._link_bytes = r.counter(
+            "link_bytes_total", "bytes carried per link type",
+            labelnames=("type",))
+        self._link_busy = r.counter(
+            "link_busy_seconds_total", "busy seconds per link type",
+            labelnames=("type",))
+        self._link_utilization = r.gauge(
+            "link_mean_utilization", "mean utilization per link type",
+            labelnames=("type",))
+        self._link_queue = r.gauge(
+            "link_contention_queued", "transfers queued on busy links",
+            track=True)
 
     # -- properties ---------------------------------------------------
 
@@ -140,21 +233,55 @@ class SpanRecorder:
 
     def attach(self, env: Any = None, comm: Any = None, runtime: Any = None,
                trainer: Any = None, fabric: Any = None) -> None:
-        """Install this recorder on each layer's ``tracer`` slot."""
+        """Install this recorder on the given layer objects (any subset)."""
         if env is not None:
             self._env = env
+            self.registry.bind_clock(lambda: env.now)
+            env.monitor = self
         if comm is not None:
             comm.tracer = self
+            self._comm = comm
             self._device_rank = {dev: rank
                                  for rank, dev in enumerate(comm.devices)}
         if runtime is not None:
             runtime.tracer = self
+            self._runtime = runtime
         if trainer is not None:
             trainer.tracer = self
         if fabric is not None:
             fabric.tracer = self
+            self._fabric = fabric
 
-    # -- cross-layer hooks --------------------------------------------
+    def finalize(self) -> None:
+        """Pull run-level aggregates (links, message counts, cache ratio)."""
+        if self._fabric is not None:
+            for name, entry in self._fabric.utilization_report().items():
+                self._link_bytes.labels(type=name).inc(entry["bytes"])
+                self._link_busy.labels(type=name).inc(entry["busy_s"])
+                self._link_utilization.labels(type=name).set(
+                    entry["mean_utilization"])
+        if self._comm is not None:
+            self._messages_total.inc(self._comm.messages_sent)
+        if self._runtime is not None:
+            stats = self._runtime.stats
+            if stats.negotiations:
+                self._cache_hit_ratio.set(stats.cache_hits / stats.negotiations)
+
+    # -- sim kernel hooks ---------------------------------------------
+
+    def on_schedule(self, env: Any, event: Any, delay: float) -> None:
+        """An event was pushed to fire ``delay`` seconds from now."""
+        self._schedule_delay.observe(delay)
+
+    def on_step(self, env: Any, event: Any, depth: int) -> None:
+        """One event was popped and its callbacks ran."""
+        self._events_total.inc()
+        self._queue_depth.observe(depth)
+        self._steps += 1
+        if self._steps % QUEUE_TRACK_STRIDE == 0:
+            self._queue_track.set(depth)
+
+    # -- MPI hooks ----------------------------------------------------
 
     def wrap_alg(self, gen: Iterator, world_rank: int, parent: int,
                  name: str) -> Iterator:
@@ -178,6 +305,13 @@ class SpanRecorder:
             self.end(sid, self.now)
         return result
 
+    def on_allreduce(self, algorithm: str, nbytes: int,
+                     seconds: float) -> None:
+        """One collective completed."""
+        self._allreduce_ops.labels(algorithm=algorithm).inc()
+        self._allreduce_seconds.labels(algorithm=algorithm).inc(seconds)
+        self._allreduce_bytes.labels(algorithm=algorithm).inc(nbytes)
+
     def on_transfer(self, src: Any, dst: Any, nbytes: int, start_s: float,
                     acquired_s: float, end_s: float, info: Any) -> None:
         """Record one fabric link traversal (``level="links"`` only)."""
@@ -192,6 +326,70 @@ class SpanRecorder:
             src=src_rank, dst=self._device_rank.get(dst),
             bytes=int(nbytes), wait_s=acquired_s - start_s, links=links,
         )
+
+    # -- Horovod runtime hooks ----------------------------------------
+
+    def on_cycle(self, outstanding: int) -> None:
+        """One coordinator tick; sample queue state."""
+        self._cycles.inc()
+        self._outstanding.set(outstanding)
+        if self._fabric is not None:
+            queued = sum(
+                link.resource.queue_len
+                for link in self._fabric.topology.links()
+                if link.resource.queue_len
+            )
+            self._link_queue.set(queued)
+
+    def on_negotiation(self, seconds: float, cached: bool) -> None:
+        """One negotiation round finished."""
+        self._negotiations.labels(cached="yes" if cached else "no").inc()
+        self._negotiation_latency.observe(seconds)
+
+    def on_group(self, nbytes: int, tensors: int, threshold_bytes: int,
+                 queue_wait_s: float) -> None:
+        """One fused allreduce group is about to execute."""
+        if threshold_bytes > 0:
+            self._fusion_occupancy.observe(nbytes / threshold_bytes)
+        self._fusion_tensors.observe(tensors)
+        self._fusion_wait.observe(queue_wait_s)
+
+    def on_detect(self, seconds: float) -> None:
+        """The failure detector spent ``seconds`` re-probing a suspect."""
+        self._detector_seconds.inc(seconds)
+
+    # -- trainer hooks ------------------------------------------------
+
+    def on_iteration(self, rank: int, iteration: int, start_s: float,
+                     stall_end_s: float, forward_end_s: float,
+                     last_emit_s: float, barrier_s: float,
+                     end_s: float) -> None:
+        """One rank finished one iteration: its span stack and phases.
+
+        Called post hoc, at the optimizer-completion instant ``end_s``;
+        ``start_s <= stall_end_s <= forward_end_s <= last_emit_s <=
+        barrier_s <= end_s`` are the phase boundaries.
+        """
+        it = self.record("ITERATION", f"iter_{iteration}", start_s, end_s,
+                         rank=rank, iteration=iteration)
+        if stall_end_s > start_s:
+            self.record("INPUT_STALL", "input stall", start_s, stall_end_s,
+                        parent=it)
+        self.record("FORWARD", "forward", stall_end_s, forward_end_s,
+                    parent=it)
+        self.record("BACKWARD", "backward", forward_end_s, last_emit_s,
+                    parent=it)
+        if barrier_s > last_emit_s:
+            self.record("BARRIER_WAIT", "allreduce wait", last_emit_s,
+                        barrier_s, parent=it)
+        self.record("OPTIMIZER", "optimizer", barrier_s, end_s, parent=it)
+        self._iterations.inc()
+        phases = self._phase_seconds
+        phases.labels(phase="input_stall").inc(stall_end_s - start_s)
+        phases.labels(phase="forward").inc(forward_end_s - stall_end_s)
+        phases.labels(phase="backward").inc(last_emit_s - forward_end_s)
+        phases.labels(phase="allreduce_wait").inc(barrier_s - last_emit_s)
+        phases.labels(phase="optimizer").inc(end_s - barrier_s)
 
     # -- queries ------------------------------------------------------
 
@@ -208,18 +406,48 @@ class SpanRecorder:
             index.setdefault(span.parent, []).append(span)
         return index
 
+    def iteration_records(self) -> list[dict]:
+        """Per-rank iteration phases, one dict per ITERATION span.
+
+        Phase seconds are differences of the span stack's boundary
+        instants — the ``"iteration"`` records of the JSONL event log
+        (:func:`~repro.telemetry.to_jsonl`).
+        """
+        children = self.child_index()
+        records = []
+        for it in self.by_cat("ITERATION"):
+            kids = {c.cat: c for c in children.get(it.sid, [])}
+            fw, bw, opt = kids["FORWARD"], kids["BACKWARD"], kids["OPTIMIZER"]
+            records.append({
+                "rank": it.tags["rank"],
+                "iteration": it.tags["iteration"],
+                "start_s": it.start_s,
+                "stall_s": fw.start_s - it.start_s,
+                "forward_s": fw.end_s - fw.start_s,
+                "backward_s": bw.end_s - bw.start_s,
+                "wait_s": opt.start_s - bw.end_s,
+                "optimizer_s": opt.end_s - opt.start_s,
+                "end_s": it.end_s,
+            })
+        return records
+
     # -- persistence --------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Checkpoint-safe state: drop live references, keep the spans.
+        """Checkpoint-safe state: drop live references, keep the record.
 
-        ``comm_parent``/``_rank_parent`` are transient rendezvous slots;
-        checkpoints are cut at iteration barriers where no collective is
-        in flight, so they are always empty there.
+        Live layer objects hold the simulation kernel's generators and
+        cannot cross a process boundary; the spans and the metric
+        registry can.  ``comm_parent``/``_rank_parent`` are transient
+        rendezvous slots; checkpoints are cut at iteration barriers where
+        no collective is in flight, so they are always empty there.
         """
         state = self.__dict__.copy()
         state["_env"] = None
         state["_device_rank"] = {}
+        state["_fabric"] = None
+        state["_comm"] = None
+        state["_runtime"] = None
         state["comm_parent"] = None
         state["_rank_parent"] = {}
         return state
@@ -228,6 +456,7 @@ class SpanRecorder:
         return {
             "schema_version": SPAN_SCHEMA_VERSION,
             "level": self.level,
+            "run": self.run,
             "spans": [s.to_dict() for s in self.spans],
         }
 
@@ -250,6 +479,7 @@ def load_spans(source: str | Path | dict) -> SpanRecorder:
             f"unsupported span schema {version!r} "
             f"(this build reads {SPAN_SCHEMA_VERSION})")
     rec = SpanRecorder(level=payload.get("level", "spans"))
+    rec.run = dict(payload.get("run", {}))
     for item in payload["spans"]:
         rec.spans.append(Span(
             sid=int(item["sid"]),

@@ -80,7 +80,6 @@ class DistributedTrainer:
 
     def __init__(self, runtime: HorovodRuntime, profile: IterationProfile,
                  job: TrainJob, faults: Any | None = None,
-                 probe: Any | None = None,
                  checkpoint: Any | None = None,
                  resume_state: dict | None = None) -> None:
         if profile.batch_size != job.per_gpu_batch:
@@ -93,10 +92,7 @@ class DistributedTrainer:
         self.profile = profile
         self.job = job
         self.faults = faults
-        #: Optional telemetry hook (``on_iteration(IterationSample)``) —
-        #: see :class:`repro.telemetry.TelemetryProbe`.
-        self.probe = probe
-        #: Optional span recorder (``repro.trace``); observation only.
+        #: Optional observer (:class:`repro.trace.SpanRecorder`).
         self.tracer: Any = None
         #: Optional :class:`~repro.checkpoint.CheckpointPlan` controlling
         #: state capture at iteration boundaries (duck-typed: anything
@@ -351,43 +347,10 @@ class DistributedTrainer:
         self.completed_iterations[rank] = self.completed_iterations.get(rank, 0) + 1
         if self._alive and rank == min(self._alive):
             self._iteration_marks.setdefault(iteration, self.env.now)
-        if self.probe is not None:
-            from repro.telemetry.instrument import IterationSample
-
-            self.probe.on_iteration(IterationSample(
-                rank=rank,
-                iteration=iteration,
-                start_s=start_s,
-                stall_end_s=stall_end_s,
-                forward_end_s=forward_end_s,
-                last_emit_s=last_emit_s,
-                barrier_s=barrier_s,
-                end_s=self.env.now,
-            ))
         if self.tracer is not None:
-            self._trace_iteration(rank, iteration, start_s, stall_end_s,
-                                  forward_end_s, last_emit_s, barrier_s)
-
-    def _trace_iteration(self, rank: int, iteration: int, start_s: float,
-                         stall_end_s: float, forward_end_s: float,
-                         last_emit_s: float, barrier_s: float) -> None:
-        """Record one finished iteration's span stack (post-hoc, at the
-        optimizer-completion instant — mirrors ``probe.on_iteration``)."""
-        rec = self.tracer
-        end_s = self.env.now
-        it = rec.record("ITERATION", f"iter_{iteration}", start_s, end_s,
-                        rank=rank, iteration=iteration)
-        if stall_end_s > start_s:
-            rec.record("INPUT_STALL", "input stall", start_s, stall_end_s,
-                       parent=it)
-        rec.record("FORWARD", "forward", stall_end_s, forward_end_s,
-                   parent=it)
-        rec.record("BACKWARD", "backward", forward_end_s, last_emit_s,
-                   parent=it)
-        if barrier_s > last_emit_s:
-            rec.record("BARRIER_WAIT", "allreduce wait", last_emit_s,
-                       barrier_s, parent=it)
-        rec.record("OPTIMIZER", "optimizer", barrier_s, end_s, parent=it)
+            self.tracer.on_iteration(rank, iteration, start_s, stall_end_s,
+                                     forward_end_s, last_emit_s, barrier_s,
+                                     self.env.now)
 
     # -- checkpointing ---------------------------------------------------------
     def _capture_wanted(self, barrier: int) -> bool:
@@ -506,18 +469,15 @@ class DistributedTrainer:
                 if dataclasses.is_dataclass(inj_stats)
                 else None
             ),
-            "probe": (
-                pickle.dumps(self.probe) if self.probe is not None else None
-            ),
             "trace": (
                 pickle.dumps(self.tracer) if self.tracer is not None else None
             ),
         }
 
     def _ckpt_count(self, name: str) -> None:
-        registry = getattr(self.probe, "registry", None)
-        if registry is not None:
-            registry.counter(name, "checkpoint lifecycle events").inc()
+        if self.tracer is not None:
+            self.tracer.registry.counter(
+                name, "checkpoint lifecycle events").inc()
 
     def _resumed_rank_loop(self, rank: int, rec: dict):
         job = self.job
@@ -543,24 +503,9 @@ class DistributedTrainer:
             )
             if self._alive and rank == min(self._alive):
                 self._iteration_marks.setdefault(iteration, self.env.now)
-            if self.probe is not None:
-                from repro.telemetry.instrument import IterationSample
-
-                s = rec["sample"]
-                self.probe.on_iteration(IterationSample(
-                    rank=rank,
-                    iteration=iteration,
-                    start_s=s[0],
-                    stall_end_s=s[1],
-                    forward_end_s=s[2],
-                    last_emit_s=s[3],
-                    barrier_s=s[4],
-                    end_s=self.env.now,
-                ))
             if self.tracer is not None:
-                s = rec["sample"]
-                self._trace_iteration(rank, iteration, s[0], s[1], s[2],
-                                      s[3], s[4])
+                self.tracer.on_iteration(rank, iteration, *rec["sample"],
+                                         self.env.now)
             while self._next_barrier < job.iterations:
                 yield from self._one_iteration(
                     rank, self._next_barrier, jitter_gen, clock

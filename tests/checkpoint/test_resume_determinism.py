@@ -115,21 +115,26 @@ def test_crash_restart_resume_bit_identical():
 
 
 def test_telemetry_attribution_identical_after_resume():
-    from repro.telemetry import attribute_measurement
+    from repro.trace import explain_measurement
+
+    def attribution(measurement):
+        report = explain_measurement(measurement)
+        return pickle.dumps([(p.iteration, p.wall_s, p.buckets())
+                             for p in report.iterations])
 
     cfg = paper_tuned_config()
-    baseline = measure_training(6, cfg, iterations=4, seed=4, telemetry=True)
-    base_att = pickle.dumps(attribute_measurement(baseline))
-    m = measure_training(6, cfg, iterations=4, seed=4, telemetry=True,
+    baseline = measure_training(6, cfg, iterations=4, seed=4, trace=True)
+    base_att = attribution(baseline)
+    m = measure_training(6, cfg, iterations=4, seed=4, trace=True,
                          checkpoint=CheckpointPlan(every=1, stop_at=2))
     assert m.interrupted
-    # Capture/skip lifecycle shows up on the probe's registry.
-    captures = m.telemetry.registry.get("checkpoint_captures_total")
+    # Capture/skip lifecycle shows up on the recorder's registry.
+    captures = m.trace.registry.get("checkpoint_captures_total")
     assert captures is not None and captures.default.value >= 1
     resumed = resume_training(m.checkpoint)
     assert pickle.dumps(resumed.stats) == pickle.dumps(baseline.stats)
-    assert pickle.dumps(attribute_measurement(resumed)) == base_att
-    resumes = resumed.telemetry.registry.get("checkpoint_resumes_total")
+    assert attribution(resumed) == base_att
+    resumes = resumed.trace.registry.get("checkpoint_resumes_total")
     assert resumes is not None and resumes.default.value == 1
 
 

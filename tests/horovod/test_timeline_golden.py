@@ -3,7 +3,7 @@
 A small, fully deterministic training run (zero jitter, fixed seed) with
 a fault schedule exercises every phase family — negotiation, queueing,
 allreduce, and the fault/resilience phases — plus full span tracing
-(``trace="links"``) and telemetry counters.  The merged Chrome trace
+(``trace="links"``) and its metric counters.  The merged Chrome trace
 (:func:`repro.trace.merged_chrome_trace`: timeline rows, counter track
 and span hierarchy under one pid/tid scheme, with cross-rank flow
 events) is compared against a committed golden file.  Any change to the
@@ -51,8 +51,8 @@ def make_trace() -> str:
         RankCrash(rank=2, start_s=2.5),
     )
     m = measure_training(3, cfg, iterations=3, jitter_std=0.0, seed=0,
-                         schedule=schedule, telemetry=True, trace="links")
-    return merged_chrome_trace(m.timeline, m.telemetry.registry, m.trace)
+                         schedule=schedule, trace="links")
+    return merged_chrome_trace(m.timeline, m.trace.registry, m.trace)
 
 
 @pytest.fixture(scope="module")

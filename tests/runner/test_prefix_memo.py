@@ -96,13 +96,13 @@ def test_non_memoizable_points_run_fresh():
     traced = TrainPoint(gpus=2, config=tuned, iterations=2, seed=0,
                         trace="spans")
     telemetered = TrainPoint(gpus=2, config=tuned, iterations=3, seed=0,
-                             telemetry=True)
+                             trace="links")
     assert not memoizable(traced)
     assert not memoizable(telemetered)
     results, stats = prefix_run([traced, telemetered])
     assert stats.groups == 0 and stats.memoized_points == 0
     assert results[0].trace is not None
-    assert results[1].telemetry is not None
+    assert results[1].trace is not None
 
 
 def test_prefix_store_roundtrip_extends_ladders(tmp_path):

@@ -40,7 +40,7 @@ def test_key_depends_on_every_knob():
         _point(jitter_std=0.0),
         _point(seed=1),
         _point(negotiation="simulated"),
-        _point(telemetry=True),
+        _point(trace="spans"),
     ]
     keys = {p.key() for p in variants}
     assert base.key() not in keys

@@ -1,4 +1,4 @@
-"""Attribution-engine tests: exact decomposition on synthetic and real runs."""
+"""Attribution tests: the critical-path bucket fold on synthetic and real runs."""
 
 import pytest
 
@@ -7,107 +7,106 @@ from repro.core import (
     paper_default_config,
     paper_tuned_config,
 )
-from repro.telemetry import (
+from repro.horovod.timeline import Timeline
+from repro.trace import (
     BUCKETS,
-    IterationSample,
-    attribute_measurement,
-    attribute_samples,
-    compare_attributions,
+    SpanRecorder,
+    compute_critical_path,
+    explain_measurement,
 )
 
 
-class FakeSpan:
-    def __init__(self, start_s, end_s):
-        self.start_s = start_s
-        self.end_s = end_s
+def _recorder(*iterations, comm=()):
+    """A recorder holding synthetic iterations and communication spans.
+
+    Each iteration is ``(rank, iteration, start, stall, fwd, emit,
+    barrier, end)``; each comm span ``(phase, start, end)``.
+    """
+    rec = SpanRecorder()
+    for it in iterations:
+        rec.on_iteration(*it)
+    for phase, start, end in comm:
+        rec.record(phase, phase.lower(), start, end)
+    return rec
 
 
-class FakeTimeline:
-    def __init__(self, spans_by_phase=None):
-        self._spans = spans_by_phase or {}
-
-    def spans(self, phase):
-        return self._spans.get(phase, [])
-
-
-def _sample(rank, iteration, start, stall, fwd, emit, barrier, end):
-    return IterationSample(
-        rank=rank, iteration=iteration, start_s=start, stall_end_s=stall,
-        forward_end_s=fwd, last_emit_s=emit, barrier_s=barrier, end_s=end,
-    )
+def _timeline(*spans):
+    timeline = Timeline()
+    for phase, start, end in spans:
+        timeline.record(phase, phase.lower(), start, end)
+    return timeline
 
 
 def test_buckets_sum_exactly_to_wall():
-    samples = [
-        _sample(0, 0, 0.0, 0.1, 0.5, 1.0, 1.6, 1.8),
-        _sample(1, 0, 0.0, 0.0, 0.6, 1.2, 1.6, 1.9),
-    ]
-    timeline = FakeTimeline({
-        "ALLREDUCE": [FakeSpan(1.2, 1.5)],
-    })
-    att = attribute_samples(samples, timeline, warmup_iterations=0, gpus=2)
-    [b] = att.breakdowns
+    rec = _recorder(
+        (0, 0, 0.0, 0.1, 0.5, 1.0, 1.6, 1.8),
+        (1, 0, 0.0, 0.0, 0.6, 1.2, 1.6, 1.9),
+        comm=[("ALLREDUCE", 1.2, 1.5)],
+    )
+    report = compute_critical_path(rec, warmup_iterations=0, gpus=2)
+    [b] = report.iterations
+    buckets = b.buckets()
     # Marking rank 0: wall 1.8, stall 0.1, compute 0.4+0.5+0.2,
     # skew = 1.2 - 1.0, tail window [1.2, 1.6]: 0.3 comm + 0.1 idle.
     assert b.wall_s == pytest.approx(1.8)
-    assert b.buckets["input_stall"] == pytest.approx(0.1)
-    assert b.buckets["compute"] == pytest.approx(1.1)
-    assert b.buckets["straggler_skew"] == pytest.approx(0.2)
-    assert b.buckets["exposed_comm"] == pytest.approx(0.3)
-    assert b.buckets["fusion_wait"] == pytest.approx(0.1)
-    assert b.buckets["fault_suspect"] == 0.0
-    assert b.bucket_sum_s == pytest.approx(b.wall_s)
-    assert att.max_sum_error < 1e-9
+    assert buckets["input_stall"] == pytest.approx(0.1)
+    assert buckets["compute"] == pytest.approx(1.1)
+    assert buckets["straggler_skew"] == pytest.approx(0.2)
+    assert buckets["exposed_comm"] == pytest.approx(0.3)
+    assert buckets["fusion_wait"] == pytest.approx(0.1)
+    assert buckets["fault_suspect"] == 0.0
+    assert sum(buckets.values()) == pytest.approx(b.wall_s)
+    assert report.max_sum_error < 1e-9
 
 
 def test_overlapping_comm_spans_union_not_double_counted():
-    samples = [_sample(0, 0, 0.0, 0.0, 0.2, 0.5, 1.5, 1.5)]
-    timeline = FakeTimeline({
-        "ALLREDUCE": [FakeSpan(0.6, 1.0), FakeSpan(0.8, 1.2)],
-        "NEGOTIATE": [FakeSpan(0.9, 1.1)],
-        "MEMCPY_IN": [FakeSpan(0.0, 10.0)],  # clipped to the tail window
-    })
-    att = attribute_samples(samples, timeline, warmup_iterations=0)
-    [b] = att.breakdowns
+    rec = _recorder(
+        (0, 0, 0.0, 0.0, 0.2, 0.5, 1.5, 1.5),
+        comm=[
+            ("ALLREDUCE", 0.6, 1.0), ("ALLREDUCE", 0.8, 1.2),
+            ("NEGOTIATE", 0.9, 1.1),
+            ("MEMCPY_IN", 0.0, 10.0),  # clipped to the tail window
+        ],
+    )
+    [b] = compute_critical_path(rec, warmup_iterations=0).iterations
     # Tail window is [0.5, 1.5]; the memcpy span covers all of it.
-    assert b.buckets["exposed_comm"] == pytest.approx(1.0)
-    assert b.buckets["fusion_wait"] == 0.0
+    assert b.buckets()["exposed_comm"] == pytest.approx(1.0)
+    assert b.buckets()["fusion_wait"] == 0.0
 
 
 def test_suspect_overlap_splits_idle_tail():
-    samples = [_sample(0, 0, 0.0, 0.0, 0.2, 0.4, 1.4, 1.4)]
-    timeline = FakeTimeline({
-        "SUSPECT": [FakeSpan(0.4, 0.9)],  # half the 1.0 s tail
-    })
-    att = attribute_samples(samples, timeline, warmup_iterations=0)
-    [b] = att.breakdowns
-    assert b.buckets["exposed_comm"] == 0.0
-    assert b.buckets["fault_suspect"] == pytest.approx(0.5)
-    assert b.buckets["fusion_wait"] == pytest.approx(0.5)
-    assert b.bucket_sum_s == pytest.approx(b.wall_s)
+    rec = _recorder((0, 0, 0.0, 0.0, 0.2, 0.4, 1.4, 1.4))
+    timeline = _timeline(("SUSPECT", 0.4, 0.9))  # half the 1.0 s tail
+    [b] = compute_critical_path(rec, timeline,
+                                warmup_iterations=0).iterations
+    buckets = b.buckets()
+    assert buckets["exposed_comm"] == 0.0
+    assert buckets["fault_suspect"] == pytest.approx(0.5)
+    assert buckets["fusion_wait"] == pytest.approx(0.5)
+    assert sum(buckets.values()) == pytest.approx(b.wall_s)
 
 
 def test_warmup_iterations_are_excluded():
-    samples = [
-        _sample(0, 0, 0.0, 0.0, 0.2, 0.4, 0.5, 0.6),
-        _sample(0, 1, 0.6, 0.6, 0.8, 1.0, 1.1, 1.2),
-    ]
-    att = attribute_samples(samples, FakeTimeline(), warmup_iterations=1)
-    assert [b.iteration for b in att.breakdowns] == [1]
+    rec = _recorder(
+        (0, 0, 0.0, 0.0, 0.2, 0.4, 0.5, 0.6),
+        (0, 1, 0.6, 0.6, 0.8, 1.0, 1.1, 1.2),
+    )
+    report = compute_critical_path(rec, warmup_iterations=1)
+    assert [p.iteration for p in report.iterations] == [1]
     with pytest.raises(ValueError):
-        attribute_samples(samples, FakeTimeline(), warmup_iterations=2)
+        compute_critical_path(rec, warmup_iterations=2)
     with pytest.raises(ValueError):
-        attribute_samples([], FakeTimeline())
+        compute_critical_path(SpanRecorder())
 
 
 def test_shares_and_table():
-    samples = [_sample(0, 0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0)]
-    att = attribute_samples(samples, FakeTimeline(), warmup_iterations=0,
-                            gpus=4, label="unit")
-    shares = att.shares()
+    rec = _recorder((0, 0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0))
+    report = compute_critical_path(rec, warmup_iterations=0, gpus=4,
+                                   label="unit")
+    shares = report.shares()
     assert shares["compute"] == pytest.approx(1.0)
     assert sum(shares.values()) == pytest.approx(1.0)
-    text = att.table()
+    text = report.table()
     assert "unit" in text and "@ 4 GPUs" in text
     for bucket in BUCKETS:
         assert bucket in text
@@ -116,21 +115,18 @@ def test_shares_and_table():
 def test_attribute_measurement_requires_telemetry():
     m = measure_training(2, paper_tuned_config(), iterations=2)
     with pytest.raises(ValueError):
-        attribute_measurement(m)
+        explain_measurement(m)
 
 
 def test_real_run_sums_within_tolerance_and_compares():
     md = measure_training(6, paper_default_config(), iterations=3,
-                          telemetry=True)
+                          trace=True)
     mt = measure_training(6, paper_tuned_config(), iterations=3,
-                          telemetry=True)
-    ad = attribute_measurement(md)
-    at = attribute_measurement(mt)
+                          trace=True)
+    ad = explain_measurement(md)
+    at = explain_measurement(mt)
     assert ad.max_sum_error < 0.02
     assert at.max_sum_error < 0.02
     assert ad.mean_wall_s == pytest.approx(
         md.stats.mean_iteration_seconds, rel=1e-6
     )
-    rows = compare_attributions(ad, at)
-    assert [r["bucket"] for r in rows] == list(BUCKETS)
-    assert all("delta ms" in r for r in rows)

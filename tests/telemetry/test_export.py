@@ -6,11 +6,11 @@ import pytest
 
 from repro.telemetry import (
     MetricRegistry,
-    merge_chrome_trace,
     parse_prometheus,
     to_jsonl,
     to_prometheus,
 )
+from repro.trace import SpanRecorder, merged_chrome_trace
 
 
 def _populated_registry() -> MetricRegistry:
@@ -76,13 +76,12 @@ def test_jsonl_is_valid_json_per_line_and_complete():
 
 
 def test_jsonl_includes_iteration_samples():
-    from repro.telemetry import IterationSample
-
-    sample = IterationSample(
-        rank=0, iteration=2, start_s=0.0, stall_end_s=0.1,
-        forward_end_s=0.5, last_emit_s=1.0, barrier_s=1.2, end_s=1.3,
-    )
-    lines = to_jsonl(MetricRegistry(), samples=[sample]).splitlines()
+    recorder = SpanRecorder()
+    recorder.on_iteration(rank=0, iteration=2, start_s=0.0, stall_end_s=0.1,
+                          forward_end_s=0.5, last_emit_s=1.0, barrier_s=1.2,
+                          end_s=1.3)
+    lines = to_jsonl(MetricRegistry(),
+                     iterations=recorder.iteration_records()).splitlines()
     rec = json.loads(lines[-1])
     assert rec["event"] == "iteration"
     assert rec["iteration"] == 2
@@ -96,7 +95,7 @@ def test_merge_chrome_trace_appends_counter_events():
     timeline = Timeline()
     timeline.record("ALLREDUCE", "t0", 0.5, 1.0)
     r = _populated_registry()
-    trace = json.loads(merge_chrome_trace(timeline, r))
+    trace = json.loads(merged_chrome_trace(timeline, r))
     counters = [e for e in trace["traceEvents"] if e["ph"] == "C"]
     spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
     assert len(spans) == 1

@@ -1,41 +1,41 @@
-"""End-to-end instrumentation tests over real measured runs."""
+"""End-to-end instrumentation tests: the recorder's metrics on real runs."""
 
 import pytest
 
 from repro.core import measure_training, paper_tuned_config
-from repro.telemetry import TelemetryProbe
+from repro.trace import SpanRecorder
 
 
 @pytest.fixture(scope="module")
 def measured():
     return measure_training(
-        6, paper_tuned_config(), iterations=3, telemetry=True
+        6, paper_tuned_config(), iterations=3, trace=True
     )
 
 
 def test_probe_rides_on_measurement(measured):
-    assert isinstance(measured.telemetry, TelemetryProbe)
+    assert isinstance(measured.trace, SpanRecorder)
 
 
 def test_iteration_samples_cover_every_rank_iteration(measured):
-    samples = measured.telemetry.iteration_samples
-    assert len(samples) == 6 * 3
-    assert {(s.rank, s.iteration) for s in samples} == {
+    records = measured.trace.iteration_records()
+    assert len(records) == 6 * 3
+    assert {(r["rank"], r["iteration"]) for r in records} == {
         (r, i) for r in range(6) for i in range(3)
     }
 
 
 def test_sample_instants_are_ordered(measured):
-    for s in measured.telemetry.iteration_samples:
-        assert (s.start_s <= s.stall_end_s <= s.forward_end_s
-                <= s.last_emit_s <= s.barrier_s <= s.end_s)
-        assert s.compute_s == pytest.approx(
-            s.forward_s + s.backward_s + s.optimizer_s
-        )
+    children = measured.trace.child_index()
+    for it in measured.trace.by_cat("ITERATION"):
+        kids = {c.cat: c for c in children[it.sid]}
+        fw, bw, opt = kids["FORWARD"], kids["BACKWARD"], kids["OPTIMIZER"]
+        assert (it.start_s <= fw.start_s <= fw.end_s
+                <= bw.end_s <= opt.start_s <= opt.end_s == it.end_s)
 
 
 def test_kernel_and_runtime_metrics_populated(measured):
-    r = measured.telemetry.registry
+    r = measured.trace.registry
     assert r.get("sim_events_processed_total").default.value > 1000
     assert r.get("hvd_cycles_total").default.value == (
         measured.runtime_stats.cycles
@@ -59,7 +59,7 @@ def test_kernel_and_runtime_metrics_populated(measured):
 
 
 def test_link_metrics_match_utilization_report(measured):
-    r = measured.telemetry.registry
+    r = measured.trace.registry
     for name, entry in measured.link_utilization.items():
         assert r.get("link_bytes_total").labels(type=name).value == (
             entry["bytes"]
@@ -70,35 +70,35 @@ def test_link_metrics_match_utilization_report(measured):
 
 
 def test_phase_seconds_match_samples(measured):
-    r = measured.telemetry.registry
-    samples = measured.telemetry.iteration_samples
+    r = measured.trace.registry
+    records = measured.trace.iteration_records()
     phase = r.get("train_phase_seconds_total")
     assert phase.labels(phase="forward").value == pytest.approx(
-        sum(s.forward_s for s in samples)
+        sum(rec["forward_s"] for rec in records)
     )
     assert phase.labels(phase="allreduce_wait").value == pytest.approx(
-        sum(s.wait_s for s in samples)
+        sum(rec["wait_s"] for rec in records)
     )
 
 
 def test_instrumentation_is_observation_only(measured):
     """The acceptance bound is <5% throughput change; simulated time is
-    in fact bit-identical with the probe attached."""
+    in fact bit-identical with the recorder attached."""
     bare = measure_training(6, paper_tuned_config(), iterations=3)
     assert bare.images_per_second == measured.images_per_second
     assert bare.stats.iteration_seconds == measured.stats.iteration_seconds
 
 
 def test_existing_probe_can_be_passed_in():
-    probe = TelemetryProbe()
+    recorder = SpanRecorder()
     m = measure_training(2, paper_tuned_config(), iterations=2,
-                         telemetry=probe)
-    assert m.telemetry is probe
-    assert probe.iteration_samples
+                         trace=recorder)
+    assert m.trace is recorder
+    assert recorder.iteration_records()
 
 
 def test_queue_depth_track_is_downsampled(measured):
-    r = measured.telemetry.registry
+    r = measured.trace.registry
     track = r.get("sim_event_queue_depth_now").default.track
     total = r.get("sim_events_processed_total").default.value
     assert track  # sampled at least once

@@ -334,6 +334,31 @@ def test_trace_run_exports_and_explain(tmp_path, capsys):
     assert "critical path" in capsys.readouterr().out
 
 
+def test_explain_span_file_matches_in_process_report(tmp_path, capsys):
+    """A saved span file carries its run context: GPU count, config label
+    and warmup count all survive the round trip through ``explain``."""
+    from repro.core import measure_training, paper_default_config
+    from repro.trace import explain_measurement, save_spans
+
+    m = measure_training(6, paper_default_config(), iterations=3,
+                         warmup_iterations=0, seed=0, trace="spans")
+    path = save_spans(m.trace, tmp_path / "spans.json")
+    assert main(["explain", str(path)]) == 0
+    assert capsys.readouterr().out == explain_measurement(m).report() + "\n"
+
+
+@pytest.mark.parametrize("flag,value", [("--gpus", "0"),
+                                        ("--iterations", "1")])
+@pytest.mark.parametrize("command", [["measure"], ["telemetry"],
+                                     ["trace", "run"]],
+                         ids=["measure", "telemetry", "trace-run"])
+def test_observation_commands_reject_bad_run_args(command, flag, value,
+                                                  capsys):
+    assert main([*command, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+
+
 def test_explain_unknown_target_fails(capsys):
     assert main(["explain", "E99"]) == 2
     assert "unknown target" in capsys.readouterr().err

@@ -9,5 +9,4 @@ from repro.core import measure_training, paper_default_config
 def traced_measurement():
     """A deterministic link-level traced run (6 GPUs, 2 iterations)."""
     return measure_training(6, paper_default_config(), iterations=2,
-                            jitter_std=0.03, seed=0, telemetry=True,
-                            trace="links")
+                            jitter_std=0.03, seed=0, trace="links")

@@ -1,0 +1,142 @@
+"""Exactness gate: every observation output of a traced run, hashed.
+
+Refactors of the observation plane (span recorder, metric registry,
+exporters, critical-path engine) must not move a single byte of what an
+observed run reports.  The golden-trace test compares the Chrome trace
+field by field with a float tolerance; these digests pin the exact
+bytes of every output instead:
+
+* the Prometheus text exposition of the run's metric registry;
+* the JSONL event log, iteration records included;
+* the merged Chrome trace (timeline, counter tracks and spans);
+* the span list as JSON;
+* the plain-text critical-path report;
+* the E14 bucket totals, pickled (protocol 4), so every float is exact.
+
+Two scenarios: the golden trace's faulted run (3 GPUs, tuned, straggler
+plus crash under a negotiation deadline) and a 6-GPU default run with
+compute jitter, both traced at ``level="links"``.
+
+The expected digests were recorded before the telemetry probe was
+folded into the span recorder.  A mismatch means an observation output
+changed; only a deliberate change may re-record them (``--regen``
+prints the current values)::
+
+    PYTHONPATH=src python tests/trace/test_observation_digest.py --regen
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import pickle
+
+import pytest
+
+from repro.core import measure_training, paper_default_config
+from repro.core.knobs import paper_tuned_config
+from repro.faults import FaultSchedule, RankCrash, StragglerGPU
+
+#: Outputs hashed per scenario, in this order.
+OUTPUTS = ("prometheus", "jsonl", "chrome_trace", "spans", "report",
+           "bucket_totals")
+
+#: scenario -> {output: SHA-256 hex}.
+EXPECTED = {
+    "faulted_3": {
+        "prometheus":
+            "7e9b2d04fad8d6e5b34f3bb23e4e8eede48bf90535c5decb0342eb079ae2d218",
+        "jsonl":
+            "4b2f9bb9e97046fc10c3d8edaabe15d175087bfbd92293876315f3b767c84c14",
+        "chrome_trace":
+            "2221e1a5159e42550f4495d1aef09b6b7698123bdde6814bbe923c9220e470df",
+        "spans":
+            "ae1ec5da89ec92cd24553969f785479e9e8437947d6b35ad91d3ba859004cba4",
+        "report":
+            "de2365efd8d993889e6790fa2b5225d97be91ba1479966da5014a358217315ca",
+        "bucket_totals":
+            "6edfa5d7d4c4557a817a17b295487c855efa9e88e0aef0a54796b0e847ffac60",
+    },
+    "default_6": {
+        "prometheus":
+            "dd05ea529bdad9a8b3b7a0092f86a52586e267c136d7ff54ed03e5ed284031a8",
+        "jsonl":
+            "3bc05419a6704d9b108f3597b664245e13ba1cfb28526ea595722560af183ec5",
+        "chrome_trace":
+            "5a1b4dbcdd7156e98394cfdae2815350f84569683b5c1d2e01f5cd095b907ef5",
+        "spans":
+            "5013368a386979f800314a97019c39dbfeed1b94de31ed292ecbbe2e95a148c5",
+        "report":
+            "3631fcc41a77c893df71cc39b71a0bae586123e3f5b580418083fcc34db0392c",
+        "bucket_totals":
+            "d2a3296feac833ef2ba69083137dc258db34363f70aa9b3196f8c5febe69eb91",
+    },
+}
+
+
+def run_faulted_3():
+    # The golden trace's run: a long cycle keeps it small.
+    cfg = paper_tuned_config()
+    cfg = dataclasses.replace(cfg, horovod=cfg.horovod.with_(
+        cycle_time_s=50e-3, negotiation_deadline_s=0.2, suspect_retries=1,
+    ))
+    schedule = FaultSchedule.of(
+        StragglerGPU(rank=1, start_s=1.0, duration_s=1.0, slowdown=2.0),
+        RankCrash(rank=2, start_s=2.5),
+    )
+    return measure_training(3, cfg, iterations=3, jitter_std=0.0, seed=0,
+                            schedule=schedule, trace="links")
+
+
+def run_default_6():
+    return measure_training(6, paper_default_config(), iterations=3,
+                            jitter_std=0.03, seed=0, trace="links")
+
+
+SCENARIOS = {
+    "faulted_3": run_faulted_3,
+    "default_6": run_default_6,
+}
+
+
+def observation_outputs(m) -> dict[str, bytes]:
+    """Every observation output of a traced measurement, as bytes."""
+    from repro.telemetry import to_jsonl, to_prometheus
+    from repro.trace import explain_measurement, merged_chrome_trace
+
+    registry = m.trace.registry
+    report = explain_measurement(m)
+    return {
+        "prometheus": to_prometheus(registry).encode(),
+        "jsonl": to_jsonl(registry, m.trace.iteration_records()).encode(),
+        "chrome_trace": merged_chrome_trace(
+            m.timeline, registry, m.trace).encode(),
+        "spans": json.dumps([s.to_dict() for s in m.trace.spans]).encode(),
+        "report": report.report().encode(),
+        "bucket_totals": pickle.dumps(report.totals(), protocol=4),
+    }
+
+
+def digests(m) -> dict[str, str]:
+    outputs = observation_outputs(m)
+    return {name: hashlib.sha256(outputs[name]).hexdigest()
+            for name in OUTPUTS}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_observation_outputs_unchanged(name):
+    assert digests(SCENARIOS[name]()) == EXPECTED[name]
+
+
+if __name__ == "__main__":
+    import sys
+
+    if "--regen" in sys.argv:
+        for key, fn in SCENARIOS.items():
+            print(f'    "{key}": {{')
+            for output, digest in digests(fn()).items():
+                print(f'        "{output}":\n            "{digest}",')
+            print("    },")
+    else:
+        print(__doc__)

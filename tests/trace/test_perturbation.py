@@ -25,7 +25,7 @@ from repro.core import (
     (paper_tuned_config, 12),
 ])
 def test_training_timings_bit_identical(config_fn, gpus, level):
-    kwargs = dict(iterations=2, jitter_std=0.03, seed=0, telemetry=True)
+    kwargs = dict(iterations=2, jitter_std=0.03, seed=0)
     off = measure_training(gpus, config_fn(), **kwargs)
     on = measure_training(gpus, config_fn(), trace=level, **kwargs)
     assert pickle.dumps(on.stats) == pickle.dumps(off.stats)

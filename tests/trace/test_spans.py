@@ -66,8 +66,10 @@ def test_load_rejects_wrong_schema(tmp_path):
 
 
 def test_pickle_drops_live_references():
+    from repro.sim import Environment
+
     rec = SpanRecorder()
-    rec.attach(env=object())
+    rec.attach(env=Environment())
     rec.comm_parent = 7
     rec._rank_parent[0] = 3
     rec.record("ITERATION", "iter_0", 0.0, 1.0)
