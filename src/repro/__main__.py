@@ -82,7 +82,8 @@ def _build_runner(parallel: bool, workers: int, no_cache: bool,
     points over the lease protocol.  Otherwise ``--parallel`` (or
     ``--trace-dir`` alone — trace capture rides on the runner's
     resolution pass) builds the inline process-pool
-    :class:`~repro.runner.Runner`.
+    :class:`~repro.runner.Runner`.  Both share the Runner's batch
+    front-end, so ``--trace-dir`` works with either backend.
     """
     from repro.runner import ResultCache
 
@@ -91,7 +92,7 @@ def _build_runner(parallel: bool, workers: int, no_cache: bool,
 
         runner = FabricRunner(workers=workers or 2,
                               cache=None if no_cache else ResultCache(),
-                              retries=retries)
+                              retries=retries, trace_dir=trace_dir)
         url = runner.start()
         print(f"[fabric coordinator on {url} — {runner.workers} "
               f"worker(s); extra workers: repro worker --url {url}]")
@@ -112,9 +113,6 @@ def cmd_run(ids: list[str], quick: bool, parallel: bool = False,
             trace_dir: str | None = None, backend: str = "local") -> int:
     """Run the selected experiments, journaling each for ``--resume``."""
     from repro.runner import RunJournal
-
-    if backend == "fabric" and trace_dir is not None:
-        return fail("--trace-dir requires the local backend", usage=True)
 
     if ids == ["all"]:
         ids = list(REGISTRY)
@@ -437,11 +435,12 @@ def cmd_jobs(action: str, job_id: str | None, url: str, token: str | None,
 
 
 def cmd_worker(url: str, token: str | None, poll_s: float, lease_s: float,
-               retries: int, timeout_s: float | None) -> int:
+               timeout_s: float | None) -> int:
     """``repro worker``: join a fabric as a pull worker.
 
-    Leases points off the coordinator at ``url``, executes them through
-    the inline self-healing runner, ships results back exactly-once.
+    Leases points off the coordinator at ``url``, executes each one
+    directly and ships the result (or the point's exception) back
+    exactly-once; retrying a failed point is the coordinator's job.
     SIGTERM (and Ctrl-C) drain gracefully: the in-flight point finishes
     and is reported before the loop exits.
     """
@@ -460,7 +459,7 @@ def cmd_worker(url: str, token: str | None, poll_s: float, lease_s: float,
     except ServiceError as err:
         return fail(str(err))
     worker = FabricWorker(client, poll_s=poll_s, lease_s=lease_s,
-                          retries=retries, timeout_s=timeout_s)
+                          timeout_s=timeout_s)
     signal.signal(signal.SIGTERM, lambda signum, frame: worker.stop())
     print(f"[fabric worker {worker.worker} pulling from {url}]", flush=True)
     try:
@@ -941,9 +940,6 @@ def main(argv: list[str] | None = None) -> int:
                           help="idle poll interval in seconds (default 0.1)")
     worker_p.add_argument("--lease-s", type=float, default=30.0,
                           help="requested lease duration (default 30)")
-    worker_p.add_argument("--retries", type=int, default=0,
-                          help="per-point retries before reporting failure "
-                               "(default 0)")
     worker_p.add_argument("--timeout-s", type=float, default=None,
                           help="per-point budget; past it the worker stops "
                                "heartbeating so the lease lapses and the "
@@ -1090,7 +1086,7 @@ def main(argv: list[str] | None = None) -> int:
                         args.token, args.state, args.out)
     if args.command == "worker":
         return cmd_worker(args.url, args.token, args.poll_s, args.lease_s,
-                          args.retries, args.timeout_s)
+                          args.timeout_s)
     if args.command == "fabric":
         return cmd_fabric(args.fabric_command, args.url, args.token,
                           args.json)

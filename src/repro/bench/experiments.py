@@ -23,7 +23,6 @@ import dataclasses
 
 import numpy as np
 
-from repro.bench.compat import as_gpu_counts, deprecated_kwargs
 from repro.bench.harness import ExperimentResult
 from repro.runner import OSUPoint, Runner, TrainPoint
 from repro.core import (
@@ -315,7 +314,6 @@ def e5_cycle_sweep(*, gpus: int = 132, iterations: int = 3,
 
 
 # ---------------------------------------------------------------- E6 ----
-@deprecated_kwargs(gpus=("gpu_counts", as_gpu_counts))
 def e6_scaling_comparison(*, gpu_counts: tuple[int, ...] = SCALING_GPUS,
                           iterations: int = 3,
                           jitter_std: float = 0.03,
@@ -465,7 +463,6 @@ def e7_npnn_training(*, steps: int = 120, world: int = 4,
 
 
 # ---------------------------------------------------------------- E8 ----
-@deprecated_kwargs(gpus=("gpu_counts", as_gpu_counts))
 def e8_efficiency_table(*, e6: ExperimentResult | None = None,
                         runner: Runner | None = None,
                         **kwargs) -> ExperimentResult:
@@ -664,7 +661,6 @@ def e10_autotune_vs_staged(*, probe_gpus: int = 24,
 
 
 # ---------------------------------------------------------------- E11 ----
-@deprecated_kwargs(gpus=("gpu_counts", as_gpu_counts))
 def e11_time_to_train(*, gpu_counts: tuple[int, ...] = (1, 24, 132),
                       iterations: int = 3,
                       jitter_std: float = 0.03, seed: int = 0,
@@ -717,7 +713,6 @@ def e11_time_to_train(*, gpu_counts: tuple[int, ...] = (1, 24, 132),
 
 
 # ---------------------------------------------------------------- E12 ----
-@deprecated_kwargs(gpus=("gpu_counts", as_gpu_counts))
 def e12_strong_vs_weak_scaling(*,
                                gpu_counts: tuple[int, ...] = (6, 12, 24, 48, 96),
                                global_batch: int = 96,
@@ -946,7 +941,6 @@ def e13_fault_injection(*, gpus: int = 48, iterations: int = 6,
     )
 
 
-@deprecated_kwargs(gpus=("gpu_counts", as_gpu_counts))
 def e14_efficiency_attribution(
     *,
     gpu_counts: tuple[int, ...] = (6, 24, 96, 132),

@@ -2,8 +2,9 @@
 
 N worker processes (on any hosts that can reach the coordinator) pull
 :class:`~repro.runner.simpoint.SimPoint` work off a shared journaled
-queue, execute it through the inline self-healing Runner, and report
-completions exactly-once over the lease protocol.  The package also
+queue, execute each point directly, and report completions
+exactly-once over the lease protocol; the coordinator's lease budget
+is the only retry layer.  The package also
 hosts the primitives the rest of the codebase shares:
 
 * :mod:`repro.fabric.lease` — lease/heartbeat/exactly-once mechanics
@@ -14,8 +15,8 @@ hosts the primitives the rest of the codebase shares:
   circuit breaker and the healthy/degraded/draining state machine;
 * :mod:`repro.fabric.queue` — the journaled point queue;
 * :mod:`repro.fabric.worker` — the pull-loop worker (``repro worker``);
-* :mod:`repro.fabric.runner` — coordinator + the drop-in
-  :class:`FabricRunner` execution backend.
+* :mod:`repro.fabric.runner` — coordinator + :class:`FabricRunner`,
+  the :class:`~repro.runner.pool.Runner` whose misses run on the fleet.
 """
 
 from repro.fabric.breaker import CircuitBreaker, CircuitOpenError

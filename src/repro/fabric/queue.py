@@ -64,9 +64,9 @@ class WorkItem:
 
     ``retries`` and ``timeout_s`` are optional per-item overrides of
     the queue/worker defaults, stamped at enqueue time so a batch's
-    ``run_points(..., retries=..., timeout_s=...)`` settings travel
-    with its items instead of mutating shared state that concurrent
-    batches would cross-wire.
+    ``run(..., retries=..., timeout_s=...)`` settings travel with its
+    items instead of mutating shared state that concurrent batches
+    would cross-wire.
 
     ``ctx`` is the correlation context bound when the item was
     enqueued (``job_id``/``request_id``); it travels to the leasing
@@ -131,6 +131,9 @@ class PointQueue:
         self._points: dict[str, SimPoint] = {}
         self._order: list[str] = []
         self._next_batch = 0
+        #: point key -> enqueued references whose batch has not yet
+        #: :meth:`release`-d them (how long a result is worth holding).
+        self._waiting: dict[str, int] = {}
         #: worker id -> last contact timestamp (lease/heartbeat/complete).
         self.workers_seen: dict[str, float] = {}
         #: worker id -> last *heartbeat* timestamp — tracked apart from
@@ -199,12 +202,15 @@ class PointQueue:
                 timeout_s: float | None = None) -> tuple[int, list[str]]:
         """Add one batch; returns ``(batch id, item ids in order)``.
 
-        Points whose key is already tracked (pending, leased or done
-        from an earlier batch) attach to the existing item instead of
+        Points whose key is already pending or leased (by an earlier,
+        still-running batch) attach to the existing item instead of
         enqueuing a duplicate execution — the fabric-level analogue of
         the runner's batch dedup (an attached point keeps the existing
-        item's overrides).  ``retries`` / ``timeout_s`` are per-batch
-        overrides stamped onto the new items.
+        item's overrides).  A finished key enqueues afresh: its value is
+        held only for the batches that were waiting on it.  Every point
+        counts as one claim on its key until :meth:`release`.
+        ``retries`` / ``timeout_s`` are per-batch overrides stamped onto
+        the new items.
         """
         with self._lock:
             batch = self._next_batch
@@ -212,9 +218,11 @@ class PointQueue:
             ids = []
             for index, point in enumerate(points):
                 key = point.key()
+                self._waiting[key] = self._waiting.get(key, 0) + 1
                 existing = next((i for i in self._items.values()
                                  if i.key == key
-                                 and i.state != ItemState.FAILED), None)
+                                 and i.state in (ItemState.PENDING,
+                                                 ItemState.LEASED)), None)
                 if existing is not None:
                     ids.append(existing.id)
                     continue
@@ -234,6 +242,21 @@ class PointQueue:
                 ids.append(item.id)
             self._update_gauges()
             return batch, ids
+
+    def waiting(self, key: str) -> int:
+        """Unreleased enqueued claims on ``key``."""
+        with self._lock:
+            return self._waiting.get(key, 0)
+
+    def release(self, key: str) -> bool:
+        """Drop one claim on ``key``; ``True`` when it was the last."""
+        with self._lock:
+            left = self._waiting.get(key, 0) - 1
+            if left > 0:
+                self._waiting[key] = left
+                return False
+            self._waiting.pop(key, None)
+            return True
 
     # -- worker protocol ---------------------------------------------------
     def lease(self, worker: str,

@@ -11,11 +11,12 @@ Three layers, mirroring the service's app/composition split:
   :class:`~repro.runner.cache.ResultCache` and the HTTP server.  Its
   :meth:`~FabricCoordinator.complete` enforces the exactly-once order:
   result bytes land in the cache *before* ``point_done`` is journaled;
-* :class:`FabricRunner` — presents the local
-  :class:`~repro.runner.pool.Runner` surface (``run``, ``run_points``,
-  ``stats``, ``meta``, ``quarantined``) over N remote pull-workers, so
-  ``repro run --backend fabric`` and the service scheduler target it
-  transparently.
+* :class:`FabricRunner` — a :class:`~repro.runner.pool.Runner` whose
+  cache misses run on N remote pull-workers instead of inline or in a
+  process pool.  Everything else (``run``, dedup, cache, failure
+  policy, ``stats``, ``meta``, ``quarantined``, ``trace_dir``) is the
+  Runner's own batch front-end, so ``repro run --backend fabric`` and
+  the service scheduler target it transparently.
 
 Protocol routes (all JSON)::
 
@@ -28,10 +29,10 @@ Protocol routes (all JSON)::
     POST /v1/fabric/complete   {"worker", "id", "result"} -> {"status"}
     POST /v1/fabric/fail       {"worker", "id", "error"} -> {"state"}
 
-Determinism contract: the fabric merges results **in input order from
-the shared cache**, exactly as the local runner does, so a sweep
-executed by two workers (even with one SIGKILLed mid-lease) returns
-values bit-identical to the serial run.
+Determinism contract: the fabric merges results **in input order**
+through the local runner's own front-end, so a sweep executed by two
+workers (even with one SIGKILLed mid-lease) returns values
+bit-identical to the serial run.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.fabric.queue import ItemState, PointQueue, PointQueueError
 from repro.fabric.transport import is_loopback, serve_app_in_thread
@@ -52,7 +53,7 @@ from repro.fabric.worker import decode_payload, encode_payload
 from repro.obs import (SYSTEM_CLOCK, CONTEXT_HEADER, bind as obs_bind,
                        decode_context, new_request_id)
 from repro.runner.cache import ResultCache
-from repro.runner.pool import RunnerError, RunnerStats
+from repro.runner.pool import Runner
 from repro.runner.simpoint import SimPoint
 from repro.telemetry.metrics import MetricRegistry
 
@@ -200,7 +201,9 @@ class FabricCoordinator:
                                 max_recoveries=max_recoveries, fs=fs,
                                 clock=clock.wall)
         self.cache = cache
-        #: key -> value for this session (merge source when no cache).
+        #: key -> completed value, held only while an enqueued batch
+        #: still waits to :meth:`take` it (the merge source; the shared
+        #: cache, when attached, is the durable copy).
         self.results: dict = {}
         self.draining = False
         self.app = FabricApp(self, token=token)
@@ -223,11 +226,24 @@ class FabricCoordinator:
             if item.state != ItemState.DONE:
                 if self.cache is not None:
                     self.cache.put(item.key, value)
-                self.results[item.key] = value
+                if self.queue.waiting(item.key):
+                    self.results[item.key] = value
             return self.queue.complete(worker, item_id)
 
+    def take(self, key: str):
+        """Release one enqueued batch's claim on ``key``; returns the
+        held value (``None`` if the point failed or never completed).
+
+        The value is dropped once the last batch waiting on ``key`` has
+        taken it, so a long-lived coordinator holds no finished work.
+        """
+        with self.queue.lock:
+            if self.queue.release(key):
+                return self.results.pop(key, None)
+            return self.results.get(key)
+
     def value(self, key: str):
-        """A completed point's value (session memory, then cache)."""
+        """A completed point's value (held for a waiting batch, then cache)."""
         if key in self.results:
             return self.results[key]
         if self.cache is not None:
@@ -273,8 +289,14 @@ class FabricCoordinator:
         self.url = None
 
 
-class FabricRunner:
-    """The local Runner surface over a fleet of remote pull-workers.
+class FabricRunner(Runner):
+    """The Runner front-end over a fleet of remote pull-workers.
+
+    Only :meth:`_drive` — how the cache misses execute — is the
+    fabric's own: it enqueues them on the coordinator's lease queue and
+    polls until each is terminal.  Dedup, the cache lookup, input-order
+    merge, the raise/quarantine policy, ``stats``, the ``runner_*``
+    metrics, ``trace_dir`` capture and :meth:`meta` are inherited.
 
     Parameters
     ----------
@@ -282,13 +304,14 @@ class FabricRunner:
         Worker processes to spawn (``spawn="process"``/``"thread"``) or
         merely expected (``spawn=None``: the caller starts workers by
         hand, e.g. ``repro worker`` on other hosts).
-    cache / registry / progress / retries / timeout_s / failure_policy:
+    cache / registry / progress / retries / timeout_s / failure_policy / trace_dir:
         Exactly the local :class:`~repro.runner.pool.Runner` meanings —
         ``retries`` is enforced by the *coordinator* (a failed point is
-        re-leased up to that many times), ``timeout_s`` by each worker's
-        heartbeat deadline (a point running past it loses its lease and
-        is reassigned; the stuck worker process stays busy, which is
-        the honest remote analogue of the pool watchdog's kill).
+        re-leased up to that many times; workers do not retry), and
+        ``timeout_s`` by each worker's heartbeat deadline (a point
+        running past it loses its lease and is reassigned; the stuck
+        worker process stays busy, which is the honest remote analogue
+        of the pool watchdog's kill).
     state_dir:
         Where the fabric lease journal lives
         (default ``bench_results/fabric``).
@@ -307,6 +330,7 @@ class FabricRunner:
                  retries: int = 0,
                  timeout_s: float | None = None,
                  failure_policy: str = "raise",
+                 trace_dir: str | Path | None = None,
                  lease_s: float = 30.0,
                  poll_s: float = 0.05,
                  host: str = "127.0.0.1",
@@ -320,18 +344,12 @@ class FabricRunner:
                  clock=SYSTEM_CLOCK) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if failure_policy not in ("raise", "quarantine"):
-            raise ValueError(
-                f"failure_policy must be 'raise' or 'quarantine', "
-                f"got {failure_policy!r}")
         if spawn not in (None, "process", "thread"):
             raise ValueError("spawn must be 'process', 'thread' or None")
-        self.workers = int(workers)
-        self.cache = cache
-        self.progress = progress
-        self.retries = int(retries)
-        self.timeout_s = timeout_s
-        self.failure_policy = failure_policy
+        super().__init__(workers=workers, cache=cache, registry=registry,
+                         progress=progress, retries=retries,
+                         timeout_s=timeout_s, failure_policy=failure_policy,
+                         trace_dir=trace_dir)
         self.lease_s = float(lease_s)
         self.poll_s = float(poll_s)
         self.host = host
@@ -342,7 +360,6 @@ class FabricRunner:
         #: decorates each thread-worker's transport (fault injection);
         #: ``fs`` threads the filesystem seam down to the point queue.
         self.wrap_transport = wrap_transport
-        self.registry = registry if registry is not None else MetricRegistry()
         #: One clock *pair* for the whole runner: ``clock.wall`` feeds
         #: the lease deadlines (operators reason about lease expiry in
         #: wall time), ``clock.mono`` feeds durations — never mixed,
@@ -355,29 +372,9 @@ class FabricRunner:
             lease_s=lease_s, retries=self.retries,
             max_recoveries=max_recoveries, token=token, fs=fs,
             clock=clock)
-        self.stats = RunnerStats()
-        self.quarantined: list[dict] = []
         self._fleet_lock = threading.Lock()
         self._procs: list[subprocess.Popen] = []
         self._thread_workers: list = []
-        self._m_points = self.registry.counter(
-            "runner_points_total", "simulation points resolved",
-            labelnames=("status",))
-        self._m_batches = self.registry.counter(
-            "runner_batches_total", "run() invocations")
-        self._m_seconds = self.registry.counter(
-            "runner_execute_seconds_total",
-            "host wall seconds spent executing points")
-        self._m_quarantined = self.registry.counter(
-            "runner_quarantined_total", "points quarantined after retries")
-        self._m_respawns = self.registry.counter(
-            "runner_pool_respawns_total", "worker pool respawns")
-        self._m_progress_errors = self.registry.counter(
-            "runner_progress_errors_total",
-            "exceptions swallowed from progress callbacks")
-        self._m_workers = self.registry.gauge(
-            "runner_workers", "configured worker processes")
-        self._m_workers.set(self.workers)
 
     # -- worker fleet ------------------------------------------------------
     @property
@@ -454,135 +451,46 @@ class FabricRunner:
         """PIDs of live spawned worker subprocesses."""
         return [p.pid for p in self._procs if p.poll() is None]
 
-    # -- the core ----------------------------------------------------------
-    def run(self, points: Sequence[SimPoint], *,
-            timeout_s: float | None = None,
-            retries: int | None = None,
-            progress: Callable | None = None) -> list:
-        """Resolve every point via the fleet; results in input order.
-
-        The keyword-only arguments are batch-scoped overrides of the
-        configured defaults.  They are threaded through as locals and
-        stamped onto the enqueued items — never stored on the runner —
-        so concurrent batches (scheduler worker threads sharing one
-        backend) cannot cross-wire each other's progress callbacks or
-        retry/timeout budgets.
-        """
-        points = list(points)
-        progress = self.progress if progress is None else progress
-        self.start()
-        self._m_batches.inc()
-        self.stats.points += len(points)
-        results: list = [None] * len(points)
-        done = 0
-
-        groups: dict[str, list[int]] = {}
-        for i, point in enumerate(points):
-            groups.setdefault(point.key(), []).append(i)
-        self.stats.deduplicated += len(points) - len(groups)
-
-        def resolve(key: str, value, cached: bool,
-                    status: str | None = None) -> None:
-            nonlocal done
-            for i in groups[key]:
-                results[i] = value
-                done += 1
-                label = status or ("cache_hit" if cached else "executed")
-                self._m_points.labels(status=label).inc()
-                if cached:
-                    self.stats.cache_hits += 1
-                if progress is not None:
-                    try:
-                        progress(done, len(points), points[i], cached)
-                    except Exception:
-                        self.stats.progress_errors += 1
-                        self._m_progress_errors.inc()
-
-        todo: list[str] = []
-        for key in groups:
-            value = self.cache.get(key) if self.cache is not None else None
-            if value is not None:
-                resolve(key, value, cached=True)
-            else:
-                todo.append(key)
-
-        start = self.clock.mono()
-        if todo:
-            self._drive(points, groups, todo, resolve,
-                        timeout_s=timeout_s, retries=retries)
-        elapsed = self.clock.mono() - start
-        self.stats.executed += len(todo)
-        self.stats.execute_seconds += elapsed
-        self._m_seconds.inc(elapsed)
-        return results
-
+    # -- the one step that differs from the local Runner -------------------
     def _drive(self, points, groups, todo, resolve, *,
-               timeout_s: float | None = None,
-               retries: int | None = None) -> None:
-        """Enqueue the misses and poll the queue until all are terminal."""
-        queue = self.coordinator.queue
-        batch_points = [points[groups[key][0]] for key in todo]
-        _batch, ids = queue.enqueue(batch_points, retries=retries,
-                                    timeout_s=timeout_s)
-        key_of = dict(zip(ids, todo))
-        pending = set(ids)
-        while pending:
-            for item_id in list(pending):
-                item = queue.get(item_id)
-                if item.state == ItemState.DONE:
-                    pending.discard(item_id)
-                    key = key_of[item_id]
-                    resolve(key, self.coordinator.value(key), cached=False)
-                elif item.state == ItemState.FAILED:
-                    pending.discard(item_id)
-                    self._terminal(key_of[item_id],
-                                   points[groups[key_of[item_id]][0]],
-                                   item.error, resolve)
-            if not pending:
-                break
-            queue.requeue_expired()
-            self._ensure_workers()
-            time.sleep(self.poll_s)
-
-    def _terminal(self, key, point, error, resolve) -> None:
-        if self.failure_policy == "quarantine":
-            self.stats.quarantined += 1
-            self._m_quarantined.inc()
-            self.quarantined.append({
-                "key": key,
-                "point": point.describe(),
-                "error": str(error),
-            })
-            resolve(key, None, cached=False, status="quarantined")
-            return
-        raise RunnerError(
-            f"point failed: {point.describe()} ({error})")
-
-    def run_points(self, points: Sequence[SimPoint], *,
-                   timeout_s: float | None = None,
-                   retries: int | None = None,
-                   on_progress: Callable | None = None) -> list:
-        """:class:`~repro.runner.backend.ExecutionBackend` entry point.
+               timeout_s: float | None, retries: int) -> None:
+        """Enqueue the misses and poll the queue until all are terminal.
 
         ``retries`` and ``timeout_s`` are stamped onto this batch's
-        queue items (so they apply wherever the points land, and only
-        to them); ``on_progress`` replaces the configured callback for
-        this batch alone.  Nothing on the runner is mutated, so
-        concurrent ``run_points`` calls are safe.
+        queue items, so they apply wherever the points land, and only
+        to them.
         """
-        return self.run(points, timeout_s=timeout_s, retries=retries,
-                        progress=on_progress)
+        self.start()
+        queue = self.coordinator.queue
+        _batch, ids = queue.enqueue([points[groups[key][0]] for key in todo],
+                                    retries=retries, timeout_s=timeout_s)
+        pending = dict(zip(ids, todo))
+        try:
+            while pending:
+                for item_id, key in list(pending.items()):
+                    item = queue.get(item_id)
+                    if item.state == ItemState.DONE:
+                        del pending[item_id]
+                        resolve(key, self.coordinator.take(key),
+                                cached=False)
+                    elif item.state == ItemState.FAILED:
+                        del pending[item_id]
+                        self.coordinator.take(key)
+                        self._terminal(key, points[groups[key][0]],
+                                       item.error, resolve, None)
+                if pending:
+                    queue.requeue_expired()
+                    self._ensure_workers()
+                    time.sleep(self.poll_s)
+        finally:
+            # An aborted batch (raise policy, interrupt) drops its claims
+            # so later completions of its points are not held for it.
+            for key in pending.values():
+                self.coordinator.take(key)
 
-    # -- reporting / lifecycle ---------------------------------------------
     def meta(self) -> dict:
-        """Runner metadata, same shape as the local Runner's."""
-        out = {"workers": self.workers, "backend": "fabric",
-               **self.stats.as_dict()}
-        if self.quarantined:
-            out["quarantined_points"] = [dict(q) for q in self.quarantined]
-        if self.cache is not None:
-            out["cache"] = self.cache.snapshot()
-        return out
+        """The Runner's metadata, tagged with the backend."""
+        return {**super().meta(), "backend": "fabric"}
 
     def close(self, timeout_s: float = 10.0) -> None:
         """Drain the fleet (shutdown hint), reap it, stop the server."""

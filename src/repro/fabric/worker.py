@@ -6,10 +6,9 @@ that can reach the coordinator's HTTP endpoint).  Its loop:
 1. **pull** — ``POST /v1/fabric/lease`` asks for work; the coordinator
    answers with one leased item + its pickled point, or nothing (plus a
    ``shutdown`` hint once the session is draining);
-2. **run** — the point executes through an *inline* self-healing
-   :class:`~repro.runner.pool.Runner` (``workers=0``), so the local
-   retry/backoff/quarantine machinery is exactly the one serial runs
-   use;
+2. **run** — the point executes directly (``point.execute()``); the
+   worker does not retry, so the coordinator's per-item retry budget
+   is the only retry layer a fabric point has;
 3. **heartbeat** — a background thread refreshes the lease while the
    point runs.  With ``timeout_s`` set it deliberately *stops*
    refreshing past the deadline: inline execution cannot be interrupted,
@@ -17,8 +16,9 @@ that can reach the coordinator's HTTP endpoint).  Its loop:
    lapse and the coordinator reassign the item — the fabric analogue of
    the pool watchdog killing a worker process;
 4. **report** — success ships the pickled result back
-   (``/v1/fabric/complete``); a terminal failure reports
-   ``/v1/fabric/fail`` and lets the coordinator's retry policy decide.
+   (``/v1/fabric/complete``); a failure reports the point and its real
+   exception (``/v1/fabric/fail``) and lets the coordinator's retry
+   policy decide.
 
 Graceful drain: :meth:`FabricWorker.stop` (wired to SIGTERM by ``repro
 worker``) lets the in-flight point finish and report before the loop
@@ -57,7 +57,6 @@ from repro.fabric.transport import (
     TransportError,
 )
 from repro.obs import bind as obs_bind, emit as obs_emit
-from repro.runner.pool import Runner, RunnerError
 from repro.telemetry.metrics import MetricRegistry
 
 __all__ = ["FabricClient", "FabricWorker", "PayloadError", "decode_payload",
@@ -233,9 +232,9 @@ class FabricWorker:
         Idle sleep between empty pulls while the queue is open.
     lease_s:
         Lease duration to request; heartbeats run at a third of it.
-    retries / timeout_s:
-        Local inline-runner retry budget and the heartbeat deadline
-        (see module docstring for the timeout semantics).
+    timeout_s:
+        The heartbeat deadline (see module docstring for the timeout
+        semantics).
     lease_error_limit:
         Consecutive failed pulls tolerated before the coordinator is
         presumed gone and the loop drains.  Transient flaps (a dropped
@@ -248,7 +247,7 @@ class FabricWorker:
 
     def __init__(self, client: FabricClient, worker: str | None = None,
                  poll_s: float = 0.1, lease_s: float = 30.0,
-                 retries: int = 0, timeout_s: float | None = None,
+                 timeout_s: float | None = None,
                  lease_error_limit: int = 3,
                  registry: MetricRegistry | None = None) -> None:
         self.client = client
@@ -258,9 +257,6 @@ class FabricWorker:
         self.timeout_s = timeout_s
         self.lease_error_limit = int(lease_error_limit)
         self.registry = registry if registry is not None else MetricRegistry()
-        self.runner = Runner(workers=0, retries=retries,
-                             registry=self.registry,
-                             failure_policy="raise")
         self._stop = threading.Event()
         self.done = 0
         self.failed = 0
@@ -343,16 +339,15 @@ class FabricWorker:
             with _Heartbeat(self.client, self.worker, item_id,
                             self.lease_s, timeout_s) as beat:
                 try:
-                    value = self.runner.run([point])[0]
-                except KeyboardInterrupt:
-                    raise
-                except (RunnerError, Exception) as exc:
+                    value = point.execute()
+                except Exception as exc:
                     self.failed += 1
                     self._m_done.labels(status="failed").inc()
                     obs_emit("point_execute_failed", level="error",
                              item=item_id, error=repr(exc))
                     self._report(lambda: self.client.fail(
-                        self.worker, item_id, repr(exc)))
+                        self.worker, item_id,
+                        f"{point.describe()}: {exc!r}"))
                     return
             if beat.lost.is_set():
                 # Our lease was reclaimed mid-run; the result is still

@@ -11,12 +11,15 @@ simulation.  This package makes the sweep layer exploit that:
 * :class:`~repro.runner.cache.ResultCache` — persistent
   content-addressed store under ``bench_results/.cache/`` with an LRU
   size cap (``repro cache stats`` / ``repro cache clear`` on the CLI);
-* :class:`~repro.runner.pool.Runner` / :func:`~repro.runner.pool.run_points`
-  — process-pool fan-out with deterministic input-order merge, batch
-  dedup, progress callbacks, :mod:`repro.telemetry` counters, and
-  self-healing under failure: per-point watchdog timeouts, worker-crash
-  detection with pool respawn and isolation replay, bounded retry with
-  exponential backoff, and poison-point quarantine;
+* :class:`~repro.runner.pool.Runner` — the one batch front-end
+  (``run(points, *, timeout_s=None, retries=None, progress=None)``):
+  deterministic input-order merge, batch dedup, cache lookup, progress
+  callbacks, :mod:`repro.telemetry` counters and the raise/quarantine
+  policy.  Its misses run inline or across a self-healing process pool
+  (per-point watchdog timeouts, worker-crash detection with pool
+  respawn and isolation replay, bounded retry with exponential backoff,
+  poison-point quarantine); :class:`~repro.fabric.runner.FabricRunner`
+  subclasses it to run them on a fleet of pull-workers instead;
 * :class:`~repro.runner.journal.RunJournal` — append-only JSONL event
   log under ``bench_results/`` that makes ``repro run all --resume``
   replay only the experiments a crashed or interrupted sweep left
@@ -40,7 +43,7 @@ from repro.runner.cache import (
     ResultCache,
 )
 from repro.runner.journal import DEFAULT_JOURNAL_PATH, RunJournal
-from repro.runner.pool import Runner, RunnerError, RunnerStats, run_points
+from repro.runner.pool import Runner, RunnerError, RunnerStats
 from repro.runner.prefix import (
     PrefixStats,
     PrefixStore,
@@ -68,6 +71,5 @@ __all__ = [
     "TrainPoint",
     "cache_salt",
     "prefix_run",
-    "run_points",
     "run_with_prefix_memo",
 ]

@@ -1,24 +1,22 @@
 """The unified execution-backend protocol.
 
 Three things execute batches of simulation points — the local
-:class:`~repro.runner.pool.Runner`, the service scheduler's job
-execution, and the distributed
-:class:`~repro.fabric.runner.FabricRunner` — and they all present this
-one surface, so callers (experiment drivers, ``repro run``, the
-scheduler) are backend-agnostic:
+:class:`~repro.runner.pool.Runner`, the service scheduler's per-job
+view of a shared backend, and the distributed
+:class:`~repro.fabric.runner.FabricRunner` (a ``Runner`` subclass) —
+and they all present this one surface, so callers (experiment drivers,
+``repro run``, the scheduler) are backend-agnostic:
 
-* ``run_points(points, *, timeout_s=None, retries=None,
-  on_progress=None) -> list`` — resolve a batch, results in input
-  order; the keyword-only overrides apply to that batch;
+* ``run(points, *, timeout_s=None, retries=None, progress=None) ->
+  list`` — resolve a batch, results in input order; the keyword-only
+  overrides apply to that batch;
 * ``stats`` — a :class:`~repro.runner.pool.RunnerStats`;
 * ``meta()`` — accounting dict for result envelopes;
 * ``quarantined`` — terminal failures recorded under
   ``failure_policy="quarantine"``.
 
-Parameter names are deliberately uniform everywhere: ``timeout_s``
-(never ``timeout``), ``retries``, ``workers``, ``on_progress``.  Old
-spellings keep working through :func:`repro.bench.compat.deprecated_kwargs`
-shims at the call sites that historically accepted them.
+Parameter names are uniform everywhere: ``timeout_s`` (never
+``timeout``), ``retries``, ``workers``, ``progress``.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from repro.runner.simpoint import SimPoint
 
 __all__ = ["ExecutionBackend", "ProgressFn"]
 
-#: ``on_progress(done, total, point, cached)`` — fired per resolved point.
+#: ``progress(done, total, point, cached)`` — fired per resolved point.
 ProgressFn = Callable[[int, int, SimPoint, bool], None]
 
 
@@ -37,10 +35,10 @@ ProgressFn = Callable[[int, int, SimPoint, bool], None]
 class ExecutionBackend(Protocol):
     """What every point-execution engine exposes."""
 
-    def run_points(self, points: Sequence[SimPoint], *,
-                   timeout_s: float | None = None,
-                   retries: int | None = None,
-                   on_progress: ProgressFn | None = None) -> list:
+    def run(self, points: Sequence[SimPoint], *,
+            timeout_s: float | None = None,
+            retries: int | None = None,
+            progress: ProgressFn | None = None) -> list:
         """Resolve ``points``; results return in input order."""
         ...
 

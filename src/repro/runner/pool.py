@@ -5,13 +5,22 @@
 1. every point's content key is computed and looked up in the (optional)
    :class:`~repro.runner.cache.ResultCache` — hits resolve immediately;
 2. duplicate keys within the batch collapse to one execution;
-3. remaining points fan out across a ``ProcessPoolExecutor`` (``workers
-   >= 2``) or run inline (``workers <= 1``), and results **merge back in
-   input order** regardless of completion order, so a parallel run is
+3. the remaining points (the misses) run through :meth:`Runner._drive`
+   — inline (``workers <= 1``), across a ``ProcessPoolExecutor``
+   (``workers >= 2``, every miss, so the watchdog and crash isolation
+   cover a lone point too), or, in the
+   :class:`~repro.fabric.runner.FabricRunner` subclass, over the
+   fabric's lease queue — and results **merge back in input order**
+   regardless of completion order, so a parallel run is
    indistinguishable from the serial one;
 4. freshly computed values are written back to the cache, progress
-   callbacks fire per point, and :mod:`repro.telemetry` counters record
-   hits / executions / wall seconds.
+   callbacks fire per point, :mod:`repro.telemetry` counters record
+   hits / executions / wall seconds, and traced measurements are
+   exported to ``trace_dir``.
+
+Everything but step 3 is this module's batch front-end, shared by every
+backend: one dedup, one cache lookup, one failure policy, one set of
+``runner_*`` metrics and one :meth:`Runner.meta`.
 
 Determinism contract: a point's result depends only on the point (each
 execution builds a fresh simulation :class:`~repro.sim.Environment`), so
@@ -47,7 +56,6 @@ import json
 import os
 import random
 import time
-import warnings
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -64,7 +72,7 @@ from repro.runner.cache import ResultCache, sweep_stale_tmp
 from repro.runner.simpoint import SimPoint
 from repro.telemetry.metrics import MetricRegistry
 
-__all__ = ["Runner", "RunnerError", "RunnerStats", "run_points"]
+__all__ = ["Runner", "RunnerError", "RunnerStats"]
 
 
 class RunnerError(RuntimeError):
@@ -120,7 +128,11 @@ def _execute(point: SimPoint):
 
 
 class Runner:
-    """Process-pool executor + result cache for simulation points.
+    """The batch front-end: result cache + inline or process-pool execution.
+
+    Subclasses change only :meth:`_drive`, how a batch's cache misses
+    run (:class:`~repro.fabric.runner.FabricRunner` runs them on a fleet
+    of pull-workers).
 
     Parameters
     ----------
@@ -283,11 +295,9 @@ class Runner:
                 todo.append(key)
 
         start = time.perf_counter()
-        if self.workers >= 2 and len(todo) > 1:
-            _PoolDriver(self, points, groups, todo, resolve,
-                        timeout_s=timeout_s, retries=retries).run()
-        else:
-            self._run_inline(points, groups, todo, resolve, retries)
+        if todo:
+            self._drive(points, groups, todo, resolve,
+                        timeout_s=timeout_s, retries=retries)
         elapsed = time.perf_counter() - start
         self.stats.executed += len(todo)
         self.stats.execute_seconds += elapsed
@@ -319,6 +329,20 @@ class Runner:
             self.stats.traces_captured += written
             self._m_traces.inc(written)
 
+    def _drive(self, points, groups, todo, resolve, *,
+               timeout_s: float | None, retries: int) -> None:
+        """Execute the batch's cache misses, resolving each key once.
+
+        The one step a backend varies: inline for ``workers <= 1``,
+        otherwise every miss goes through the process pool (so the
+        watchdog and crash isolation cover a lone point too).
+        """
+        if self.workers >= 2:
+            _PoolDriver(self, points, groups, todo, resolve,
+                        timeout_s=timeout_s, retries=retries).run()
+        else:
+            self._run_inline(points, groups, todo, resolve, retries)
+
     def _run_inline(self, points, groups, todo, resolve, retries) -> None:
         for key in todo:
             point = points[groups[key][0]]
@@ -333,13 +357,13 @@ class Runner:
                     if attempt <= retries:
                         self._count_retry(key, attempt)
                         continue
-                    self._terminal(key, point, exc, resolve)
+                    self._terminal(key, point, repr(exc), resolve, exc)
                     break
                 self._store(key, value)
                 resolve(key, value, cached=False)
                 break
 
-    # -- failure plumbing (shared by inline and pool paths) ----------------
+    # -- failure plumbing (shared by every backend) ------------------------
     def _backoff(self, key: str, attempt: int) -> float:
         jitter = 1.0 + random.Random(f"{key}:{attempt}").random()
         return min(self.max_backoff_s,
@@ -350,39 +374,30 @@ class Runner:
         self._m_retries.inc()
         time.sleep(self._backoff(key, attempt))
 
-    def _terminal(self, key, point, exc, resolve) -> None:
+    def _terminal(self, key, point, error: str, resolve,
+                  cause: BaseException | None) -> None:
+        """Apply the failure policy to a point that exhausted its retries.
+
+        ``error`` describes the cause (``repr`` of the exception, or the
+        text a fabric worker reported); it is the quarantine record's
+        ``error`` and the parenthesized tail of the raised message.
+        """
         if self.failure_policy == "quarantine":
             self.stats.quarantined += 1
             self._m_quarantined.inc()
             self.quarantined.append({
                 "key": key,
                 "point": point.describe(),
-                "error": repr(exc),
+                "error": error,
             })
             resolve(key, None, cached=False, status="quarantined")
             return
-        raise RunnerError(f"point failed: {point.describe()}") from exc
+        raise RunnerError(
+            f"point failed: {point.describe()} ({error})") from cause
 
     def _store(self, key: str, value) -> None:
         if self.cache is not None:
             self.cache.put(key, value)
-
-    # -- the unified backend surface ---------------------------------------
-    def run_points(self, points: Sequence[SimPoint], *,
-                   timeout_s: float | None = None,
-                   retries: int | None = None,
-                   on_progress: Callable[[int, int, SimPoint, bool], None] | None = None,
-                   ) -> list:
-        """:class:`~repro.runner.backend.ExecutionBackend` entry point.
-
-        Identical to :meth:`run`, with per-batch overrides: any of the
-        keyword-only arguments set here replaces the runner's
-        configured value for this batch alone.  The overrides are
-        threaded through as parameters (never stored on the instance),
-        so concurrent batches on one shared runner stay isolated.
-        """
-        return self.run(points, timeout_s=timeout_s, retries=retries,
-                        progress=on_progress)
 
     # -- reporting ---------------------------------------------------------
     def meta(self) -> dict:
@@ -406,16 +421,15 @@ class _PoolDriver:
     """
 
     def __init__(self, runner: Runner, points, groups, todo, resolve, *,
-                 timeout_s: float | None = None,
-                 retries: int | None = None) -> None:
+                 timeout_s: float | None, retries: int) -> None:
         self.r = runner
         self.points = points
         self.groups = groups
         self.resolve = resolve
         # Batch-scoped budgets (run()'s overrides, else the configured
         # defaults) — read from here, not from the shared runner.
-        self.timeout_s = runner.timeout_s if timeout_s is None else timeout_s
-        self.retries = runner.retries if retries is None else int(retries)
+        self.timeout_s = timeout_s
+        self.retries = retries
         self.queue: deque[str] = deque(todo)
         self.isolate: deque[str] = deque()
         self.attempts: dict[str, int] = {key: 0 for key in todo}
@@ -551,7 +565,7 @@ class _PoolDriver:
             # repeat offence cannot take innocents down with it.
             (self.isolate if solo_retry else self.queue).append(key)
             return
-        self.r._terminal(key, self.point(key), exc, self.resolve)
+        self.r._terminal(key, self.point(key), repr(exc), self.resolve, exc)
 
     # -- pool lifecycle ----------------------------------------------------
     def _respawn(self) -> None:
@@ -570,67 +584,3 @@ class _PoolDriver:
             except Exception:
                 pass
         pool.shutdown(wait=False, cancel_futures=True)
-
-
-_LEGACY_WARNED: set[str] = set()
-
-
-def _warn_legacy(key: str, message: str) -> None:
-    """Warn once per process about a deprecated calling convention."""
-    if key not in _LEGACY_WARNED:
-        _LEGACY_WARNED.add(key)
-        warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
-def _run_points(points: Sequence[SimPoint], *legacy, workers: int = 0,
-                cache: ResultCache | None = None,
-                registry: MetricRegistry | None = None,
-                on_progress: Callable[[int, int, SimPoint, bool], None] | None = None,
-                **kwargs) -> list:
-    """One-shot convenience: build a :class:`Runner` and resolve ``points``.
-
-    Keyword-only (the :class:`~repro.runner.backend.ExecutionBackend`
-    spellings: ``workers``, ``timeout_s``, ``retries``,
-    ``on_progress``); extra keywords (``retries``, ``timeout_s``,
-    ``failure_policy``, ...) pass through to :class:`Runner`.  The
-    historical positional ``(workers, cache, registry, progress)`` and
-    ``progress=`` / ``timeout=`` spellings keep working through
-    deprecation shims that warn once per process.
-    """
-    if legacy:
-        if len(legacy) > 4:
-            raise TypeError(
-                f"run_points() takes at most 5 positional arguments "
-                f"({1 + len(legacy)} given)")
-        _warn_legacy(
-            "run_points:positional",
-            "run_points() positional workers/cache/registry/progress "
-            "arguments are deprecated; pass them as keywords")
-        resolved = {"workers": workers, "cache": cache,
-                    "registry": registry, "on_progress": on_progress}
-        for name, value in zip(("workers", "cache", "registry",
-                                "on_progress"), legacy):
-            resolved[name] = value
-        workers, cache, registry, on_progress = (
-            resolved["workers"], resolved["cache"], resolved["registry"],
-            resolved["on_progress"])
-    return Runner(workers=workers, cache=cache, registry=registry,
-                  progress=on_progress, **kwargs).run(points)
-
-
-_run_points_shimmed = None
-
-
-def run_points(points: Sequence[SimPoint], *legacy, **kwargs) -> list:
-    """Keyword-only :func:`_run_points` behind the ``bench.compat``
-    deprecation shims (``progress=`` -> ``on_progress``, ``timeout=``
-    -> ``timeout_s``).  The shim wraps lazily because
-    :mod:`repro.bench` imports this package at module scope.
-    """
-    global _run_points_shimmed
-    if _run_points_shimmed is None:
-        from repro.bench.compat import deprecated_kwargs
-
-        _run_points_shimmed = deprecated_kwargs(
-            progress="on_progress", timeout="timeout_s")(_run_points)
-    return _run_points_shimmed(points, *legacy, **kwargs)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 
-from repro.bench.compat import deprecated_kwargs
 from repro.fabric.transport import (
     ApiError,
     HttpTransport,
@@ -44,7 +43,6 @@ class _SSEUnavailable(Exception):
 class ServiceClient:
     """Typed convenience methods over the service's REST routes."""
 
-    @deprecated_kwargs(timeout="timeout_s")
     def __init__(self, url: str | None = None, token: str | None = None,
                  app=None, timeout_s: float = 30.0, breaker=None) -> None:
         if (url is None) == (app is None):
@@ -204,7 +202,6 @@ class ServiceClient:
                 if job["state"] in terminal:
                     return
 
-    @deprecated_kwargs(timeout="timeout_s", poll="poll_s")
     def wait(self, job_id: str, timeout_s: float = 120.0,
              poll_s: float = 0.1) -> dict:
         """Poll until the job reaches a terminal state; returns it.

@@ -96,8 +96,7 @@ class _JobBackend:
     """A per-job view over a shared execution backend.
 
     Delegates everything to the wrapped backend but defaults the
-    per-call progress hook (``progress=`` on :meth:`run`,
-    ``on_progress=`` on :meth:`run_points`) to this job's
+    per-call progress hook (``progress=`` on :meth:`run`) to this job's
     heartbeat-and-progress callback — an experiment driver that calls
     plain ``runner.run(points)`` still streams live progress, and two
     concurrent jobs sharing one fabric can never cross-wire callbacks.
@@ -110,13 +109,6 @@ class _JobBackend:
     def run(self, points, **kwargs):
         kwargs.setdefault("progress", self._progress)
         return self._backend.run(points, **kwargs)
-
-    def run_points(self, points, **kwargs):
-        kwargs.setdefault("on_progress", self._progress)
-        return self._backend.run_points(points, **kwargs)
-
-    def meta(self) -> dict:
-        return self._backend.meta()
 
     def __getattr__(self, name):
         return getattr(self._backend, name)
@@ -281,7 +273,7 @@ class Scheduler:
                 if "experiment" in job.spec:
                     result_path, runner_meta = self._run_experiment(job)
                 else:
-                    result_path, runner_meta = self._run_points(job)
+                    result_path, runner_meta = self._run_batch(job)
             except Exception as err:
                 obs_emit("job_execute_failed", level="error",
                          error=f"{type(err).__name__}: {err}")
@@ -309,7 +301,7 @@ class Scheduler:
         write_result(path, result.to_json())
         return path, dict(runner.meta())
 
-    def _run_points(self, job: Job) -> tuple[Path, dict]:
+    def _run_batch(self, job: Job) -> tuple[Path, dict]:
         points = build_points(job.spec)
         runner = self._runner(job, policy="quarantine")
 
@@ -318,9 +310,8 @@ class Scheduler:
             self.queue.set_progress(job.id, done, total,
                                     point=point.describe(), cached=cached)
 
-        values = runner.run_points(points, timeout_s=self.timeout_s,
-                                   retries=self.point_retries,
-                                   on_progress=beat)
+        values = runner.run(points, timeout_s=self.timeout_s,
+                            retries=self.point_retries, progress=beat)
         # A quarantined point resolves to None (the runner's documented
         # sentinel).  Detecting poison from this batch's own values —
         # rather than slicing the shared runner.quarantined list — stays

@@ -85,9 +85,9 @@ def test_quarantine_policy_resolves_none(tmp_path):
 def test_run_points_overrides_are_batch_scoped(tmp_path):
     seen = []
     with make_runner(tmp_path) as fabric:
-        values = fabric.run_points(
+        values = fabric.run(
             [OkPoint(token="a")], retries=3, timeout_s=9.0,
-            on_progress=lambda done, total, point, cached:
+            progress=lambda done, total, point, cached:
                 seen.append((done, total, cached)))
         assert fabric.coordinator.queue.retries == 0  # restored
         assert fabric.timeout_s is None
@@ -105,9 +105,9 @@ def test_concurrent_run_points_keep_overrides_isolated(tmp_path):
     with make_runner(tmp_path, workers=2) as fabric:
         def job(name, tokens):
             pts = [OkPoint(token=t) for t in tokens]
-            out[name] = fabric.run_points(
+            out[name] = fabric.run(
                 pts, retries=1,
-                on_progress=lambda done, total, point, cached:
+                progress=lambda done, total, point, cached:
                     seen[name].append(point.token))
 
         threads = [
@@ -137,6 +137,37 @@ def test_duplicate_completion_cannot_overwrite_stored_result(tmp_path):
     assert coordinator.complete("w1", item_id, {"v": 2}) == "duplicate"
     assert coordinator.value(key) == {"v": 1}
     assert cache.get(key) == {"v": 1}
+
+
+def test_coordinator_holds_no_values_after_batches(tmp_path):
+    """A value is held only until the batch that enqueued it takes it
+    (regression: the coordinator kept every value it ever produced)."""
+    cache = ResultCache(directory=tmp_path / "cache")
+    with make_runner(tmp_path, cache=cache) as fabric:
+        for batch in range(5):
+            tokens = [f"b{batch}p{i}" for i in range(4)]
+            values = fabric.run([OkPoint(token=t) for t in tokens])
+            assert [v["token"] for v in values] == tokens
+            assert fabric.coordinator.results == {}
+
+
+def test_concurrent_batches_sharing_points_both_get_values(tmp_path):
+    """Without a cache the held value is the only copy: it must survive
+    until every batch waiting on the point has taken it."""
+    points = [OkPoint(token=t, delay_s=0.2) for t in ("x", "yy")]
+    expected = [p.execute() for p in points]
+    out = {}
+    with make_runner(tmp_path) as fabric:
+        threads = [threading.Thread(
+            target=lambda name=name: out.update({name: fabric.run(points)}))
+            for name in ("a", "b")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in threads)
+        assert fabric.coordinator.results == {}
+    assert out["a"] == out["b"] == expected
 
 
 def test_serve_refuses_non_loopback_bind_without_token(tmp_path):

@@ -1,17 +1,9 @@
-"""The unified ExecutionBackend surface and its deprecation shims."""
+"""The unified ExecutionBackend surface."""
 
-import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
-import pytest
-
-from repro.runner import (
-    ExecutionBackend,
-    ResultCache,
-    Runner,
-    run_points,
-)
+from repro.runner import ExecutionBackend, Runner
 from repro.runner.simpoint import SimPoint
 
 
@@ -45,73 +37,18 @@ def test_scheduler_accepts_any_backend(tmp_path):
     # Attribute access falls through to the shared backend.
     assert runner.workers == backend.workers
     assert runner.meta() == backend.meta()
-    assert runner.run_points([TokenPoint(token="x")]) == [{"token": "x"}]
+    assert runner.run([TokenPoint(token="x")]) == [{"token": "x"}]
 
 
 def test_run_points_overrides_are_batch_scoped():
     runner = Runner(workers=0, retries=2, timeout_s=30.0)
     seen = []
-    values = runner.run_points(
+    values = runner.run(
         [TokenPoint(token="a")], retries=0, timeout_s=1.0,
-        on_progress=lambda done, total, point, cached:
+        progress=lambda done, total, point, cached:
             seen.append((done, total, cached)))
     assert values == [{"token": "a"}]
     assert seen == [(1, 1, False)]
     # The configured values survive the batch override.
     assert (runner.retries, runner.timeout_s, runner.progress) \
         == (2, 30.0, None)
-
-
-def test_module_run_points_keyword_only_spelling():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the new spelling must not warn
-        values = run_points([TokenPoint(token="a")], workers=0)
-    assert values == [{"token": "a"}]
-
-
-def test_module_run_points_legacy_positionals_warn(tmp_path):
-    import repro.runner.pool as pool
-
-    pool._LEGACY_WARNED.discard("run_points:positional")
-    cache = ResultCache(directory=tmp_path / "cache")
-    with pytest.warns(DeprecationWarning, match="positional"):
-        values = run_points([TokenPoint(token="a")], 0, cache)
-    assert values == [{"token": "a"}]
-    assert cache.stats.stores == 1
-    # Once per process: the second call is silent.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        run_points([TokenPoint(token="b")], 0, cache)
-
-
-def test_module_run_points_legacy_keywords_shim():
-    from repro.bench import compat
-
-    compat._WARNED.discard(("_run_points", "progress"))
-    seen = []
-    with pytest.warns(DeprecationWarning, match="on_progress"):
-        run_points([TokenPoint(token="a")], workers=0,
-                   progress=lambda done, total, point, cached:
-                       seen.append(done))
-    assert seen == [1]
-
-
-def test_module_run_points_rejects_both_spellings():
-    with pytest.raises(TypeError, match="progress"):
-        run_points([TokenPoint(token="a")], workers=0,
-                   progress=lambda *a: None, on_progress=lambda *a: None)
-
-
-def test_service_client_timeout_shim():
-    from repro.bench import compat
-    from repro.service import Service, ServiceClient, ServiceConfig
-
-    compat._WARNED.discard(("ServiceClient.__init__", "timeout"))
-    import tempfile
-    from pathlib import Path
-
-    with tempfile.TemporaryDirectory() as td:
-        service = Service(ServiceConfig(state_dir=Path(td)))
-        with pytest.warns(DeprecationWarning, match="timeout_s"):
-            client = ServiceClient(app=service.app, timeout=7.0)
-        assert client.timeout_s == 7.0

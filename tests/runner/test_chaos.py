@@ -7,9 +7,13 @@ and the assertions check the self-healing contract: the batch completes
 charged, and the retry/timeout/respawn accounting is exact.
 """
 
+import json
 import os
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import ClassVar
 
 import pytest
@@ -273,6 +277,42 @@ def test_hung_point_timeout_raises_by_default():
     with pytest.raises(RunnerError, match="point failed: hang:h"):
         runner.run([HangPoint(token="h"), OkPoint(token="a")])
     assert runner.stats.timeouts == 1
+
+
+# -- a one-miss batch still runs in the pool ------------------------------
+@pytest.mark.chaos
+def test_lone_hung_point_is_killed_and_quarantined():
+    runner = Runner(workers=2, timeout_s=0.5, failure_policy="quarantine")
+    start = time.perf_counter()
+    results = runner.run([HangPoint(token="h", sleep_s=3.0)])
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.5  # the watchdog fired well before the sleep ended
+    assert results == [None]
+    assert runner.stats.timeouts == 1
+    assert runner.quarantined[0]["point"] == "hang:h"
+
+
+_LONE_CRASH = """
+import json
+from repro.runner import Runner
+from tests.runner.test_chaos import CrashPoint
+runner = Runner(workers=2, failure_policy="quarantine", backoff_s=0.001)
+values = runner.run([CrashPoint(token="c")])
+print(json.dumps({"values": values,
+                  "quarantined": [q["point"] for q in runner.quarantined]}))
+"""
+
+
+@pytest.mark.chaos
+def test_lone_crash_point_cannot_kill_the_caller():
+    """Run in a child interpreter: a crash that escaped the pool would
+    kill the caller, which must show as a failed assertion here."""
+    root = Path(__file__).resolve().parents[2]
+    proc = subprocess.run([sys.executable, "-c", _LONE_CRASH], cwd=root,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "values": [None], "quarantined": ["crash:c"]}
 
 
 # -- graceful drain on interrupt -----------------------------------------

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.core import paper_default_config, paper_tuned_config
-from repro.runner import ResultCache, Runner, RunnerError, TrainPoint, run_points
+from repro.runner import ResultCache, Runner, RunnerError, TrainPoint
 from repro.telemetry import MetricRegistry
 
 
@@ -117,13 +117,6 @@ def test_failure_in_pool_raises_runner_error():
     ok = _points(1)[0]
     with pytest.raises(RunnerError, match="point failed"):
         Runner(workers=2).run([bad, ok])
-
-
-def test_run_points_convenience(tmp_path):
-    points = _points(2)
-    results = run_points(points, cache=ResultCache(directory=tmp_path))
-    assert len(results) == 2
-    assert results[0].gpus == points[0].gpus
 
 
 def test_negative_workers_rejected():
