@@ -4,8 +4,14 @@ Faithful to Horovod's MPI-mode control flow:
 
 1. Each rank's training loop calls :meth:`HorovodRuntime.submit` as its
    backward pass produces gradient tensors (Horovod: enqueuing a
-   ``TensorTableEntry``).  The call returns an event that fires when the
-   *averaged* tensor is back on that rank.
+   ``TensorTableEntry``), then :meth:`HorovodRuntime.synchronize` once:
+   one event that fires with every *averaged* tensor the rank submitted
+   since its previous call, the instant the last of them is back on
+   that rank — the synchronous-SGD barrier.  Horovod hands out one
+   handle per tensor, but a rank that applies its update only once all
+   gradients are averaged waits on the last one anyway, so the
+   simulation keeps one completion event per rank instead of one per
+   (rank, tensor).
 2. A background loop ticks every ``cycle_time``.  If any tensors are
    outstanding it runs a **negotiation** round: a linear gather of request
    metadata to rank 0 plus a broadcast of the response list (with the
@@ -25,6 +31,7 @@ fusion concatenation/splitting moves actual gradient data).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -80,7 +87,6 @@ class _TensorEntry:
     name: str
     nbytes: int
     payloads: dict[int, Any] = field(default_factory=dict)
-    events: dict[int, Event] = field(default_factory=dict)
     first_submit_s: float = 0.0
     #: True once the tensor has been moved to the ready queue.
     queued: bool = False
@@ -145,6 +151,13 @@ class HorovodRuntime:
         self._removed: set[int] = set()
         self._crash_reports: set[int] = set()
         self._suspects: dict[int, _Suspicion] = {}
+        # -- completions, per rank ---------------------------------------------
+        #: Tensors submitted and not yet handed back.
+        self._outstanding = [0] * comm.size
+        #: Averaged tensors handed back since the last synchronize event.
+        self._delivered: list[dict[str, Any]] = [{} for _ in range(comm.size)]
+        #: The pending synchronize event, if any.
+        self._waiters: list[Event | None] = [None] * comm.size
         self._loop = self.env.process(self._coordinator_loop())
 
     @property
@@ -158,13 +171,12 @@ class HorovodRuntime:
         return sorted(self.active)
 
     # -- worker API -----------------------------------------------------------
-    def submit(self, rank: int, name: str, payload: Any) -> Event:
+    def submit(self, rank: int, name: str, payload: Any) -> None:
         """Enqueue ``payload`` (this rank's gradient tensor ``name``).
 
-        Returns an event that fires with the averaged tensor once the
-        fused allreduce containing it completes on this rank.  Submitting
-        the same name twice from one rank before completion is an error
-        (as in Horovod).
+        Called once per (rank, tensor).  The averaged tensor comes back
+        through :meth:`synchronize`.  Submitting the same name twice from
+        one rank before it is reduced is an error (as in Horovod).
         """
         if not 0 <= rank < self.size:
             raise ValueError(f"rank {rank} out of range")
@@ -186,9 +198,24 @@ class HorovodRuntime:
                 f"{entry.nbytes} vs {nbytes}"
             )
         entry.payloads[rank] = payload
-        event = Event(self.env)
-        entry.events[rank] = event
+        self._outstanding[rank] += 1
         self._maybe_ready(entry)
+
+    def synchronize(self, rank: int) -> Event:
+        """An event firing with ``{name: averaged tensor}`` for ``rank``.
+
+        It carries every tensor ``rank`` submitted since its previous
+        synchronize event fired, and fires the instant the last of them is
+        reduced — at once if none is outstanding.  Calling again before it
+        fires returns the same event.
+        """
+        if not 0 <= rank < self.size:
+            raise ValueError(f"rank {rank} out of range")
+        event = self._waiters[rank]
+        if event is None:
+            event = self._waiters[rank] = Event(self.env)
+            if not self._outstanding[rank]:
+                self._release(rank)
         return event
 
     def shutdown(self) -> None:
@@ -211,12 +238,17 @@ class HorovodRuntime:
         """Re-admit a previously crashed rank into the active set.
 
         The caller must ensure the rank's stale submissions have drained
-        (see :meth:`drain_rank`) before re-admission.
+        (see :meth:`drain_rank`) before re-admission.  The rank starts
+        its new life with nothing outstanding: pre-crash submissions that
+        were reduced without it never come back.
         """
         if not 0 <= rank < self.size:
             raise ValueError(f"rank {rank} out of range")
         if rank in self.active:
             return
+        self._outstanding[rank] = 0
+        self._delivered[rank] = {}
+        self._waiters[rank] = None
         self._removed.discard(rank)
         self._crash_reports.discard(rank)
         self.active.add(rank)
@@ -494,40 +526,54 @@ class HorovodRuntime:
         self.stats.tensors_reduced += len(entries)
         self.stats.bytes_reduced += group.nbytes
 
-        # Hand each participating rank its averaged tensor back (in
-        # virtual mode, one immutable result buffer per tensor, shared).
-        outs = None if numpy_mode else [
-            VirtualBuffer((e.nbytes + 3) // 4 * 4) for e in entries]
-        for i, rank in enumerate(ranks):
-            if numpy_mode:
-                flat = results[i]
-                offset = 0
-                for e in entries:
-                    shape = e.payloads[rank].shape
-                    n = e.payloads[rank].size
-                    e.events[rank].succeed(flat[offset:offset + n].reshape(shape))
-                    offset += n
-            else:
-                for e, out in zip(entries, outs):
-                    e.events[rank].succeed(out)
-
-        # Extra submitters — a rank that rejoined after this group's
-        # participant snapshot — adopt the group consensus (elastic
+        # Hand the averaged tensors back to every participant, then to
+        # the extra submitters: a rank that rejoined after this group's
+        # participant snapshot adopts the group consensus (elastic
         # Horovod semantics: late arrivals take the survivors' average).
         # Participants are a subset of each entry's submitters, so an
-        # entry with no more submitters than participants has none.
-        flat0 = results[0] if numpy_mode else None
-        offset = 0
-        for k, e in enumerate(entries):
-            n = next(iter(e.payloads.values())).size if numpy_mode else 0
+        # entry with no more submitters than participants has no extras.
+        extras: set[int] = set()
+        for e in entries:
             if len(e.payloads) > len(participants):
-                for rank in sorted(set(e.payloads) - participants - self._removed):
-                    if e.events[rank].triggered:
-                        continue
-                    if numpy_mode:
-                        shape = e.payloads[rank].shape
-                        e.events[rank].succeed(
-                            flat0[offset:offset + n].reshape(shape))
-                    else:
-                        e.events[rank].succeed(outs[k])
-            offset += n
+                extras |= e.payloads.keys() - participants
+        extras -= self._removed
+        if numpy_mode:
+            bounds = list(accumulate(
+                (e.payloads[ranks[0]].size for e in entries), initial=0))
+            for i, rank in enumerate(ranks):
+                self._hand_back(rank, _split(entries, bounds, results[i], rank))
+            for rank in sorted(extras):
+                self._hand_back(rank, _split(entries, bounds, results[0], rank))
+        else:
+            # One immutable result buffer per tensor, shared by every rank.
+            outs = {e.name: VirtualBuffer((e.nbytes + 3) // 4 * 4)
+                    for e in entries}
+            for rank in ranks:
+                self._hand_back(rank, outs)
+            for rank in sorted(extras):
+                self._hand_back(rank, {e.name: outs[e.name] for e in entries
+                                       if rank in e.payloads})
+
+    # -- completions --------------------------------------------------------------
+    def _hand_back(self, rank: int, tensors: dict[str, Any]) -> None:
+        """Deliver averaged ``tensors`` to ``rank``; fire its synchronize
+        event if they were the last it had outstanding."""
+        self._delivered[rank].update(tensors)
+        left = self._outstanding[rank] - len(tensors)
+        self._outstanding[rank] = left
+        if not left and self._waiters[rank] is not None:
+            self._release(rank)
+
+    def _release(self, rank: int) -> None:
+        event = self._waiters[rank]
+        self._waiters[rank] = None
+        delivered, self._delivered[rank] = self._delivered[rank], {}
+        event.succeed(delivered)
+
+
+def _split(entries: list[_TensorEntry], bounds: list[int], flat: np.ndarray,
+           rank: int) -> dict[str, np.ndarray]:
+    """``rank``'s tensors of a fused numpy result, in their own shapes."""
+    return {e.name: flat[a:b].reshape(e.payloads[rank].shape)
+            for e, a, b in zip(entries, bounds, bounds[1:])
+            if rank in e.payloads}

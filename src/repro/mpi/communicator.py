@@ -56,12 +56,28 @@ TAG_BLOCK = 1 << 20
 
 @dataclass
 class _Mailbox:
-    """Per-rank matching state: arrivals, posted receives, RTS waiters."""
+    """Per-rank matching state: arrivals, posted receives, RTS waiters.
+
+    ``posted`` counts receives posted before their message arrived and
+    not yet consumed: a rendezvous handshake consumes the one it
+    matches, the delivery of any other message the one it lands in.
+    """
 
     arrivals: dict[tuple[int, int], deque] = field(default_factory=dict)
     recv_waiters: dict[tuple[int, int], deque] = field(default_factory=dict)
     posted: dict[tuple[int, int], int] = field(default_factory=dict)
     rts_waiters: dict[tuple[int, int], deque] = field(default_factory=dict)
+
+    def take_posted(self, key: tuple[int, int]) -> bool:
+        """Consume one posted receive for ``key``; False if none is posted."""
+        count = self.posted.get(key, 0)
+        if not count:
+            return False
+        if count == 1:
+            del self.posted[key]
+        else:
+            self.posted[key] = count - 1
+        return True
 
 
 class Comm:
@@ -169,12 +185,9 @@ class Comm:
             return 0.0
         lib = self.library
         mb = self._mailboxes[dst]
-        if lib.uses_rendezvous(nbytes):
-            if mb.posted.get(key, 0) > 0:
-                mb.posted[key] -= 1
-                if not mb.posted[key]:
-                    del mb.posted[key]
-            else:
+        rendezvous = lib.uses_rendezvous(nbytes)
+        if rendezvous:
+            if not mb.take_posted(key):
                 ready = Event(self.env)
                 mb.rts_waiters.setdefault(key, deque()).append(ready)
                 yield ready
@@ -208,16 +221,24 @@ class Comm:
                 attempt += 1
                 waited += backoff
                 yield self.env.timeout(backoff)
-        self._deposit(dst, key, payload)
+        self._deposit(dst, key, payload, handshake=rendezvous)
         return elapsed
 
-    def _deposit(self, dst: int, key: tuple[int, int], payload: Any) -> None:
+    def _deposit(self, dst: int, key: tuple[int, int], payload: Any,
+                 handshake: bool = False) -> None:
+        """Hand ``payload`` to a posted receive, or queue it as an arrival.
+
+        ``handshake`` says a rendezvous handshake already consumed the
+        posted receive; an eager message or self-send consumes it here.
+        """
         mb = self._mailboxes[dst]
         waiters = mb.recv_waiters.get(key)
         if waiters:
             waiters.popleft().succeed(payload)
             if not waiters:
                 del mb.recv_waiters[key]
+            if not handshake:
+                mb.take_posted(key)
         else:
             mb.arrivals.setdefault(key, deque()).append(payload)
 

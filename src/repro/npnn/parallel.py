@@ -134,16 +134,12 @@ class DataParallelTrainer:
             allreduce_algorithm=self.config.allreduce_algorithm,
         )
         runtime = HorovodRuntime(comm, cfg)
-        names = list(per_rank[0])
         results: list[dict] = [dict() for _ in range(world)]
 
         def worker(env, rank):
-            events = [
-                (name, runtime.submit(rank, name, per_rank[rank][name]))
-                for name in names
-            ]
-            for name, ev in events:
-                results[rank][name] = yield ev
+            for name, grad in per_rank[rank].items():
+                runtime.submit(rank, name, grad)
+            results[rank] = yield runtime.synchronize(rank)
 
         procs = [env.process(worker(env, r)) for r in range(world)]
         env.run(until=env.all_of(procs))

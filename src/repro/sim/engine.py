@@ -241,6 +241,8 @@ class Process(Event):
         #: The bound ``_resume`` callback, allocated once — registering a
         #: waiter is the hottest append in the kernel and a fresh bound
         #: method per suspension is measurable at millions of events.
+        #: Dropped when the generator finishes, so that a finished
+        #: process is no reference cycle and refcounting frees it.
         self._rcb = self._resume
         Initialize(env, self)
 
@@ -315,11 +317,13 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
+                self._rcb = None
                 env._schedule(self, NORMAL, env._now)
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
+                self._rcb = None
                 env._schedule(self, NORMAL, env._now)
                 break
 

@@ -8,7 +8,9 @@ One process per rank, per iteration:
 3. run backward, submitting each gradient tensor to the
    :class:`~repro.horovod.runtime.HorovodRuntime` at its emission offset —
    this is where communication/computation overlap comes from;
-4. wait for *all* averaged gradients (the synchronous-SGD barrier);
+4. wait for *all* averaged gradients: one
+   :meth:`~repro.horovod.runtime.HorovodRuntime.synchronize` event per
+   rank (the synchronous-SGD barrier);
 5. apply the optimizer update.
 
 Per-rank compute jitter (a lognormal multiplier per rank × iteration)
@@ -320,7 +322,6 @@ class DistributedTrainer:
         yield self.env.timeout(profile.forward_s * jitter * self._fault_mult(rank))
         forward_end_s = self.env.now
         # Backward: submit each tensor at its (jittered) emission time.
-        events = []
         previous = 0.0
         submit = self.runtime.submit
         for offset, name, payload in self._emissions:
@@ -328,9 +329,9 @@ class DistributedTrainer:
             if delta > 0:
                 yield self.env.timeout(delta)
             previous = offset
-            events.append(submit(rank, name, payload))
+            submit(rank, name, payload)
         last_emit_s = self.env.now
-        yield self.env.all_of(events)
+        yield self.runtime.synchronize(rank)
         barrier_s = self.env.now
         # All barrier participants pass here at the same instant, before
         # any optimizer time elapses — a race-free shared iteration count.

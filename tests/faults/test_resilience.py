@@ -131,8 +131,8 @@ class TestElasticShrink:
         results = {}
 
         def worker(env, rank):
-            ev = rt.submit(rank, "g", np.full(8, float(rank)))
-            results[rank] = yield ev
+            rt.submit(rank, "g", np.full(8, float(rank)))
+            results[rank] = (yield rt.synchronize(rank))["g"]
 
         procs = [env.process(worker(env, r)) for r in range(3)]
 

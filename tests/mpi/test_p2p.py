@@ -114,6 +114,28 @@ def test_eager_send_completes_without_receiver():
     assert send.processed and send.ok
 
 
+@pytest.mark.parametrize("dst", [1, 0], ids=["eager", "self_send"])
+def test_delivery_into_posted_recv_consumes_the_posted_count(dst):
+    """A message landing in a receive posted before it arrived leaves
+    no posted count behind, with or without a rendezvous handshake."""
+    env, comm = make_comm(2)
+    recv = comm.recv(dst, src=0, tag=3)  # posted first
+    assert comm._mailboxes[dst].posted == {(0, 3): 1}
+    comm.isend(0, dst, VirtualBuffer(4), tag=3)  # far below eager
+    env.run()
+    assert recv.value.nbytes == 4
+    assert comm._mailboxes[dst].posted == {}
+
+
+def test_rendezvous_handshake_consumes_the_posted_count():
+    env, comm = make_comm(2)
+    recv = comm.recv(1, src=0, tag=3)
+    comm.isend(0, 1, VirtualBuffer(10 * (1 << 20)), tag=3)
+    env.run()
+    assert recv.value.nbytes == 10 * (1 << 20)
+    assert comm._mailboxes[1].posted == {}
+
+
 def test_rendezvous_send_blocks_until_recv_posted():
     """Large messages wait for the matching receive (rendezvous)."""
     env, comm = make_comm(2)

@@ -18,8 +18,12 @@ plus crash under a negotiation deadline) and a 6-GPU default run with
 compute jitter, both traced at ``level="links"``.
 
 The expected digests were recorded before the telemetry probe was
-folded into the span recorder.  A mismatch means an observation output
-changed; only a deliberate change may re-record them (``--regen``
+folded into the span recorder.  The Prometheus, JSONL and Chrome-trace
+digests were re-recorded when per-tensor completion events left the
+Horovod runtime: they carry the kernel-event series
+(``sim_events_processed_total``, ``sim_event_queue_depth*``,
+``sim_schedule_delay_seconds``), and only those moved.  A mismatch
+means an observation output changed; only a deliberate change may re-record them (``--regen``
 prints the current values)::
 
     PYTHONPATH=src python tests/trace/test_observation_digest.py --regen
@@ -46,11 +50,11 @@ OUTPUTS = ("prometheus", "jsonl", "chrome_trace", "spans", "report",
 EXPECTED = {
     "faulted_3": {
         "prometheus":
-            "7e9b2d04fad8d6e5b34f3bb23e4e8eede48bf90535c5decb0342eb079ae2d218",
+            "a210c58997ffdf717c9ad238a6499bc032806e493b7bbc5f413783210e9895f9",
         "jsonl":
-            "4b2f9bb9e97046fc10c3d8edaabe15d175087bfbd92293876315f3b767c84c14",
+            "efd7078d11e70dbe31956c397efb0010b1598cb3c1ce8de93addd2edaaaca319",
         "chrome_trace":
-            "2221e1a5159e42550f4495d1aef09b6b7698123bdde6814bbe923c9220e470df",
+            "78205829a8c9c21b534f7771c74506af141bd35de87dcb7522c030de88629931",
         "spans":
             "ae1ec5da89ec92cd24553969f785479e9e8437947d6b35ad91d3ba859004cba4",
         "report":
@@ -60,11 +64,11 @@ EXPECTED = {
     },
     "default_6": {
         "prometheus":
-            "dd05ea529bdad9a8b3b7a0092f86a52586e267c136d7ff54ed03e5ed284031a8",
+            "ef0a3136cc3f88db97e1c4b2c5a404084c01119734fa97cecf4341ab1fa37fca",
         "jsonl":
-            "3bc05419a6704d9b108f3597b664245e13ba1cfb28526ea595722560af183ec5",
+            "c950e396da16eda28b37172f647ace21046261a170956c8b6acbf2007de71e74",
         "chrome_trace":
-            "5a1b4dbcdd7156e98394cfdae2815350f84569683b5c1d2e01f5cd095b907ef5",
+            "6796ce031cdb5ee0e41f067bf86c5e3ebcb1e74be7c2fa9e823d340b4c86e090",
         "spans":
             "5013368a386979f800314a97019c39dbfeed1b94de31ed292ecbbe2e95a148c5",
         "report":
