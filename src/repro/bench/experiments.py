@@ -1,16 +1,16 @@
-"""Experiment drivers E1–E10 (see DESIGN.md §4 for the index).
+"""Experiment drivers E1–E16 (see DESIGN.md §4 for the index).
 
 Every driver is deterministic (seeded), returns an
 :class:`~repro.bench.harness.ExperimentResult`, and accepts size
 parameters so tests can run scaled-down versions while the benchmark
 targets run the paper-scale configuration.
 
-API conventions (normalized; legacy spellings warn once and forward):
+API conventions:
 
 * parameters are keyword-only; fixed-scale drivers take ``gpus``,
   scaling-curve drivers take ``gpu_counts``, and every driver that
   simulates training takes ``seed``;
-* sweep-shaped drivers (E3–E6, E8, E9, E11, E12, E14) accept ``runner``
+* sweep-shaped drivers (E3–E6, E8–E12, E14, E16) accept ``runner``
   — a :class:`~repro.runner.Runner` — and resolve their independent
   simulation points through it, so they parallelize and memoize for
   free; ``runner=None`` is an inline serial runner with no cache, which
@@ -64,7 +64,6 @@ __all__ = [
     "e14_efficiency_attribution",
     "e15_interrupt_resume",
     "e16_critical_path",
-    "e17_prefix_memo",
 ]
 
 #: The paper evaluates up to 22 nodes × 6 V100 = 132 GPUs.
@@ -261,10 +260,13 @@ def e5_cycle_sweep(*, gpus: int = 132, iterations: int = 3,
     """E5 — HOROVOD_CYCLE_TIME sweep (fragmentation vs stall).
 
     Under the default Spectrum library (exposed, α-heavy communication),
-    small cycles fragment fusion into many expensive collectives and
-    large cycles stall the backward tail — the interior optimum the
-    paper's tuning finds.  Under the tuned GDR setup the same sweep is a
-    gentle monotone (communication hides), also reported.
+    large cycles stall the backward tail — a large-cycle penalty.  Small
+    cycles fragment fusion into more collectives, but the host-CPU cost
+    that makes sub-ms cycles expensive in production Horovod is not
+    modeled, so the small-cycle end is flat rather than turning over:
+    the best cycle is the smallest one swept.  Under the tuned GDR setup
+    the same sweep is a gentle monotone (communication hides), also
+    reported.
     """
     bases = [("Spectrum", paper_default_config()), ("GDR", paper_tuned_config())]
     points = [
@@ -1096,10 +1098,10 @@ def e15_interrupt_resume(
         measured=measured,
         notes="a resumed run replays nothing: the checkpoint restores the "
               "simulation clock, runtime/fabric/comm counters, per-rank "
-              "RNG state and the telemetry probe, so the completed stats "
-              "are byte-for-byte those of the uninterrupted run; denser "
-              "cadences shrink redone work at the cost of more capture "
-              "points",
+              "RNG state, the timeline and the span recorder, so the "
+              "completed stats are byte-for-byte those of the "
+              "uninterrupted run; denser cadences shrink redone work at "
+              "the cost of more capture points",
     )
 
 
@@ -1184,75 +1186,4 @@ def e16_critical_path(
               "both decompositions visit the same simulated instants",
         trace_summary=(summary_report.trace_summary()
                        if summary_report is not None else None),
-    )
-
-
-def e17_prefix_memo(
-    *,
-    ladder: tuple[int, ...] = (2, 3, 5),
-    gpus: int = 6,
-    seed: int = 0,
-) -> ExperimentResult:
-    """E17 (extension) — prefix memoization: equivalence and savings.
-
-    An iterations ladder is materialized from one shared simulation
-    prefix (:mod:`repro.runner.prefix`) and compared against fresh
-    per-point runs, with the iteration accounting showing what was never
-    re-simulated.
-
-    The ``measured`` block holds only deterministic quantities (the
-    equivalence boolean and the iteration accounting) so the bench
-    sentinel can baseline this experiment; wall-clock seconds and the
-    speedup are reported in the rows and notes, where run-to-run noise
-    cannot trip the gate.
-    """
-    import pickle
-    import tempfile
-    import time
-
-    from repro.runner.prefix import PrefixStore, prefix_run
-
-    cfg = paper_tuned_config()
-    points = [TrainPoint(gpus=gpus, config=cfg, iterations=n, seed=seed)
-              for n in ladder]
-    t0 = time.perf_counter()
-    fresh = [p.execute() for p in points]
-    t1 = time.perf_counter()
-    with tempfile.TemporaryDirectory() as tmp:
-        memoized, pstats = prefix_run(points, store=PrefixStore(tmp))
-    t2 = time.perf_counter()
-    identical = all(
-        pickle.dumps(a.stats) == pickle.dumps(b.stats)
-        for a, b in zip(fresh, memoized)
-    )
-    saved = 1.0 - (pstats.iterations_simulated
-                   / max(1, pstats.iterations_reference))
-    speedup = (t1 - t0) / (t2 - t1) if t2 > t1 else 1.0
-    return ExperimentResult(
-        experiment="E17",
-        title="Prefix memoization: equivalence and savings "
-              f"({gpus} GPUs, it={list(ladder)} ladder)",
-        rows=[{
-            "gpus": gpus,
-            "ladder": f"it={list(ladder)}",
-            "bit identical": "yes" if identical else "NO",
-            "it simulated": pstats.iterations_simulated,
-            "it reference": pstats.iterations_reference,
-            "saved": f"{saved * 100:.1f}%",
-            "fresh (ms)": round((t1 - t0) * 1e3, 1),
-            "memoized (ms)": round((t2 - t1) * 1e3, 1),
-        }],
-        paper={"note": "extension; not a paper experiment"},
-        measured={
-            "prefix_bit_identical": float(identical),
-            "prefix_iterations_reference": float(
-                pstats.iterations_reference),
-            "prefix_iterations_simulated": float(
-                pstats.iterations_simulated),
-            "prefix_saved_fraction": round(saved, 4),
-        },
-        notes="prefix memoization "
-              f"re-simulated {pstats.iterations_simulated} of "
-              f"{pstats.iterations_reference} ladder iterations "
-              f"({speedup:.2f}x wall on the ladder)",
     )

@@ -193,13 +193,6 @@ _SPECS = (
         tags=("extension", "trace"),
         parallelizable=True,
     ),
-    ExperimentSpec(
-        "E17", "prefix memoization: equivalence & savings (extension)",
-        E.e17_prefix_memo,
-        full_kwargs={"ladder": (2, 3, 5, 8)},
-        quick_kwargs={"ladder": (2, 3, 5)},
-        tags=("extension", "prefix"),
-    ),
 )
 
 #: id -> spec, in presentation order.

@@ -91,13 +91,6 @@ COMMENTARY = {
            "under tuning. The per-bucket fold of the same paths is "
            "E14's attribution, and its bucket totals sum to the mean "
            "wall time (measured reconcile error: 0).",
-    "E17": "Extension (prefix memoization): an iterations ladder is "
-           "materialized from one shared simulation prefix and matches "
-           "fresh per-point runs exactly, while re-simulating only the "
-           "largest ladder member (8 of 18 iterations on the 2/3/5/8 "
-           "ladder, ~2x wall on the ladder). The simulator has one "
-           "transfer path; DESIGN §10 records why there is no "
-           "uncontended-transfer shortcut.",
 }
 
 HEADER = """\
@@ -130,7 +123,7 @@ Reproduction scope note: absolute times come from a calibrated simulation
 (see DESIGN.md §2/§5); the claims checked here are the paper's *shapes
 and headline ratios* — who wins, by how much, and where the crossovers
 fall — plus the two single-GPU throughputs the calibration is anchored
-to.  E1–E10 reproduce the paper; E11–E17 are documented extensions.
+to.  E1–E10 reproduce the paper; E11–E16 are documented extensions.
 
 Headline (abstract) claims at 132 GPUs:
 

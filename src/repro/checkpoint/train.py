@@ -53,32 +53,23 @@ class CheckpointPlan:
     """When to capture training checkpoints.
 
     ``every=N`` captures at every Nth iteration boundary (0 disables the
-    cadence); ``at=(j, k, ...)`` captures at exactly those boundaries (the
-    prefix-memoization hook: one run yields resumable state at each
-    smaller sweep point's final boundary); ``stop_at=k`` additionally
-    captures at boundary ``k`` and then interrupts the job right there —
-    the deterministic-interrupt hook the resume gate tests use.  ``path``
-    keeps the latest checkpoint on disk in the
-    :mod:`repro.checkpoint.format` container.
+    cadence); ``stop_at=k`` additionally captures at boundary ``k`` and
+    then interrupts the job right there — the deterministic-interrupt
+    hook the resume gate tests use.  ``path`` keeps the latest
+    checkpoint on disk in the :mod:`repro.checkpoint.format` container.
     """
 
     every: int = 1
     stop_at: int | None = None
     path: str | Path | None = None
-    at: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "at", tuple(self.at))
         if self.every < 0:
             raise ValueError("every must be >= 0")
         if self.stop_at is not None and self.stop_at < 1:
             raise ValueError("stop_at must be >= 1")
-        if any(b < 1 for b in self.at):
-            raise ValueError("at boundaries must be >= 1")
-        if self.every == 0 and self.stop_at is None and not self.at:
-            raise ValueError(
-                "plan captures nothing: set every, at or stop_at"
-            )
+        if self.every == 0 and self.stop_at is None:
+            raise ValueError("plan captures nothing: set every or stop_at")
 
 
 @dataclass(frozen=True)
@@ -117,7 +108,6 @@ class TrainCheckpoint:
 
 
 def resume_training(checkpoint: "TrainCheckpoint | str | Path", *,
-                    plan: "CheckpointPlan | None" = None,
                     allow_version_mismatch: bool = False):
     """Rebuild the simulation from ``checkpoint`` and run it to completion.
 
@@ -126,13 +116,6 @@ def resume_training(checkpoint: "TrainCheckpoint | str | Path", *,
     Returns the completed run's :class:`~repro.core.sweep.Measurement`,
     bit-identical (stats, timeline, attribution) to the uninterrupted
     run of the same spec.
-
-    ``plan`` optionally captures **new** checkpoints while the resumed
-    run completes, exactly as ``measure_training(checkpoint=plan)``
-    would; prefix memoization (:mod:`repro.runner.prefix`) uses this to
-    extend a stored ladder prefix and bank the new boundaries in one
-    pass.  Captured checkpoints land on ``Measurement.checkpoint`` /
-    ``Measurement.checkpoints``.
     """
     from repro.cluster import Fabric, build_summit
     from repro.core.sweep import (
@@ -221,14 +204,12 @@ def resume_training(checkpoint: "TrainCheckpoint | str | Path", *,
             injector.stats = dataclasses.replace(state["injector"])
         trainer = DistributedTrainer(
             runtime, profile, job, faults=injector, resume_state=state,
-            checkpoint=plan,
         )
         injector.bind(runtime=runtime, trainer=trainer)
         injector.start_resumed()
     else:
-        trainer = DistributedTrainer(
-            runtime, profile, job, resume_state=state, checkpoint=plan,
-        )
+        trainer = DistributedTrainer(runtime, profile, job,
+                                     resume_state=state)
     if tracer is not None:
         tracer.attach(env=env, comm=comm, runtime=runtime, trainer=trainer,
                       fabric=fabric)
@@ -243,21 +224,6 @@ def resume_training(checkpoint: "TrainCheckpoint | str | Path", *,
         fault_report = build_fault_report(
             injector, timeline, comm, runtime, trainer
         )
-    new_checkpoint = None
-    new_checkpoints = None
-    if plan is not None and trainer.last_checkpoint_state is not None:
-        from repro.checkpoint.format import write_checkpoint
-
-        new_checkpoint = TrainCheckpoint(
-            spec=dict(spec), state=trainer.last_checkpoint_state
-        )
-        if trainer.checkpoint_states:
-            new_checkpoints = {
-                boundary: TrainCheckpoint(spec=dict(spec), state=st)
-                for boundary, st in sorted(trainer.checkpoint_states.items())
-            }
-        if plan.path is not None:
-            write_checkpoint(plan.path, new_checkpoint)
     return Measurement(
         gpus=gpus,
         config=config,
@@ -269,7 +235,5 @@ def resume_training(checkpoint: "TrainCheckpoint | str | Path", *,
         link_utilization=fabric.utilization_report(),
         fault_report=fault_report,
         trace=tracer,
-        checkpoint=new_checkpoint,
-        checkpoints=new_checkpoints,
         interrupted=trainer.job_killed,
     )

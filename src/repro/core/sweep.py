@@ -97,9 +97,6 @@ class Measurement:
     #: :class:`~repro.checkpoint.TrainCheckpoint` captured at the last
     #: plan boundary, when measured with ``checkpoint=``.
     checkpoint: object = None
-    #: ``{boundary: TrainCheckpoint}`` for the plan's explicit ``at``
-    #: boundaries — the handles :mod:`repro.runner.prefix` resumes from.
-    checkpoints: dict | None = None
     #: True when the run was killed before completing (``ProcessKill`` /
     #: ``CheckpointPlan.stop_at``) — the stats above are partial.
     interrupted: bool = False
@@ -269,7 +266,6 @@ def measure_training(
             injector, timeline, comm, runtime, trainer
         )
     train_checkpoint = None
-    train_checkpoints = None
     if plan is not None and trainer.last_checkpoint_state is not None:
         from repro.checkpoint import TrainCheckpoint, write_checkpoint
 
@@ -289,11 +285,6 @@ def measure_training(
         train_checkpoint = TrainCheckpoint(
             spec=spec, state=trainer.last_checkpoint_state
         )
-        if trainer.checkpoint_states:
-            train_checkpoints = {
-                boundary: TrainCheckpoint(spec=spec, state=state)
-                for boundary, state in sorted(trainer.checkpoint_states.items())
-            }
         if plan.path is not None:
             write_checkpoint(plan.path, train_checkpoint)
     return Measurement(
@@ -308,7 +299,6 @@ def measure_training(
         fault_report=fault_report,
         trace=tracer,
         checkpoint=train_checkpoint,
-        checkpoints=train_checkpoints,
         interrupted=trainer.job_killed,
     )
 

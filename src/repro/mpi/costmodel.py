@@ -1,14 +1,10 @@
 """Analytic α–β cost model for collectives.
 
 Closed-form predictions of allreduce time under the classic Hockney model
-(per-message latency α, per-byte cost β).  Two uses:
-
-* **Cross-validation** — tests assert the discrete-event results track
-  these formulas on uniform topologies (where the formulas are exact up to
-  protocol overheads), guarding against schedule bugs in the simulated
-  collectives.
-* **Fast what-if sweeps** — the tuner can pre-screen knob settings
-  analytically before running the full simulation.
+(per-message latency α, per-byte cost β), used for **cross-validation**:
+tests assert the discrete-event results track these formulas on uniform
+topologies (where the formulas are exact up to protocol overheads),
+guarding against schedule bugs in the simulated collectives.
 
 Formulas (p ranks, n bytes):
 

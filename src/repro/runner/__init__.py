@@ -23,14 +23,9 @@ simulation.  This package makes the sweep layer exploit that:
 * :class:`~repro.runner.journal.RunJournal` — append-only JSONL event
   log under ``bench_results/`` that makes ``repro run all --resume``
   replay only the experiments a crashed or interrupted sweep left
-  unfinished;
-* :func:`~repro.runner.prefix.prefix_run` /
-  :class:`~repro.runner.prefix.PrefixStore` — prefix memoization for
-  iterations-laddered sweeps: simulate each ladder once, materialize the
-  smaller members by checkpoint resume with the iteration target
-  rewritten.
+  unfinished.
 
-The sweep-shaped experiment drivers (E3–E6, E8, E9, E11, E12, E14), the
+The sweep-shaped experiment drivers (E3–E6, E8–E12, E14, E16), the
 staged tuner and ``repro run --parallel`` all execute through here;
 serial, parallel and warm-cache runs return bit-identical results.
 """
@@ -44,12 +39,6 @@ from repro.runner.cache import (
 )
 from repro.runner.journal import DEFAULT_JOURNAL_PATH, RunJournal
 from repro.runner.pool import Runner, RunnerError, RunnerStats
-from repro.runner.prefix import (
-    PrefixStats,
-    PrefixStore,
-    prefix_run,
-    run_with_prefix_memo,
-)
 from repro.runner.simpoint import OSUPoint, SimPoint, TrainPoint, cache_salt
 
 __all__ = [
@@ -59,8 +48,6 @@ __all__ = [
     "CacheStats",
     "ExecutionBackend",
     "OSUPoint",
-    "PrefixStats",
-    "PrefixStore",
     "ProgressFn",
     "ResultCache",
     "RunJournal",
@@ -70,6 +57,4 @@ __all__ = [
     "SimPoint",
     "TrainPoint",
     "cache_salt",
-    "prefix_run",
-    "run_with_prefix_memo",
 ]

@@ -124,12 +124,6 @@ class DistributedTrainer:
         self.completed_iterations: dict[int, int] = {}
         #: Most recent state dict captured by the checkpoint plan.
         self.last_checkpoint_state: dict | None = None
-        #: States captured at the plan's explicit ``at`` boundaries,
-        #: keyed by boundary — the prefix-memo consumer
-        #: (``repro.runner.prefix``) resumes from any of these.  Cadence
-        #: (``every``) captures are not retained here: a long run would
-        #: otherwise hold one full timeline copy per boundary.
-        self.checkpoint_states: dict[int, dict] = {}
         #: Boundaries at which a checkpoint was successfully captured.
         self.checkpoint_boundaries: list[int] = []
         #: Captures skipped because the boundary was not quiescent.
@@ -362,8 +356,6 @@ class DistributedTrainer:
             # A boundary can be skipped (not quiescent), so the stop
             # request stays armed until a capture actually lands.
             return True
-        if barrier in getattr(plan, "at", ()):
-            return True
         return plan.every > 0 and barrier % plan.every == 0
 
     def _report_barrier(self, rank, iteration, jitter, jitter_gen, clock,
@@ -416,8 +408,6 @@ class DistributedTrainer:
             self._ckpt_count("checkpoint_skips_total")
             return
         self.last_checkpoint_state = self._snapshot_state(barrier, reports)
-        if barrier in getattr(self.checkpoint_plan, "at", ()):
-            self.checkpoint_states[barrier] = self.last_checkpoint_state
         self.checkpoint_boundaries.append(barrier)
         self._ckpt_count("checkpoint_captures_total")
         plan = self.checkpoint_plan

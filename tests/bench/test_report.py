@@ -1,11 +1,14 @@
 """Tests for the EXPERIMENTS.md generator."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import ExperimentResult, save_result
 from repro.bench.report import generate
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_generate_from_saved_results(tmp_path):
@@ -44,3 +47,9 @@ def test_generated_json_parsable_roundtrip(tmp_path):
     res = ExperimentResult("E3", "t", rows=[{"k": 1.5}])
     path = save_result(res, tmp_path)
     assert json.loads(path.read_text())["rows"][0]["k"] == 1.5
+
+
+def test_committed_experiments_md_is_generated():
+    # Regenerate with ``python -m repro.bench.report``.
+    assert generate(ROOT / "bench_results") == (
+        ROOT / "EXPERIMENTS.md").read_text()
