@@ -1,44 +1,23 @@
-"""Shared benchmark plumbing.
+"""Claim checks over the committed full-tier results.
 
-Every benchmark runs its experiment driver exactly once through
-``benchmark.pedantic`` (the drivers are long simulations; statistical
-repetition happens *inside* them via multiple training iterations),
-prints the reproduced table, and persists the rows under
-``bench_results/``.  Run with::
-
-    pytest benchmarks/ --benchmark-only
-
-Add ``-s`` to see the tables inline; they are also saved as JSON.
+Each ``test_e*.py`` asserts a paper claim's *shape* (who wins, by
+roughly what factor) against ``bench_results/<id>.json``, the file
+``python -m repro run <id>`` writes from the registry's full-tier
+kwargs.  Regenerate with ``python -m repro run all --parallel``:
+``git diff -- bench_results`` shows what moved, and these checks judge
+whether the claims still hold.
 """
+
+from pathlib import Path
 
 import pytest
 
-from repro.bench import save_result
-from repro.bench.registry import get
+from repro.bench import load_result
+
+RESULTS = Path(__file__).resolve().parents[1] / "bench_results"
 
 
 @pytest.fixture
-def run_experiment(benchmark):
-    """Run a driver once under pytest-benchmark; print and persist."""
-
-    def _run(driver, **kwargs):
-        result = benchmark.pedantic(
-            driver, kwargs=kwargs, rounds=1, iterations=1
-        )
-        print()
-        print(result.table())
-        save_result(result)
-        return result
-
-    return _run
-
-
-@pytest.fixture
-def run_spec(run_experiment):
-    """Run a registry experiment by id (full-scale kwargs + overrides)."""
-
-    def _run(exp_id, **overrides):
-        spec = get(exp_id)
-        return run_experiment(spec.fn, **{**spec.kwargs(), **overrides})
-
-    return _run
+def result():
+    """Load the committed full-tier result of one experiment id."""
+    return lambda exp_id: load_result(RESULTS / f"{exp_id.lower()}.json")

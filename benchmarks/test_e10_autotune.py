@@ -1,16 +1,8 @@
 """E10 — the staged tuning procedure rediscovers a tuned configuration."""
 
-from repro.bench.experiments import e10_autotune_vs_staged
 
-
-def test_e10_staged_tuning(run_experiment):
-    res = run_experiment(
-        e10_autotune_vs_staged,
-        probe_gpus=24,
-        validate_gpus=132,
-        iterations=3,
-        validate=True,
-    )
+def test_e10_staged_tuning(result):
+    res = result("E10")
     # Stage 1 must pick the GDR library.
     assert "MVAPICH2-GDR" in res.measured["staged_choice"]
     # The runtime autotuner lands on a comparable knob setting with a

@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.bench.experiments import e11_time_to_train
 
-
-def test_e11_time_to_train(run_experiment):
-    res = run_experiment(e11_time_to_train, gpu_counts=(1, 24, 132),
-                         iterations=3)
+def test_e11_time_to_train(result):
+    res = result("E11")
     # Single V100 at 6.7 img/s needs ~20 hours for 480k images.
     assert res.measured["single_gpu_hours"] == pytest.approx(20, rel=0.1)
     # At 132 GPUs the recipe takes well under an hour...

@@ -1,15 +1,8 @@
 """E12 (extension) — strong vs weak scaling of the tuned configuration."""
 
-from repro.bench.experiments import e12_strong_vs_weak_scaling
 
-
-def test_e12_strong_vs_weak(run_experiment):
-    res = run_experiment(
-        e12_strong_vs_weak_scaling,
-        gpu_counts=(24, 48, 96),
-        global_batch=96,
-        iterations=3,
-    )
+def test_e12_strong_vs_weak(result):
+    res = result("E12")
     # Weak scaling stays near-linear (the paper's regime).
     assert float(res.rows[-1]["weak eff"].rstrip("%")) > 95
     # Strong scaling holds up well down to batch 1 per GPU...

@@ -5,14 +5,9 @@ E13 runs the tuned configuration through declarative fault schedules
 E13b is the static single-degraded-rail ablation it grew out of.
 """
 
-from repro.bench.experiments import e13_degraded_rail, e13_fault_injection
 
-
-def test_e13_fault_injection(run_experiment):
-    res = run_experiment(
-        e13_fault_injection,
-        gpus=24, iterations=4, slowdowns=(3.0,), flap_fractions=(0.3,),
-    )
+def test_e13_fault_injection(result):
+    res = result("E13")
     assert res.measured["retained_baseline"] == 1.0
     # A 3x straggler gates the synchronous barrier for its window.
     assert res.measured["retained_straggler_x3"] < 0.95
@@ -28,8 +23,8 @@ def test_e13_fault_injection(run_experiment):
     assert 0.3 < res.measured["retained_straggler_flap_crash"] < 1.0
 
 
-def test_e13b_degraded_rail(run_experiment):
-    res = run_experiment(e13_degraded_rail, gpus=132, iterations=2)
+def test_e13b_degraded_rail(result):
+    res = result("E13b")
     # A 4x and even 20x single-rail slowdown is absorbed by overlap.
     assert res.measured["retained_at_25pct_rail"] > 0.97
     assert res.measured["retained_at_5pct_rail"] > 0.95

@@ -7,14 +7,9 @@ paper's tuning wins show up as a shrinking exposed-comm + fusion-wait
 share rather than just a better headline number.
 """
 
-from repro.bench.experiments import e14_efficiency_attribution
 
-
-def test_e14_efficiency_attribution(run_experiment):
-    res = run_experiment(
-        e14_efficiency_attribution,
-        gpu_counts=(6, 24, 96, 132), iterations=2,
-    )
+def test_e14_efficiency_attribution(result):
+    res = result("E14")
     # The decomposition is exact by construction; 2% is the hard bound.
     assert res.measured["max_bucket_sum_error"] < 0.02
     # Tuning strictly shrinks the tunable overhead share at scale.

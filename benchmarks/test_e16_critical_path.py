@@ -7,14 +7,9 @@ MVAPICH2-GDR tuning is applied, and the per-span decomposition reconciles
 with E14's coarse bucket attribution.
 """
 
-from repro.bench.experiments import e16_critical_path
 
-
-def test_e16_critical_path(run_experiment):
-    res = run_experiment(
-        e16_critical_path,
-        gpu_counts=(6, 24, 96, 132), iterations=2,
-    )
+def test_e16_critical_path(result):
+    res = result("E16")
     # The span walk and the telemetry attribution are two views of the
     # same simulated run; they must agree bucket-for-bucket.
     assert res.measured["max_reconcile_error_s"] < 1e-6

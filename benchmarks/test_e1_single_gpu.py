@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.bench.experiments import e1_single_gpu_throughput
 
-
-def test_e1_single_gpu(run_experiment):
-    res = run_experiment(e1_single_gpu_throughput, iterations=3)
+def test_e1_single_gpu(result):
+    res = result("E1")
     assert res.measured["deeplab_img_per_s"] == pytest.approx(6.7, rel=0.05)
     assert res.measured["resnet50_img_per_s"] == pytest.approx(300.0, rel=0.05)
     # The ~45x per-image cost gap that motivates scaling out.

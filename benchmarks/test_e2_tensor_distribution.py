@@ -1,8 +1,8 @@
 """E2 — DLv3+ gradient tensor size distribution (fusion motivation)."""
 
 
-def test_e2_tensor_distribution(run_spec):
-    res = run_spec("E2")
+def test_e2_tensor_distribution(result):
+    res = result("E2")
     assert res.measured["tensor_count"] == 440
     # Long tail: the median tensor is tiny...
     assert res.measured["median_bytes"] < 16_000

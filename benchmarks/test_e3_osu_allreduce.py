@@ -1,10 +1,8 @@
 """E3 — OSU-style allreduce latency curves: Spectrum MPI vs MVAPICH2-GDR."""
 
-from repro.bench.experiments import e3_osu_allreduce
 
-
-def test_e3_osu_allreduce(run_experiment):
-    res = run_experiment(e3_osu_allreduce, gpus=24, iterations=3)
+def test_e3_osu_allreduce(result):
+    res = result("E3")
     # MVAPICH2-GDR must win at every message size (published OSU shape).
     assert res.measured["gdr_faster_at_all_sizes"] == "yes"
     # Small messages: the GPUDirect latency advantage (>2x at 24 ranks).

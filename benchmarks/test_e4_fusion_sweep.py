@@ -1,16 +1,8 @@
 """E4 — tensor-fusion threshold sweep at 132 GPUs."""
 
-from repro.bench.experiments import e4_fusion_sweep
-from repro.sim.units import MiB
 
-
-def test_e4_fusion_sweep(run_experiment):
-    res = run_experiment(
-        e4_fusion_sweep,
-        gpus=132,
-        iterations=2,
-        thresholds=(1 * MiB, 8 * MiB, 32 * MiB, 64 * MiB, 256 * MiB),
-    )
+def test_e4_fusion_sweep(result):
+    res = result("E4")
     # Exposed-communication regime (Spectrum): small fusion is a
     # first-order throughput penalty (many α-heavy collectives).
     assert res.measured["small_fusion_penalty"] > 1.10

@@ -1,15 +1,8 @@
 """E5 — cycle-time sweep at 132 GPUs."""
 
-from repro.bench.experiments import e5_cycle_sweep
 
-
-def test_e5_cycle_sweep(run_experiment):
-    res = run_experiment(
-        e5_cycle_sweep,
-        gpus=132,
-        iterations=2,
-        cycles_ms=(0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0),
-    )
+def test_e5_cycle_sweep(result):
+    res = result("E5")
     # Large cycles stall the backward tail measurably.
     assert res.measured["large_cycle_penalty"] > 1.05
     assert res.measured["best_cycle_ms_spectrum"] <= 2.5

@@ -6,15 +6,9 @@ Horovod + Spectrum MPI sits ~24 points lower; the tuning is worth ~1.3×
 in end-to-end training throughput.
 """
 
-from repro.bench.experiments import e6_scaling_comparison
 
-
-def test_e6_scaling(run_experiment):
-    res = run_experiment(
-        e6_scaling_comparison,
-        gpu_counts=(1, 6, 12, 24, 48, 96, 132),
-        iterations=3,
-    )
+def test_e6_scaling(result):
+    res = result("E6")
     measured = res.measured
     # Paper: 92% tuned efficiency at 132 GPUs (ours within a few points).
     assert 88 <= measured["tuned_efficiency_at_132"] <= 97

@@ -3,11 +3,9 @@ real npnn data-parallel run that proves the gradient path is exact."""
 
 import pytest
 
-from repro.bench.experiments import e7_miou, e7_npnn_training
 
-
-def test_e7_miou_convergence_model(run_experiment):
-    res = run_experiment(e7_miou)
+def test_e7_miou_convergence_model(result):
+    res = result("E7")
     # Paper: 80.8% mIOU for the distributed run, "on par with published
     # accuracy for this model".
     assert res.measured["distributed_miou"] == pytest.approx(80.8, abs=0.5)
@@ -18,8 +16,8 @@ def test_e7_miou_convergence_model(run_experiment):
     assert res.rows[2]["mIOU %"] < distributed
 
 
-def test_e7b_npnn_real_training(run_experiment):
-    res = run_experiment(e7_npnn_training, steps=120, world=4)
+def test_e7b_npnn_real_training(result):
+    res = result("E7b")
     assert res.measured["replicas_bitwise_in_sync"] == "yes"
     # Real learning on real pixels: from near-chance to strong mIOU.
     assert res.measured["initial_miou"] < 0.2

@@ -1,12 +1,8 @@
 """E8 — per-scale scaling-efficiency table (default vs tuned)."""
 
-from repro.bench.experiments import e8_efficiency_table
 
-
-def test_e8_efficiency_table(run_experiment):
-    res = run_experiment(
-        e8_efficiency_table, gpu_counts=(1, 24, 132), iterations=3
-    )
+def test_e8_efficiency_table(result):
+    res = result("E8")
     assert [row["GPUs"] for row in res.rows] == [1, 24, 132]
     # The tuning gain concentrates at scale.
     gains = [row["gain (points)"] for row in res.rows]

@@ -1,10 +1,8 @@
 """E9 — which tuning step buys what, at 132 GPUs."""
 
-from repro.bench.experiments import e9_ablation
 
-
-def test_e9_ablation(run_experiment):
-    res = run_experiment(e9_ablation, gpus=132, iterations=2)
+def test_e9_ablation(result):
+    res = result("E9")
     by_name = {r["configuration"]: r["img/s"] for r in res.rows}
     # The library swap alone recovers most of the gap...
     assert by_name["default + MVAPICH2-GDR only"] > 1.15 * by_name["default"]

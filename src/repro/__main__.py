@@ -16,9 +16,12 @@ Usage::
     python -m repro worker --url URL      # join a fabric as a worker
     python -m repro fabric status --url URL   # inspect a fabric queue
 
-Results are printed as tables and saved under ``bench_results/``;
-``run --parallel`` executes sweep-shaped experiments through
-:mod:`repro.runner` (process pool + content-addressed result cache).
+Results are printed as tables and saved as ``bench_results/<id>.json``
+(``--quick``: ``bench_results/quick/<id>.json``).  A file is the same
+bytes whichever backend wrote it, so ``git diff -- bench_results`` after
+a run is the result gate.  ``run --parallel`` executes sweep-shaped
+experiments through :mod:`repro.runner` (process pool +
+content-addressed result cache).
 
 Exit codes follow one convention across every subcommand: 0 = ok,
 1 = domain failure (an experiment/job/server-side error), 2 = usage
@@ -40,7 +43,7 @@ from repro.core import (
     paper_tuned_config,
 )
 
-#: Shared exit codes (the convention ``repro bench compare`` set).
+#: Exit codes shared by every subcommand.
 EXIT_OK, EXIT_FAILURE, EXIT_USAGE = 0, 1, 2
 
 
@@ -121,6 +124,7 @@ def cmd_run(ids: list[str], quick: bool, parallel: bool = False,
         return fail(f"unknown experiment ids: {unknown}; "
                     f"try `python -m repro list`", usage=True)
     variant = "quick" if quick else "full"
+    results_dir = "bench_results/quick" if quick else "bench_results"
     journal = RunJournal(journal_path)
     if resume:
         completed = journal.completed(variant)
@@ -157,17 +161,18 @@ def cmd_run(ids: list[str], quick: bool, parallel: bool = False,
                       file=sys.stderr)
                 continue
             elapsed = time.time() - start
+            # ``meta`` is the variant alone so the file is the same bytes
+            # on every backend; runner accounting goes to the journal.
             result.meta = {"variant": variant}
+            run_meta = None
             if runner is not None and spec.parallelizable:
-                delta = runner.stats.delta(before)
-                result.meta["runner"] = dict(runner.meta(), **delta)
+                run_meta = dict(runner.meta(), **runner.stats.delta(before))
             print(result.table())
-            path = save_result(result)
+            path = save_result(result, results_dir)
             journal.append("experiment_done", experiment=exp_id,
                            variant=variant, elapsed_s=round(elapsed, 3),
-                           path=str(path))
+                           path=str(path), runner=run_meta)
             line = f"[{exp_id}: {elapsed:.1f}s, saved {path}]"
-            run_meta = result.meta.get("runner")
             if run_meta:
                 line += (f" [runner: {run_meta['workers']} workers, "
                          f"{run_meta['cache_hits']} hits / "
@@ -791,30 +796,6 @@ def cmd_explain(target: str) -> int:
                 usage=True)
 
 
-def cmd_bench_compare(baselines: list[str], tolerance: float,
-                      artifact: str | None, full: bool = False) -> int:
-    """``repro bench compare``: regression-gate fresh runs vs baselines."""
-    from repro.bench.sentinel import run_sentinel
-
-    try:
-        reports = run_sentinel(baselines, tolerance=tolerance,
-                               quick=not full, artifact=artifact)
-    except (ValueError, OSError) as err:
-        return fail(f"bench compare failed: {err}", usage=True)
-    for report in reports:
-        print(report.summary())
-        for delta in report.regressions:
-            rel = (f" (rel_error {delta.rel_error:.4f})"
-                   if delta.rel_error is not None else "")
-            print(f"  {delta.status:<10} {delta.key}: "
-                  f"baseline={delta.baseline!r} fresh={delta.fresh!r}{rel}")
-    if artifact is not None:
-        print(f"[diff artifact written to {artifact}]")
-    if any(not r.ok for r in reports):
-        return 1
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Parse arguments and dispatch."""
     parser = argparse.ArgumentParser(prog="python -m repro",
@@ -826,7 +807,8 @@ def main(argv: list[str] | None = None) -> int:
     run_p = sub.add_parser("run", help="run experiments by id ('all' = every)")
     run_p.add_argument("ids", nargs="+", metavar="ID")
     run_p.add_argument("--quick", action="store_true",
-                       help="scaled-down, faster variants")
+                       help="scaled-down, faster variants (saved under "
+                            "bench_results/quick/)")
     run_p.add_argument("--parallel", action="store_true",
                        help="fan sweep-shaped experiments across worker "
                             "processes with the result cache")
@@ -1026,20 +1008,6 @@ def main(argv: list[str] | None = None) -> int:
     explain_p.add_argument("target",
                            help="a spans .json file or an experiment id "
                                 "with a saved trace_summary (E16)")
-    bench_p = sub.add_parser("bench", help="benchmark result utilities")
-    bench_sub = bench_p.add_subparsers(dest="bench_command", required=True)
-    bcomp_p = bench_sub.add_parser(
-        "compare",
-        help="regression sentinel: fresh quick runs vs baseline JSONs")
-    bcomp_p.add_argument("baselines", nargs="+", metavar="BASELINE",
-                         help="result JSON files written by save_result")
-    bcomp_p.add_argument("--tolerance", type=float, default=0.05,
-                         help="relative tolerance for numeric measured "
-                              "keys (default 0.05)")
-    bcomp_p.add_argument("--artifact", metavar="PATH", default=None,
-                         help="write the full diff as JSON to PATH")
-    bcomp_p.add_argument("--full", action="store_true",
-                         help="re-run at the full tier instead of quick")
     faults_p = sub.add_parser("faults",
                               help="fault-injection runs (see repro.faults)")
     faults_sub = faults_p.add_subparsers(dest="faults_command", required=True)
@@ -1104,9 +1072,6 @@ def main(argv: list[str] | None = None) -> int:
                              args.model, args.level, args.out)
     if args.command == "explain":
         return cmd_explain(args.target)
-    if args.command == "bench":
-        return cmd_bench_compare(args.baselines, args.tolerance,
-                                 args.artifact, full=args.full)
     return cmd_measure(args.gpus, args.config, args.iterations, args.model,
                        args.json, trace=args.trace)
 

@@ -1,13 +1,15 @@
 """Benchmark harness: one driver per paper table/figure.
 
-Each experiment ``E1``–``E10`` in DESIGN.md has a driver in
+Each experiment ``E1``–``E16`` in DESIGN.md has a driver in
 :mod:`repro.bench.experiments` that runs the simulation, returns an
 :class:`~repro.bench.harness.ExperimentResult` (structured rows +
 paper-vs-measured summary), and can render itself as the table/series the
-paper reports.  The ``benchmarks/`` pytest-benchmark targets are thin
-wrappers that execute a driver, assert the reproduced *shape* (who wins,
-by roughly what factor), print the table, and persist the rows as JSON
-under ``bench_results/``.
+paper reports.  :data:`~repro.bench.registry.REGISTRY` is the only
+definition of each experiment's full and quick tier; ``repro run`` saves
+them as ``bench_results/<id>.json`` and ``bench_results/quick/<id>.json``,
+both committed, so ``git diff`` after a run shows any moved output.  The
+``benchmarks/`` targets are claim checks over the committed full tier:
+they assert the reproduced *shape* (who wins, by roughly what factor).
 """
 
 from repro.bench.harness import (
@@ -20,24 +22,16 @@ from repro.bench.harness import (
 from repro.bench.plots import ascii_chart, chart_result
 from repro.bench import experiments
 from repro.bench.registry import REGISTRY, ExperimentSpec
-from repro.bench.sentinel import (
-    SentinelReport,
-    compare_results,
-    run_sentinel,
-)
 
 __all__ = [
     "REGISTRY",
     "SCHEMA_VERSION",
     "ExperimentResult",
     "ExperimentSpec",
-    "SentinelReport",
     "ascii_chart",
     "chart_result",
-    "compare_results",
     "experiments",
     "format_rows",
     "load_result",
-    "run_sentinel",
     "save_result",
 ]

@@ -2,11 +2,8 @@
 
 Results are **schema-versioned**: :meth:`ExperimentResult.to_json` wraps
 the payload in an envelope carrying ``schema_version`` and the producing
-``package_version``, plus a free-form ``meta`` block (run variant, runner
-cache/worker statistics) stamped by whoever ran the experiment.
-:func:`load_result` is the inverse of :func:`save_result` — it reads both
-current and pre-envelope (schema 0) files, so existing
-``bench_results/*.json`` keep loading.
+``package_version``, plus a ``meta`` block stamped by whoever ran the
+experiment.  :func:`load_result` is the inverse of :func:`save_result`.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ __all__ = [
 ]
 
 #: Version of the on-disk result JSON layout.  History:
-#: 0 — bare payload (no envelope);
+#: 0 — bare payload (no envelope; no longer read);
 #: 1 — envelope with schema/package version + ``meta`` block;
 #: 2 — optional ``trace_summary`` block (critical-path digest).
 SCHEMA_VERSION = 2
@@ -39,9 +36,10 @@ class ExperimentResult:
     ``rows`` is a list of flat dicts sharing the same keys (the table
     columns); ``paper`` maps claim names to the paper's values and
     ``measured`` to ours, so EXPERIMENTS.md can be generated from runs.
-    ``meta`` is producer metadata (run variant, runner workers and cache
-    hit/miss counts) that travels with the result but is *not* part of
-    the measurement payload — determinism comparisons ignore it.
+    ``meta`` is producer metadata that travels with the result but is
+    *not* part of the measurement payload.  ``repro run`` and the
+    service stamp the run variant alone (``{"variant": "quick"}``), so
+    a saved file is the same bytes whichever backend produced it.
     ``trace_summary`` is an optional critical-path digest (see
     :meth:`repro.trace.CriticalPathReport.trace_summary`) attached when
     the experiment ran with span tracing; it *is* part of the payload
@@ -137,18 +135,19 @@ def save_result(result: ExperimentResult, directory: str | Path = "bench_results
 
 
 def load_result(source: str | Path) -> ExperimentResult:
-    """Read a result saved by :func:`save_result` (any known schema).
+    """Read a result saved by :func:`save_result`.
 
     ``source`` is a path to a result JSON file.  Round-trips exactly:
-    ``load_result(save_result(r)) == r``.  Files written before the
-    envelope existed (schema 0) load with an empty ``meta``.
+    ``load_result(save_result(r)) == r``.
     """
     text = Path(source).read_text()
     data = json.loads(text)
     if not isinstance(data, dict) or "experiment" not in data:
         raise ValueError(f"{source}: not an ExperimentResult JSON file")
-    version = data.get("schema_version", 0)
-    if not 0 <= version <= SCHEMA_VERSION:
+    version = data.get("schema_version")
+    if version is None:
+        raise ValueError(f"{source}: no schema_version (a pre-envelope file)")
+    if version > SCHEMA_VERSION:
         raise ValueError(
             f"{source}: schema_version {version} is newer than this "
             f"package understands ({SCHEMA_VERSION})"

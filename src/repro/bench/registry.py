@@ -1,13 +1,14 @@
 """Declarative experiment registry.
 
-One :class:`ExperimentSpec` per reproduced table/figure, replacing the
-ad-hoc ``(description, fn, full_kwargs, quick_kwargs)`` tuples that the
-CLI, the benchmark suite and the examples each used to maintain
-separately.  The spec records the driver function, both argument sets,
-classification tags and — the property the runner exploits — whether the
-driver accepts a ``runner=`` for parallel cached execution.
+One :class:`ExperimentSpec` per reproduced table/figure.  The spec
+records the driver function, both argument sets, classification tags and
+— the property the runner exploits — whether the driver accepts a
+``runner=`` for parallel cached execution.
 
-``REGISTRY`` is the single source of truth.
+``REGISTRY`` is the only definition of both tiers: the committed
+``bench_results/<id>.json`` (full) and ``bench_results/quick/<id>.json``
+files are exactly what ``repro run`` writes from these kwargs, and the
+``benchmarks/`` claim checks read those files.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.bench import experiments as E
 from repro.bench.harness import ExperimentResult
+from repro.sim.units import MiB
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runner import Runner
@@ -89,7 +91,9 @@ _SPECS = (
     ExperimentSpec(
         "E4", "fusion-threshold sweep",
         E.e4_fusion_sweep,
-        full_kwargs={"gpus": 132, "iterations": 2},
+        full_kwargs={"gpus": 132, "iterations": 2,
+                     "thresholds": (1 * MiB, 8 * MiB, 32 * MiB, 64 * MiB,
+                                    256 * MiB)},
         quick_kwargs={"gpus": 24, "iterations": 2},
         tags=("paper", "tuning"),
         parallelizable=True,
@@ -124,6 +128,7 @@ _SPECS = (
     ExperimentSpec(
         "E8", "per-scale efficiency table",
         E.e8_efficiency_table,
+        full_kwargs={"gpu_counts": (1, 24, 132), "iterations": 3},
         quick_kwargs={"gpu_counts": (1, 6, 24), "iterations": 2},
         tags=("paper", "scaling"),
         parallelizable=True,
@@ -154,6 +159,7 @@ _SPECS = (
     ExperimentSpec(
         "E12", "strong vs weak scaling (extension)",
         E.e12_strong_vs_weak_scaling,
+        full_kwargs={"gpu_counts": (24, 48, 96)},
         quick_kwargs={"gpu_counts": (6, 12, 24), "global_batch": 48,
                       "iterations": 2},
         tags=("extension", "scaling"),
@@ -162,6 +168,8 @@ _SPECS = (
     ExperimentSpec(
         "E13", "fault injection & resilience sweep (extension)",
         E.e13_fault_injection,
+        full_kwargs={"gpus": 24, "iterations": 4,
+                     "slowdowns": (3.0,), "flap_fractions": (0.3,)},
         quick_kwargs={"gpus": 12, "iterations": 4,
                       "slowdowns": (3.0,), "flap_fractions": (0.3,)},
         tags=("extension", "faults"),
@@ -169,6 +177,7 @@ _SPECS = (
     ExperimentSpec(
         "E13b", "fault injection: degraded rail (extension)",
         E.e13_degraded_rail,
+        full_kwargs={"gpus": 132, "iterations": 2},
         quick_kwargs={"gpus": 48, "iterations": 2, "factors": (1.0, 0.05)},
         tags=("extension", "faults"),
     ),

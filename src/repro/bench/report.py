@@ -1,9 +1,10 @@
 """Generate EXPERIMENTS.md from persisted benchmark results.
 
-``python -m repro.bench.report`` reads every ``bench_results/*.json``
-written by the benchmark targets and renders the paper-vs-measured record
-the repository ships as ``EXPERIMENTS.md`` — so the document is always a
-function of an actual run, never hand-edited numbers.
+``python -m repro.bench.report`` reads every full-tier
+``bench_results/e*.json`` written by ``python -m repro run`` and renders
+the paper-vs-measured record the repository ships as ``EXPERIMENTS.md`` —
+so the document is always a function of an actual run, never
+hand-edited numbers.
 """
 
 from __future__ import annotations
@@ -96,26 +97,26 @@ COMMENTARY = {
 HEADER = """\
 # EXPERIMENTS — paper vs. measured
 
-Generated by ``python -m repro.bench.report`` from ``bench_results/*.json``
-(written by ``pytest benchmarks/ --benchmark-only``).  Do not edit by
-hand; re-run the benchmarks and regenerate:
+Generated by ``python -m repro.bench.report`` from the full-tier
+``bench_results/*.json`` (written by ``python -m repro run``).  Do not
+edit by hand; re-run the experiments and regenerate:
 
 ```bash
-pytest benchmarks/ --benchmark-only   # ~20 minutes, fully deterministic
+python -m repro run all --parallel    # ~12 minutes on 2 cores, deterministic
 python -m repro.bench.report          # rewrites this file
 ```
 
 Result JSONs are schema-versioned (`schema_version` + producing
-`package_version`, see `repro.bench.harness`) and are produced through
-the parallel cached runner (`repro.runner`); serial, parallel and
-warm-cache runs of an experiment yield bit-identical payloads.
+`package_version`, see `repro.bench.harness`). Serial, parallel, fabric,
+warm-cache and resumed runs of an experiment write the same bytes, so
+`git diff -- bench_results` after a re-run shows any output that moved.
 
 Every E-series experiment can also be run through the simulation
 service instead of the CLI: `python -m repro serve`, then
 `python -m repro submit E6 --variant quick --wait` (or `POST /v1/jobs`
 with `{"experiment": "E6", "variant": "quick"}`). The envelope fetched
-from `GET /v1/jobs/{id}/result` is byte-identical to the
-`bench_results/*.json` a serial `repro run` writes, and identical
+from `GET /v1/jobs/{id}/result` is byte-identical to the file
+`repro run` writes for the same experiment and variant, and identical
 resubmissions resolve from the shared result cache without
 re-simulating — see README "Running as a service" and DESIGN.md §11.
 

@@ -401,7 +401,7 @@ class Runner:
 
     # -- reporting ---------------------------------------------------------
     def meta(self) -> dict:
-        """Runner metadata for :class:`~repro.bench.harness.ExperimentResult`."""
+        """Runner accounting for the run journal and the service job record."""
         out = {"workers": self.workers, **self.stats.as_dict()}
         if self.quarantined:
             out["quarantined_points"] = [dict(q) for q in self.quarantined]

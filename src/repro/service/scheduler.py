@@ -7,9 +7,10 @@ and execute them through the existing execution substrate:
   inline :class:`~repro.runner.Runner` wired to the service's shared
   :class:`~repro.runner.ResultCache`, then save the schema-versioned
   result envelope exactly as ``repro run`` does — ``meta`` carries only
-  the variant, so a job's envelope is byte-identical to a serial CLI
-  run of the same spec (runner accounting travels on the *job*, not in
-  the envelope);
+  the variant, so a job's envelope is byte-identical to the file
+  ``repro run`` writes for the same spec on any backend (runner
+  accounting travels on the *job*, as it travels on the run journal's
+  ``experiment_done`` record);
 * **points jobs** resolve their batch through the runner with
   ``failure_policy="quarantine"`` — a poison point quarantines the job
   instead of wedging a worker — and persist a deterministic summary
@@ -304,14 +305,8 @@ class Scheduler:
     def _run_batch(self, job: Job) -> tuple[Path, dict]:
         points = build_points(job.spec)
         runner = self._runner(job, policy="quarantine")
-
-        def beat(done, total, point, cached) -> None:
-            self.queue.heartbeat(job.id, lease_s=self.lease_s)
-            self.queue.set_progress(job.id, done, total,
-                                    point=point.describe(), cached=cached)
-
         values = runner.run(points, timeout_s=self.timeout_s,
-                            retries=self.point_retries, progress=beat)
+                            retries=self.point_retries)
         # A quarantined point resolves to None (the runner's documented
         # sentinel).  Detecting poison from this batch's own values —
         # rather than slicing the shared runner.quarantined list — stays

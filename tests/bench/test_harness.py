@@ -75,7 +75,7 @@ def test_load_result_roundtrip(tmp_path):
     assert load_result(save_result(res, tmp_path)) == res
 
 
-def test_load_result_reads_schema_0_files(tmp_path):
+def test_load_result_rejects_files_without_envelope(tmp_path):
     from repro.bench.harness import load_result
 
     legacy = tmp_path / "e9.json"
@@ -83,10 +83,8 @@ def test_load_result_reads_schema_0_files(tmp_path):
         "experiment": "E9", "title": "old", "rows": [{"a": 1}],
         "paper": {}, "measured": {"k": 2}, "notes": "",
     }))
-    res = load_result(legacy)
-    assert res.experiment == "E9"
-    assert res.rows == [{"a": 1}]
-    assert res.meta == {}
+    with pytest.raises(ValueError, match="schema_version"):
+        load_result(legacy)
 
 
 def test_load_result_rejects_newer_schema(tmp_path):

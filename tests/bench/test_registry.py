@@ -75,3 +75,26 @@ def test_experiment_spec_defaults():
     spec = ExperimentSpec("EX", "demo", lambda: None)
     assert spec.kwargs() == {}
     assert not spec.parallelizable
+
+
+def test_committed_results_are_the_registrys():
+    # Both tiers of every experiment are committed with a current
+    # envelope, and nothing else is: `repro run` rewrites these exact
+    # files, so `git diff -- bench_results` is the result gate.
+    import json
+    from pathlib import Path
+
+    from repro.bench.harness import SCHEMA_VERSION
+
+    results = Path(__file__).resolve().parents[2] / "bench_results"
+    for variant, directory in (("full", results),
+                               ("quick", results / "quick")):
+        for exp_id in REGISTRY:
+            path = directory / f"{exp_id.lower()}.json"
+            assert path.exists(), path
+            doc = json.loads(path.read_text())
+            assert doc["schema_version"] == SCHEMA_VERSION, path
+            assert doc["experiment"] == exp_id, path
+            assert doc["meta"] == {"variant": variant}, path
+        committed = {p.stem for p in directory.glob("e*.json")}
+        assert committed == {i.lower() for i in REGISTRY}, directory

@@ -25,7 +25,8 @@ def test_run_quick_e2(tmp_path, monkeypatch, capsys):
     assert main(["run", "E2", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "E2" in out and "tensor" in out.lower()
-    saved = json.loads((tmp_path / "bench_results" / "e2.json").read_text())
+    saved = json.loads(
+        (tmp_path / "bench_results" / "quick" / "e2.json").read_text())
     assert saved["experiment"] == "E2"
 
 
@@ -97,7 +98,8 @@ def test_telemetry_command_prints_and_exports(tmp_path, capsys):
 def test_run_quick_e14(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["run", "E14", "--quick"]) == 0
-    saved = json.loads((tmp_path / "bench_results" / "e14.json").read_text())
+    saved = json.loads(
+        (tmp_path / "bench_results" / "quick" / "e14.json").read_text())
     assert saved["experiment"] == "E14"
     assert saved["measured"]["max_bucket_sum_error"] < 0.02
     # Tuned strictly beats default on tunable overhead at >= 24 GPUs.
@@ -113,29 +115,40 @@ def test_list_marks_parallelizable(capsys):
 
 
 def test_run_parallel_cold_then_warm(tmp_path, monkeypatch, capsys):
+    from repro.runner import RunJournal
+
     monkeypatch.chdir(tmp_path)
+    saved = tmp_path / "bench_results" / "quick" / "e4.json"
+
+    def runner_stats():
+        done = [e for e in RunJournal().events()
+                if e["event"] == "experiment_done"]
+        return done[-1]["runner"]
+
     assert main(["run", "E4", "--quick", "--parallel", "--workers", "2"]) == 0
     cold = capsys.readouterr().out
     assert "0 hits" in cold
-    cold_payload = json.loads(
-        (tmp_path / "bench_results" / "e4.json").read_text())
-    assert cold_payload["meta"]["runner"]["cache_misses"] > 0
+    cold_bytes = saved.read_bytes()
+    assert runner_stats()["cache_misses"] > 0
 
     assert main(["run", "E4", "--quick", "--parallel", "--workers", "2"]) == 0
     warm = capsys.readouterr().out
     assert "0 misses" in warm
-    warm_payload = json.loads(
-        (tmp_path / "bench_results" / "e4.json").read_text())
-    assert warm_payload["meta"]["runner"]["executed"] == 0
-    # The measurement payload is bit-identical; only meta differs.
-    for key in ("rows", "paper", "measured", "notes", "title"):
-        assert warm_payload[key] == cold_payload[key]
+    assert runner_stats()["executed"] == 0
+    assert saved.read_bytes() == cold_bytes
+
+    # The file is the same bytes however it ran: runner accounting lives
+    # in the journal, not in the result.
+    assert main(["run", "E4", "--quick", "--no-cache"]) == 0
+    assert saved.read_bytes() == cold_bytes
+    assert runner_stats() is None
 
 
 def test_run_stamps_variant_meta(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["run", "E2", "--quick"]) == 0
-    saved = json.loads((tmp_path / "bench_results" / "e2.json").read_text())
+    saved = json.loads(
+        (tmp_path / "bench_results" / "quick" / "e2.json").read_text())
     assert saved["meta"]["variant"] == "quick"
     assert "runner" not in saved["meta"]  # serial run: no runner stats
 
@@ -180,7 +193,7 @@ class FakeSpec:
 
 
 def _fake_registry(cli, monkeypatch, ran, fail=(), interrupt=()):
-    monkeypatch.setattr(cli, "save_result", lambda r: "unsaved")
+    monkeypatch.setattr(cli, "save_result", lambda r, directory: "unsaved")
     fake = {
         exp_id: FakeSpec(exp_id, ran, fail=exp_id in fail,
                          interrupt=exp_id in interrupt)
@@ -364,31 +377,6 @@ def test_explain_unknown_target_fails(capsys):
     assert "unknown target" in capsys.readouterr().err
 
 
-def test_bench_compare_exit_codes(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert main(["run", "E2", "--quick"]) == 0
-    capsys.readouterr()
-    baseline = tmp_path / "bench_results" / "e2.json"
-
-    # Fresh rerun of the same quick tier matches its own baseline.
-    assert main(["bench", "compare", str(baseline)]) == 0
-    assert "E2: OK" in capsys.readouterr().out
-
-    # Injected regression: doubled tensor_count trips the sentinel.
-    doc = json.loads(baseline.read_text())
-    doc["measured"]["tensor_count"] *= 2
-    baseline.write_text(json.dumps(doc))
-    artifact = tmp_path / "diff.json"
-    assert main(["bench", "compare", str(baseline),
-                 "--artifact", str(artifact)]) == 1
-    out = capsys.readouterr().out
-    assert "REGRESSION" in out and "tensor_count" in out
-    assert json.loads(artifact.read_text())["ok"] is False
-
-    # Unreadable baseline is a usage error, not a regression.
-    assert main(["bench", "compare", str(tmp_path / "nope.json")]) == 2
-
-
 def test_run_trace_dir_status_line(tmp_path, monkeypatch, capsys):
     from repro import __main__ as cli
 
@@ -406,5 +394,6 @@ def test_run_e16_trace_dir_captures_files(tmp_path, monkeypatch, capsys):
     assert "[E16 trace capture: 4 trace file(s) -> traces]" in out
     files = list((tmp_path / "traces").glob("*.trace.json"))
     assert len(files) == 4
-    saved = json.loads((tmp_path / "bench_results" / "e16.json").read_text())
+    saved = json.loads(
+        (tmp_path / "bench_results" / "quick" / "e16.json").read_text())
     assert saved["trace_summary"]["critical_path_ms"] > 0
