@@ -31,7 +31,7 @@ class ChaosTransport(Transport):
     transport (the request vanished); ``delay`` sleeps then forwards;
     ``error`` short-circuits with a synthesized 5xx error envelope —
     the same shape a degraded server emits, so client-side handling
-    (circuit breakers, Retry-After) sees the real thing.
+    sees the real thing.
 
     ``sleep`` is injectable so tests assert delay faults without
     actually waiting.
@@ -39,8 +39,7 @@ class ChaosTransport(Transport):
 
     def __init__(self, inner: Transport, schedule: ChaosSchedule,
                  sleep=time.sleep) -> None:
-        super().__init__(token=inner.token,
-                         breaker=getattr(inner, "breaker", None))
+        super().__init__(token=inner.token)
         self.inner = inner
         self.schedule = schedule
         self.sleep = sleep

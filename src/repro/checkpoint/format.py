@@ -20,12 +20,13 @@ only load checkpoints you (or your own runs) wrote.
 
 from __future__ import annotations
 
-import os
 import pickle
 import struct
 import zlib
 from pathlib import Path
 from typing import Any
+
+from repro.runner.fsio import atomic_write
 
 __all__ = [
     "CheckpointError",
@@ -85,16 +86,7 @@ def loads_checkpoint(blob: bytes) -> Any:
 
 def write_checkpoint(path: str | Path, obj: Any) -> Path:
     """Atomically write ``obj`` as a checkpoint file at ``path``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    blob = dumps_checkpoint(obj)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as f:
-        f.write(blob)
-        f.flush()
-        os.fsync(f.fileno())
-    tmp.replace(path)
-    return path
+    return atomic_write(path, dumps_checkpoint(obj))
 
 
 def read_checkpoint(path: str | Path) -> Any:

@@ -8,7 +8,7 @@ procedure against the simulated system, measuring each candidate with
 :func:`~repro.core.sweep.measure_training` at a probe scale.
 
 Candidates are compared primarily on throughput and secondarily on
-serialized allreduce seconds — the tie-breaker matters because at probe
+serialized allreduce seconds — the tiebreak matters because at probe
 scales where communication still hides under backward, throughput alone
 is flat while the exposed-communication risk (what bites at 132 GPUs)
 differs.

@@ -11,17 +11,16 @@ hosts the primitives the rest of the codebase shares:
   (consumed by :mod:`repro.service.queue` too);
 * :mod:`repro.fabric.transport` — the single HTTP client/server layer
   and the typed :class:`ServiceError` hierarchy;
-* :mod:`repro.fabric.breaker` / :mod:`repro.fabric.health` — the shared
-  circuit breaker and the healthy/degraded/draining state machine;
+* :mod:`repro.fabric.health` — the healthy/degraded/draining state
+  machine;
 * :mod:`repro.fabric.queue` — the journaled point queue;
 * :mod:`repro.fabric.worker` — the pull-loop worker (``repro worker``);
 * :mod:`repro.fabric.runner` — coordinator + :class:`FabricRunner`,
   the :class:`~repro.runner.pool.Runner` whose misses run on the fleet.
 """
 
-from repro.fabric.breaker import CircuitBreaker, CircuitOpenError
 from repro.fabric.health import Health
-from repro.fabric.lease import LeaseManager, atomic_write
+from repro.fabric.lease import LeaseManager
 from repro.fabric.queue import ItemState, PointQueue, PointQueueError, WorkItem
 from repro.fabric.runner import FabricApp, FabricCoordinator, FabricRunner
 from repro.fabric.transport import (
@@ -41,8 +40,6 @@ from repro.fabric.worker import (
 
 __all__ = [
     "ApiError",
-    "CircuitBreaker",
-    "CircuitOpenError",
     "FabricApp",
     "FabricClient",
     "FabricCoordinator",
@@ -60,6 +57,5 @@ __all__ = [
     "Transport",
     "TransportError",
     "WorkItem",
-    "atomic_write",
     "worker_id",
 ]

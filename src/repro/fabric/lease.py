@@ -23,12 +23,9 @@ them share:
 * **Recovery counting** — an entry found mid-lease by a crash recovery
   pass more than ``max_recoveries`` times is poison (it keeps taking
   its executor down) and should be quarantined rather than requeued.
-* **Atomic result writes** — :func:`atomic_write` is the
-  result-before-journal half of the exactly-once contract: the result
-  file is durably renamed into place *before* the completion event is
-  journaled, so a crash between the two replays the work onto the same
-  path and the directory holds exactly one result no matter how many
-  attempts ran.
+
+The result-before-journal half of the exactly-once contract is
+:func:`repro.runner.fsio.atomic_write`.
 
 Entries are duck-typed: anything with ``state``, ``worker``,
 ``lease_until``, ``attempts`` and ``recoveries`` attributes (the service
@@ -37,12 +34,10 @@ Entries are duck-typed: anything with ``state``, ``worker``,
 
 from __future__ import annotations
 
-import os
 import time
-from pathlib import Path
 from typing import Callable, Iterable, Protocol, runtime_checkable
 
-__all__ = ["LeaseManager", "Leasable", "atomic_write"]
+__all__ = ["LeaseManager", "Leasable"]
 
 
 @runtime_checkable
@@ -168,22 +163,3 @@ class LeaseManager:
         """Whether one more recovery would exceed ``max_recoveries``."""
         return entry.recoveries + 1 > self.max_recoveries
 
-
-def atomic_write(path: str | Path, data: bytes | str) -> Path:
-    """Durably write ``data`` to ``path``: temp file + fsync + rename.
-
-    The writer half of the exactly-once contract: call this *before*
-    journaling the completion event.  Replaying a crashed attempt
-    rewrites the same path, so the directory holds exactly one entry
-    per unit of work no matter how many attempts ran.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    blob = data.encode("utf-8") if isinstance(data, str) else data
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(blob)
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
-    return path

@@ -22,8 +22,15 @@ content key — and the item reaches DONE exactly once.
 Item states::
 
     PENDING -> LEASED -> DONE
-                      -> PENDING   (worker failed/vanished; retry)
-                      -> FAILED    (attempts exhausted: poison point)
+                      -> PENDING   (worker failed: retry; or vanished:
+                                    recovery)
+                      -> FAILED    (retries or recoveries exhausted:
+                                    poison point)
+
+Two budgets, as on the local pool: a failure a worker *reports* (the
+point raised, or overran its ``timeout_s``) charges ``retries``; a
+lease that lapses because its worker died charges ``max_recoveries``
+only.
 """
 
 from __future__ import annotations
@@ -348,9 +355,10 @@ class PointQueue:
             return status
 
     def fail(self, worker: str, item_id: str, error: str) -> str:
-        """A worker reports a terminal point failure; returns the new
-        state (``PENDING`` for a retry, ``FAILED`` once attempts are
-        exhausted).
+        """A worker reports a point failure; returns the new state
+        (``PENDING`` for a retry, ``FAILED`` once the charged attempts
+        — lease grants minus dead-worker recoveries — exceed the
+        retry budget).
 
         Mirrors :meth:`complete`'s staleness classification: a report
         from a worker that no longer holds the lease (it lapsed and was
@@ -369,7 +377,7 @@ class PointQueue:
             if self._m_failures is not None:
                 self._m_failures.inc()
             budget = item.retries if item.retries is not None else self.retries
-            if item.attempts > budget:
+            if item.attempts - item.recoveries > budget:
                 item.state = ItemState.FAILED
                 item.error = str(error)
                 self.leases.release(item)

@@ -15,8 +15,9 @@ Three layers, mirroring the service's app/composition split:
   cache misses run on N remote pull-workers instead of inline or in a
   process pool.  Everything else (``run``, dedup, cache, failure
   policy, ``stats``, ``meta``, ``quarantined``, ``trace_dir``) is the
-  Runner's own batch front-end, so ``repro run --backend fabric`` and
-  the service scheduler target it transparently.
+  Runner's own batch front-end, so ``repro run --backend fabric``
+  targets it transparently, and the service scheduler runs each job's
+  misses on its ``_drive``.
 
 Protocol routes (all JSON)::
 
@@ -305,13 +306,16 @@ class FabricRunner(Runner):
         merely expected (``spawn=None``: the caller starts workers by
         hand, e.g. ``repro worker`` on other hosts).
     cache / registry / progress / retries / timeout_s / failure_policy / trace_dir:
-        Exactly the local :class:`~repro.runner.pool.Runner` meanings —
-        ``retries`` is enforced by the *coordinator* (a failed point is
-        re-leased up to that many times; workers do not retry), and
-        ``timeout_s`` by each worker's heartbeat deadline (a point
-        running past it loses its lease and is reassigned; the stuck
-        worker process stays busy, which is the honest remote analogue
-        of the pool watchdog's kill).
+        Exactly the local :class:`~repro.runner.pool.Runner` meanings.
+        ``retries`` is enforced by the *coordinator*: a point whose
+        worker reports a failure is re-leased up to that many times
+        (workers do not retry), while a dead worker's lapsed lease
+        charges ``max_recoveries`` instead, as the pool replays crash
+        victims uncharged.  ``timeout_s`` is each worker's heartbeat
+        deadline: a point running past it is reported failed with a
+        ``TimeoutError`` and charged like any failure.  Its worker
+        stays busy until the point returns, the honest remote analogue
+        of the pool watchdog's kill.
     state_dir:
         Where the fabric lease journal lives
         (default ``bench_results/fabric``).

@@ -20,13 +20,10 @@ dialect — JSON bodies, bearer tokens, one ``{"error": {"code",
 The transfer primitive is :meth:`Transport.exchange`, returning
 ``(status, response headers, body bytes)`` — headers carry
 ``Retry-After`` from overloaded/degraded servers through to
-:attr:`ApiError.retry_after`.  :meth:`Transport.request` is the
-headerless legacy surface, derived from it.  A transport may carry a
-:class:`~repro.fabric.breaker.CircuitBreaker`: the decoded request
-paths (:meth:`~Transport.json` / :meth:`~Transport.bytes`) gate on it
-and feed it outcomes (transport failures and 5xx responses count as
-failures; everything else — 4xx included, the server is alive — counts
-as success).
+:attr:`ApiError.retry_after`; :meth:`~Transport.json` and
+:meth:`~Transport.bytes` decode it.  :class:`HttpTransport`'s
+idempotent retry is the one request-level retry layer: a caller that
+wants to wait out a sick server honors ``retry_after`` itself.
 
 Error hierarchy (single and typed, replacing ad-hoc ``RuntimeError``
 and bare ``URLError`` leakage)::
@@ -35,10 +32,8 @@ and bare ``URLError`` leakage)::
     ├── ApiError              the server answered with a non-2xx
     │                         envelope (carries status/code/message
     │                         and an optional retry_after hint)
-    ├── TransportError        the request never produced a response
-    │                         (connection refused, timeout, DNS...)
-    └── CircuitOpenError      (repro.fabric.breaker) rejected locally
-                              by an open circuit breaker
+    └── TransportError        the request never produced a response
+                              (connection refused, timeout, DNS...)
 
 Catching :class:`ServiceError` therefore covers everything a remote
 call can throw.
@@ -127,17 +122,10 @@ def _parse_retry_after(value) -> float | None:
 
 
 class Transport:
-    """Request plumbing shared by every client; subclasses move bytes.
+    """Request plumbing shared by every client; subclasses move bytes."""
 
-    ``breaker`` (optional) is a
-    :class:`~repro.fabric.breaker.CircuitBreaker` consulted by the
-    decoded request paths; it is plain duck-typed state here so the
-    breaker module can import this one without a cycle.
-    """
-
-    def __init__(self, token: str | None = None, breaker=None) -> None:
+    def __init__(self, token: str | None = None) -> None:
         self.token = token
-        self.breaker = breaker
 
     def headers(self) -> dict:
         """Standard request headers (JSON + optional bearer token).
@@ -167,41 +155,13 @@ class Transport:
         """
         raise NotImplementedError
 
-    def request(self, method: str, path: str,
-                payload: dict | None = None, *,
-                idempotent: bool | None = None) -> tuple[int, bytes]:
-        """Headerless legacy surface over :meth:`exchange`."""
-        status, _headers, data = self.exchange(method, path, payload,
-                                               idempotent=idempotent)
-        return status, data
-
-    def _guarded(self, method: str, path: str, payload,
-                 idempotent) -> tuple[int, dict, bytes]:
-        """:meth:`exchange` gated by and feeding the circuit breaker."""
-        breaker = self.breaker
-        if breaker is not None:
-            breaker.allow()  # raises CircuitOpenError when open
-        try:
-            status, headers, data = self.exchange(method, path, payload,
-                                                  idempotent=idempotent)
-        except TransportError:
-            if breaker is not None:
-                breaker.record_failure()
-            raise
-        if breaker is not None:
-            if status >= 500:
-                breaker.record_failure()
-            else:
-                breaker.record_success()
-        return status, headers, data
-
     # -- decoded conveniences ----------------------------------------------
     def json(self, method: str, path: str,
              payload: dict | None = None, *,
              idempotent: bool | None = None) -> dict:
         """Request + JSON decode; non-2xx raises :class:`ApiError`."""
-        status, headers, data = self._guarded(method, path, payload,
-                                              idempotent)
+        status, headers, data = self.exchange(method, path, payload,
+                                              idempotent=idempotent)
         try:
             doc = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
@@ -215,8 +175,8 @@ class Transport:
               idempotent: bool | None = None) -> bytes:
         """Request returning the raw body; non-2xx raises
         :class:`ApiError` (envelope decoded when present)."""
-        status, headers, data = self._guarded(method, path, payload,
-                                              idempotent)
+        status, headers, data = self.exchange(method, path, payload,
+                                              idempotent=idempotent)
         if status >= 400:
             try:
                 doc = json.loads(data.decode("utf-8"))
@@ -269,8 +229,8 @@ class HttpTransport(Transport):
     def __init__(self, url: str, token: str | None = None,
                  timeout_s: float = 30.0, retries: int = 2,
                  backoff_s: float = 0.1, max_backoff_s: float = 2.0,
-                 jitter_seed: int | None = None, breaker=None) -> None:
-        super().__init__(token=token, breaker=breaker)
+                 jitter_seed: int | None = None) -> None:
+        super().__init__(token=token)
         self.url = url.rstrip("/")
         self.timeout_s = float(timeout_s)
         self.retries = int(retries)
@@ -323,8 +283,8 @@ class HttpTransport(Transport):
 class InProcessTransport(Transport):
     """Direct dispatch into a pure app — no sockets, same semantics."""
 
-    def __init__(self, app, token: str | None = None, breaker=None) -> None:
-        super().__init__(token=token, breaker=breaker)
+    def __init__(self, app, token: str | None = None) -> None:
+        super().__init__(token=token)
         self.app = app
 
     def exchange(self, method: str, path: str,

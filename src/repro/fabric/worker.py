@@ -10,11 +10,11 @@ that can reach the coordinator's HTTP endpoint).  Its loop:
    worker does not retry, so the coordinator's per-item retry budget
    is the only retry layer a fabric point has;
 3. **heartbeat** — a background thread refreshes the lease while the
-   point runs.  With ``timeout_s`` set it deliberately *stops*
-   refreshing past the deadline: inline execution cannot be interrupted,
-   so "this worker's point timed out" is expressed by letting the lease
-   lapse and the coordinator reassign the item — the fabric analogue of
-   the pool watchdog killing a worker process;
+   point runs.  With ``timeout_s`` set it wakes at the deadline and
+   reports ``TimeoutError`` through ``/v1/fabric/fail``: a charged
+   failure, exactly as the pool watchdog charges one.  Inline execution
+   cannot be interrupted, so the point runs on; should it finish, its
+   result still ships as a late completion;
 4. **report** — success ships the pickled result back
    (``/v1/fabric/complete``); a failure reports the point and its real
    exception (``/v1/fabric/fail``) and lets the coordinator's retry
@@ -49,7 +49,6 @@ import socket
 import threading
 import time
 
-from repro.fabric.breaker import CircuitOpenError
 from repro.fabric.transport import (
     ApiError,
     ServiceError,
@@ -123,12 +122,8 @@ class FabricClient:
     transport's connection-level retry with ``idempotent=True``.
     """
 
-    def __init__(self, transport: Transport, breaker=None) -> None:
+    def __init__(self, transport: Transport) -> None:
         self.transport = transport
-        if breaker is not None:
-            # Share one circuit breaker across every call this client
-            # makes — the transport consults it in ``_guarded``.
-            self.transport.breaker = breaker
 
     @property
     def payload_key(self) -> str | None:
@@ -176,16 +171,18 @@ class FabricClient:
 class _Heartbeat:
     """Background lease refresher for one in-flight item.
 
-    Refreshes every ``lease_s / 3``.  Past ``deadline`` (the worker's
-    ``timeout_s`` budget) it stops refreshing on purpose, so the lease
-    lapses and the coordinator reassigns the point.
+    Refreshes every ``lease_s / 3``.  At ``deadline`` seconds (the
+    point's ``timeout_s``) it stops refreshing and reports the overrun
+    as the point's failure, charged against its retry budget.
     """
 
     def __init__(self, client: FabricClient, worker: str, item_id: str,
-                 lease_s: float, deadline: float | None) -> None:
+                 describe: str, lease_s: float,
+                 deadline: float | None) -> None:
         self.client = client
         self.worker = worker
         self.item_id = item_id
+        self.describe = describe
         self.interval = max(0.05, lease_s / 3.0)
         self.deadline = deadline
         self.lost = threading.Event()
@@ -203,19 +200,31 @@ class _Heartbeat:
         self._thread.join(timeout=5.0)
 
     def _loop(self) -> None:
-        start = time.monotonic()
-        while not self._stop.wait(self.interval):
-            if self.deadline is not None \
-                    and time.monotonic() - start > self.deadline:
-                return  # let the lease lapse: this point timed out
+        due = (time.monotonic() + self.deadline
+               if self.deadline is not None else None)
+        while True:
+            wait = self.interval
+            if due is not None:
+                wait = min(wait, max(0.0, due - time.monotonic()))
+            if self._stop.wait(wait):
+                return
+            if due is not None and time.monotonic() >= due:
+                self.lost.set()
+                error = TimeoutError(
+                    f"point exceeded timeout_s={self.deadline:g}")
+                try:
+                    self.client.fail(self.worker, self.item_id,
+                                     f"{self.describe}: {error!r}")
+                except ServiceError:
+                    pass  # unreported, the lease lapses into recovery
+                return
             try:
                 if not self.client.heartbeat(self.worker, self.item_id):
                     self.lost.set()
                     return
             except ServiceError:
-                # Transient coordinator unreachability (or an open
-                # circuit): keep trying; the lease survives as long as
-                # one refresh lands in time.
+                # Transient coordinator unreachability: keep trying; the
+                # lease survives as long as one refresh lands in time.
                 continue
 
 
@@ -286,12 +295,6 @@ class FabricWorker:
         while not self._stop.is_set():
             try:
                 doc = self.client.lease(self.worker, lease_s=self.lease_s)
-            except CircuitOpenError as err:
-                # The breaker is shedding calls locally: the coordinator
-                # was failing moments ago but may recover — wait out the
-                # open window instead of treating it as a drain.
-                self._stop.wait(min(err.retry_after or 1.0, 5.0))
-                continue
             except (TransportError, ApiError):
                 lease_errors += 1
                 if lease_errors >= self.lease_error_limit:
@@ -337,7 +340,8 @@ class FabricWorker:
             obs_emit("point_execute_start", item=item_id,
                      attempts=item.get("attempts"))
             with _Heartbeat(self.client, self.worker, item_id,
-                            self.lease_s, timeout_s) as beat:
+                            point.describe(), self.lease_s,
+                            timeout_s) as beat:
                 try:
                     value = point.execute()
                 except Exception as exc:

@@ -1,11 +1,11 @@
 """The unified execution-backend protocol.
 
-Three things execute batches of simulation points — the local
-:class:`~repro.runner.pool.Runner`, the service scheduler's per-job
-view of a shared backend, and the distributed
+Two things execute batches of simulation points — the local
+:class:`~repro.runner.pool.Runner` and the distributed
 :class:`~repro.fabric.runner.FabricRunner` (a ``Runner`` subclass) —
-and they all present this one surface, so callers (experiment drivers,
-``repro run``, the scheduler) are backend-agnostic:
+and they present this one surface, so callers (experiment drivers,
+``repro run``, the service scheduler's per-job runners) are
+backend-agnostic:
 
 * ``run(points, *, timeout_s=None, retries=None, progress=None) ->
   list`` — resolve a batch, results in input order; the keyword-only

@@ -17,11 +17,10 @@ it most.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Iterable
 
-from repro.runner.fsio import LOCAL_FS
+from repro.runner.fsio import LOCAL_FS, atomic_write
 
 __all__ = ["DEFAULT_JOURNAL_PATH", "RunJournal", "compact_run_journal"]
 
@@ -107,22 +106,15 @@ class RunJournal:
     def rewrite(self, records: Iterable[dict]) -> int:
         """Atomically replace the journal with ``records``.
 
-        The same temp-file + ``fsync`` + rename discipline as
-        :meth:`append`, so a crash mid-compaction leaves either the old
-        journal or the new one, never a torn mixture.  Returns the
-        number of records written.
+        Goes through :func:`~repro.runner.fsio.atomic_write` on the
+        journal's ``fs`` seam, so a crash mid-compaction leaves either
+        the old journal or the new one, never a torn mixture.  Returns
+        the number of records written.
         """
-        records = list(records)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
-        with self.fs.open(tmp, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True,
-                                        separators=(",", ":")) + "\n")
-            handle.flush()
-            self.fs.fsync(handle.fileno())
-        self.fs.replace(tmp, self.path)
-        return len(records)
+        lines = [json.dumps(record, sort_keys=True, separators=(",", ":"))
+                 + "\n" for record in records]
+        atomic_write(self.path, "".join(lines), fs=self.fs)
+        return len(lines)
 
 
 def compact_run_journal(journal: RunJournal) -> tuple[int, int]:

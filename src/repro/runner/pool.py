@@ -53,7 +53,6 @@ Self-healing: the pool survives the failures a long sweep actually hits.
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
 from collections import deque
@@ -69,6 +68,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.runner.cache import ResultCache, sweep_stale_tmp
+from repro.runner.fsio import atomic_write
 from repro.runner.simpoint import SimPoint
 from repro.telemetry.metrics import MetricRegistry
 
@@ -314,15 +314,9 @@ class Runner:
             tracer = getattr(value, "trace", None)
             if tracer is None:
                 continue
-            self.trace_dir.mkdir(parents=True, exist_ok=True)
-            path = self.trace_dir / f"{key[:16]}.trace.json"
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-            blob = json.dumps(tracer.to_payload(), separators=(",", ":"))
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            tmp.replace(path)
+            atomic_write(self.trace_dir / f"{key[:16]}.trace.json",
+                         json.dumps(tracer.to_payload(),
+                                    separators=(",", ":")))
             written += 1
         if written:
             sweep_stale_tmp(self.trace_dir)

@@ -14,8 +14,8 @@ cache instead of re-simulating:
   priority queue over the fsynced-JSONL journal idiom, with leases,
   heartbeats, exactly-once crash recovery and compaction;
 * :mod:`repro.service.scheduler` — :class:`Scheduler`, the worker pool
-  draining the queue through the cached runner (atomic result writes,
-  job retry, poison quarantine);
+  draining the queue through one cached runner per job (atomic result
+  writes, poison quarantine once a point's retry budget is spent);
 * :mod:`repro.service.api` — :class:`Service` (composition root),
   :class:`ServiceApp` (pure request dispatch: jobs, results, registry,
   health, Prometheus metrics, bearer auth, per-tenant quotas) and

@@ -85,7 +85,6 @@ class Service:
                 workers=self.config.fabric_workers, cache=self.cache,
                 registry=self.registry,
                 retries=self.config.point_retries,
-                failure_policy="quarantine",
                 state_dir=self.config.fabric_dir, fs=fs)
         elif self.config.backend != "local":
             raise ValueError(
@@ -95,7 +94,6 @@ class Service:
             self.queue, results_dir=self.config.results_dir,
             cache=self.cache, registry=self.registry,
             workers=self.config.workers, lease_s=self.config.lease_s,
-            job_retries=self.config.job_retries,
             point_retries=self.config.point_retries,
             backend=self.fabric)
         self.auth = TokenAuth.load(self.config.tokens_path,

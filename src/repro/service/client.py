@@ -44,15 +44,14 @@ class ServiceClient:
     """Typed convenience methods over the service's REST routes."""
 
     def __init__(self, url: str | None = None, token: str | None = None,
-                 app=None, timeout_s: float = 30.0, breaker=None) -> None:
+                 app=None, timeout_s: float = 30.0) -> None:
         if (url is None) == (app is None):
             raise ValueError("pass exactly one of url= or app=")
         if url is not None:
             self.transport: Transport = HttpTransport(
-                url, token=token, timeout_s=timeout_s, breaker=breaker)
+                url, token=token, timeout_s=timeout_s)
         else:
-            self.transport = InProcessTransport(app, token=token,
-                                                breaker=breaker)
+            self.transport = InProcessTransport(app, token=token)
         self.url = url.rstrip("/") if url is not None else None
         self.app = app
         self.token = token

@@ -49,7 +49,8 @@ class ServiceConfig:
     tokens_path: Path | None = None
     workers: int = 2
     lease_s: float = 60.0
-    job_retries: int = 1
+    #: Charged failures each point may retry, the only retry a job
+    #: gets: a point that spends them quarantines its job.
     point_retries: int = 1
     max_active_jobs: int = DEFAULT_MAX_ACTIVE_JOBS
     #: Bounded admission: submissions are shed with ``503 +

@@ -16,10 +16,14 @@ work resolves straight out of the content-addressed ResultCache.
 State machine::
 
     SUBMITTED -> LEASED -> RUNNING -> DONE
-                                   -> FAILED      (error, retries spent)
-                                   -> QUARANTINED (poison: crashed the
-                                                   scheduler repeatedly or
-                                                   exhausted point retries)
+                                   -> FAILED      (any error but a spent
+                                                   point budget; no retry)
+                                   -> QUARANTINED (poison: a point spent its
+                                                   retries, or the job
+                                                   crashed the scheduler
+                                                   repeatedly)
+              <- LEASED/RUNNING    (holder died: crash recovery or lease
+                                    expiry, counted in ``recoveries``)
     SUBMITTED -> CANCELLED
 
 Jobs are plain dataclasses serialized to/from JSON dicts; the queue

@@ -150,7 +150,6 @@ class JobQueue:
             job.worker = None
             job.lease_until = None
             job.recoveries = record.get("recoveries", job.recoveries)
-            job.error = record.get("error", job.error)
         elif event == "job_done":
             job.state = JobState.DONE
             job.result_path = record.get("result_path")
@@ -424,32 +423,28 @@ class JobQueue:
                 pass
             return job
 
-    def requeue(self, job_id: str, error: str | None = None,
-                recovered: bool = False) -> Job:
-        """Send a leased/running job back to SUBMITTED (retry path)."""
+    def requeue(self, job_id: str) -> Job:
+        """Send a job whose holder died back to SUBMITTED.
+
+        Crash recovery and lease expiry are the only requeues (a failed
+        job is terminal), so each one charges a recovery.
+        """
         with self._lock:
             job = self.get(job_id)
             if job.terminal:
                 raise QueueError(
                     f"job {job_id} already terminal ({job.state})")
-            recoveries = job.recoveries + (1 if recovered else 0)
-            self._append("job_requeued", id=job.id,
-                                recoveries=recoveries,
-                                **({"error": str(error)}
-                                   if error is not None else {}))
+            recoveries = job.recoveries + 1
+            self._append("job_requeued", id=job.id, recoveries=recoveries)
             job.state = JobState.SUBMITTED
             self.leases.release(job)
             job.recoveries = recoveries
-            if error is not None:
-                job.error = str(error)
-            if recovered and self._m_recovered is not None:
+            if self._m_recovered is not None:
                 self._m_recovered.inc()
             self._update_depth()
             self._bump(job)
             self._emit(job, "job_requeued", level="warn",
-                       recoveries=recoveries, recovered=recovered,
-                       **({"error": str(error)} if error is not None
-                          else {}))
+                       recoveries=recoveries)
             return job
 
     # -- crash recovery ----------------------------------------------------
@@ -472,7 +467,7 @@ class JobQueue:
                               f"scheduler crashes mid-job",
                               quarantine=True)
                 else:
-                    self.requeue(job.id, recovered=True)
+                    self.requeue(job.id)
                 touched.append(job)
             return touched
 
@@ -491,7 +486,7 @@ class JobQueue:
         """
         return self.leases.sweep_expired(
             lambda: list(self._jobs.values()), lock=self._lock,
-            reclaim=lambda job: self.requeue(job.id, recovered=True),
+            reclaim=lambda job: self.requeue(job.id),
             skip_workers=skip_workers)
 
     # -- inspection --------------------------------------------------------

@@ -1,28 +1,33 @@
 """Background scheduler: drains the job queue through the cached Runner.
 
 Worker threads lease jobs off the :class:`~repro.service.queue.JobQueue`
-and execute them through the existing execution substrate:
+and execute each one through its own :class:`~repro.runner.Runner`
+front-end, wired to the service's shared
+:class:`~repro.runner.ResultCache`:
 
-* **experiment jobs** run ``spec.run(quick=..., runner=...)`` with an
-  inline :class:`~repro.runner.Runner` wired to the service's shared
-  :class:`~repro.runner.ResultCache`, then save the schema-versioned
-  result envelope exactly as ``repro run`` does — ``meta`` carries only
-  the variant, so a job's envelope is byte-identical to the file
-  ``repro run`` writes for the same spec on any backend (runner
-  accounting travels on the *job*, as it travels on the run journal's
-  ``experiment_done`` record);
-* **points jobs** resolve their batch through the runner with
-  ``failure_policy="quarantine"`` — a poison point quarantines the job
-  instead of wedging a worker — and persist a deterministic summary
-  envelope (:func:`points_envelope`).
+* **experiment jobs** run ``spec.run(quick=..., runner=...)`` and save
+  the schema-versioned result envelope exactly as ``repro run`` does —
+  ``meta`` carries only the variant, so a job's envelope is
+  byte-identical to the file ``repro run`` writes for the same spec on
+  any backend (runner accounting travels on the *job*, as it travels
+  on the run journal's ``experiment_done`` record);
+* **points jobs** resolve their batch and persist a deterministic
+  summary envelope (:func:`points_envelope`).
 
-All of the runner's self-healing (watchdog, bounded retry, corrupt
-cache-entry healing) is inherited; the scheduler adds job-level retry
-(``job_retries``), lease heartbeats driven by runner progress
-callbacks, and a maintenance sweep that reclaims leases from workers
-that are *not* threads of this process (dead remote holders).  Result
-files are written atomically before the DONE event is journaled, which
-is what makes completion exactly-once across scheduler crashes.
+The per-job runner counts only its own job's points and heartbeats the
+job's lease on every resolved point.  Its cache misses run inline, or
+on an injected backend's ``_drive`` (a
+:class:`~repro.fabric.FabricRunner` fans them out to pulled workers).
+
+A point's own budget (``point_retries``, ``timeout_s``) is the one
+retry layer a job has: a point that spends it raises
+:class:`~repro.runner.RunnerError` and the job ends QUARANTINED; any
+other error ends it FAILED.  No failure is requeued.  Only a dead
+holder's lease comes back — through the queue's crash recovery, or the
+maintenance sweep (:meth:`Scheduler.sweep_leases`) that reclaims leases
+from workers that are *not* threads of this process.  Result files are
+written atomically before the DONE event is journaled, which is what
+makes completion exactly-once across scheduler crashes.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ import time
 import traceback
 from pathlib import Path
 
-from repro.fabric.lease import atomic_write
 from repro.obs import bind as obs_bind, emit as obs_emit
-from repro.runner import ExecutionBackend, ResultCache, Runner, RunnerError
+from repro.runner import ResultCache, Runner, RunnerError
+from repro.runner.fsio import atomic_write
 from repro.service.jobs import Job, build_points
 from repro.service.queue import JobQueue
 
@@ -48,8 +53,6 @@ POINTS_SCHEMA_VERSION = 1
 
 def _summarize(value) -> dict:
     """Deterministic JSON digest of one resolved point's measurement."""
-    if value is None:
-        return {"status": "quarantined"}
     if hasattr(value, "images_per_second"):
         return {
             "images_per_second": value.images_per_second,
@@ -83,36 +86,12 @@ def points_envelope(points, values) -> str:
 
 
 def write_result(path: str | Path, text: str) -> Path:
-    """Atomic result write: temp file + fsync + rename.
+    """Atomic result write: :func:`~repro.runner.fsio.atomic_write`.
 
     Replaying a crashed job rewrites the same path, so the directory
     holds exactly one entry per job no matter how many attempts ran.
-    Delegates to the shared exactly-once primitive in
-    :func:`repro.fabric.lease.atomic_write`.
     """
     return atomic_write(path, text)
-
-
-class _JobBackend:
-    """A per-job view over a shared execution backend.
-
-    Delegates everything to the wrapped backend but defaults the
-    per-call progress hook (``progress=`` on :meth:`run`) to this job's
-    heartbeat-and-progress callback — an experiment driver that calls
-    plain ``runner.run(points)`` still streams live progress, and two
-    concurrent jobs sharing one fabric can never cross-wire callbacks.
-    """
-
-    def __init__(self, backend: ExecutionBackend, progress) -> None:
-        self._backend = backend
-        self._progress = progress
-
-    def run(self, points, **kwargs):
-        kwargs.setdefault("progress", self._progress)
-        return self._backend.run(points, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._backend, name)
 
 
 class Scheduler:
@@ -131,25 +110,27 @@ class Scheduler:
     registry:
         Telemetry registry shared with the queue and API; runner
         counters (``runner_*``) and ``service_*`` counters land here.
-    workers / lease_s / poll_s / job_retries / point_retries:
-        Pool width, lease duration, idle poll interval, job-level and
-        point-level retry budgets.
+    workers / lease_s / poll_s:
+        Pool width, lease duration, idle poll interval.
+    point_retries / timeout_s:
+        Every point's budget: how many charged failures it may retry,
+        and its watchdog deadline.  A point that spends it quarantines
+        its job.
     backend:
-        Optional :class:`~repro.runner.ExecutionBackend` that executes
-        every job's points instead of the default inline
-        :class:`Runner` — pass a
-        :class:`~repro.fabric.FabricRunner` to fan jobs out to pulled
-        workers.  Job-level retry, lease heartbeats and result-envelope
-        bytes are unchanged either way.
+        Optional :class:`Runner` whose ``_drive`` executes every job's
+        cache misses instead of the per-job runner's inline loop — pass
+        a :class:`~repro.fabric.FabricRunner` (default ``raise`` policy,
+        same ``cache``) to fan jobs out to pulled workers.  Job
+        accounting, lease heartbeats and result-envelope bytes are
+        unchanged either way.
     """
 
     def __init__(self, queue: JobQueue, results_dir: str | Path,
                  cache: ResultCache | None = None, registry=None,
                  workers: int = 2, lease_s: float = 60.0,
-                 poll_s: float = 0.05, job_retries: int = 1,
-                 point_retries: int = 1,
+                 poll_s: float = 0.05, point_retries: int = 1,
                  timeout_s: float | None = None,
-                 backend: ExecutionBackend | None = None) -> None:
+                 backend: Runner | None = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.backend = backend
@@ -160,19 +141,15 @@ class Scheduler:
         self.workers = int(workers)
         self.lease_s = float(lease_s)
         self.poll_s = float(poll_s)
-        self.job_retries = int(job_retries)
         self.point_retries = int(point_retries)
         self.timeout_s = timeout_s
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
-        self._m_seconds = self._m_errors = None
+        self._m_seconds = None
         if registry is not None:
             self._m_seconds = registry.counter(
                 "service_job_seconds_total",
                 "host wall seconds spent executing jobs")
-            self._m_errors = registry.counter(
-                "service_job_errors_total", "job execution errors",
-                labelnames=("terminal",))
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -238,27 +215,27 @@ class Scheduler:
         return self.queue.requeue_expired(skip_workers=self.worker_ids())
 
     # -- execution ---------------------------------------------------------
-    def _runner(self, job: Job, policy: str) -> ExecutionBackend:
-        """The execution backend for one job.
+    def _runner(self, job: Job) -> Runner:
+        """This job's Runner front-end.
 
-        The configured ``backend`` if one was injected, else a fresh
-        inline :class:`Runner`; both satisfy
-        :class:`~repro.runner.ExecutionBackend`, so the job handlers
-        below are backend-agnostic.  An injected backend is shared by
-        every concurrent job, so it comes back wrapped in a per-job
-        view that threads *this* job's heartbeat/progress callback
-        into each call without mutating shared state.
+        It shares the service cache and registry but counts only this
+        job's points, and every resolved point heartbeats the job's
+        lease.  With an injected backend its cache misses run on that
+        backend's ``_drive``; otherwise inline.
         """
         def progress(done, total, point, cached) -> None:
             self.queue.heartbeat(job.id, lease_s=self.lease_s)
             self.queue.set_progress(job.id, done, total,
                                     point=point.describe(), cached=cached)
 
-        if self.backend is not None:
-            return _JobBackend(self.backend, progress)
-        return Runner(workers=0, cache=self.cache, registry=self.registry,
-                      progress=progress, retries=self.point_retries,
-                      timeout_s=self.timeout_s, failure_policy=policy)
+        backend = self.backend
+        runner = Runner(workers=0 if backend is None else backend.workers,
+                        cache=self.cache, registry=self.registry,
+                        progress=progress, retries=self.point_retries,
+                        timeout_s=self.timeout_s)
+        if backend is not None:
+            runner._drive = backend._drive
+        return runner
 
     def _execute(self, job: Job) -> None:
         # Bind the job id for the whole execution: every event emitted
@@ -276,9 +253,11 @@ class Scheduler:
                 else:
                     result_path, runner_meta = self._run_batch(job)
             except Exception as err:
-                obs_emit("job_execute_failed", level="error",
-                         error=f"{type(err).__name__}: {err}")
-                self._handle_error(job, err)
+                message = f"{type(err).__name__}: {err}"
+                obs_emit("job_execute_failed", level="error", error=message)
+                # A spent point budget is poison; nothing is retried.
+                self.queue.fail(job.id, message,
+                                quarantine=isinstance(err, RunnerError))
                 return
             elapsed = time.perf_counter() - start
             if self._m_seconds is not None:
@@ -292,7 +271,7 @@ class Scheduler:
 
         spec = REGISTRY[job.spec["experiment"]]
         variant = job.spec["variant"]
-        runner = self._runner(job, policy="raise")
+        runner = self._runner(job)
         result = spec.run(quick=variant == "quick",
                           runner=runner if spec.parallelizable else None)
         # Exactly the serial CLI envelope: meta carries the variant
@@ -300,38 +279,12 @@ class Scheduler:
         result.meta = {"variant": variant}
         path = self.results_dir / f"{job.id}.json"
         write_result(path, result.to_json())
-        return path, dict(runner.meta())
+        return path, runner.meta()
 
     def _run_batch(self, job: Job) -> tuple[Path, dict]:
         points = build_points(job.spec)
-        runner = self._runner(job, policy="quarantine")
-        values = runner.run(points, timeout_s=self.timeout_s,
-                            retries=self.point_retries)
-        # A quarantined point resolves to None (the runner's documented
-        # sentinel).  Detecting poison from this batch's own values —
-        # rather than slicing the shared runner.quarantined list — stays
-        # correct when concurrent jobs share one injected backend and
-        # their quarantine records interleave.
-        poison_keys = list(dict.fromkeys(
-            p.key() for p, v in zip(points, values) if v is None))
-        if poison_keys:
-            errors = {q["key"]: q["error"]
-                      for q in getattr(runner, "quarantined", ())}
-            detail = "; ".join(errors.get(k, "quarantined")
-                               for k in poison_keys[:3])
-            raise RunnerError(
-                f"{len(poison_keys)} point(s) quarantined: {detail}")
+        runner = self._runner(job)
+        values = runner.run(points)
         path = self.results_dir / f"{job.id}.json"
         write_result(path, points_envelope(points, values))
-        return path, dict(runner.meta())
-
-    def _handle_error(self, job: Job, err: Exception) -> None:
-        message = f"{type(err).__name__}: {err}"
-        poison = isinstance(err, RunnerError)
-        terminal = poison or job.attempts > self.job_retries
-        if self._m_errors is not None:
-            self._m_errors.labels(terminal=str(terminal).lower()).inc()
-        if terminal:
-            self.queue.fail(job.id, message, quarantine=poison)
-        else:
-            self.queue.requeue(job.id, error=message)
+        return path, runner.meta()

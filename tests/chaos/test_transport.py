@@ -1,11 +1,10 @@
-"""Transport fault plane + circuit breaker + capped jittered backoff."""
+"""Transport fault plane + capped jittered backoff."""
 
 import json
 
 import pytest
 
 from repro.chaos import ChaosSchedule, ChaosTransport, TransportFlap
-from repro.fabric.breaker import CircuitBreaker, CircuitOpenError
 from repro.fabric.transport import (
     ApiError,
     HttpTransport,
@@ -25,14 +24,6 @@ class _EchoApp:
         self.calls += 1
         return (self.status, "application/json",
                 json.dumps({"ok": True, "call": self.calls}).encode())
-
-
-class _FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
 
 
 # -- ChaosTransport ---------------------------------------------------------
@@ -122,68 +113,6 @@ def test_one_draw_per_op_isolates_windows():
         return out
 
     assert drops(base) == drops(widened)
-
-
-# -- CircuitBreaker ---------------------------------------------------------
-
-def test_breaker_trips_opens_probes_and_closes():
-    clock = _FakeClock()
-    breaker = CircuitBreaker(failures=3, backoff_s=1.0, max_backoff_s=8.0,
-                             clock=clock)
-    assert breaker.state == CircuitBreaker.CLOSED
-    for _ in range(3):
-        breaker.allow()
-        breaker.record_failure()
-    assert breaker.state == CircuitBreaker.OPEN
-    with pytest.raises(CircuitOpenError) as err:
-        breaker.allow()
-    assert err.value.retry_after == pytest.approx(1.0)
-
-    clock.now = 1.5  # past the window: one probe allowed...
-    breaker.allow()
-    assert breaker.state == CircuitBreaker.HALF_OPEN
-    with pytest.raises(CircuitOpenError):
-        breaker.allow()  # ...concurrent callers still rejected
-    breaker.record_success()
-    assert breaker.state == CircuitBreaker.CLOSED
-
-
-def test_breaker_backoff_doubles_and_caps():
-    clock = _FakeClock()
-    breaker = CircuitBreaker(failures=1, backoff_s=1.0, max_backoff_s=4.0,
-                             clock=clock)
-    windows = []
-    for _ in range(5):
-        breaker.record_failure()  # trip (first) / failed probe (rest)
-        windows.append(breaker.as_dict()["retry_after"])
-        clock.now += windows[-1] + 0.01
-        breaker.allow()           # promote to the half-open probe
-    assert windows == [pytest.approx(w) for w in (1.0, 2.0, 4.0, 4.0, 4.0)]
-    breaker.record_success()      # a good probe resets the ladder
-    breaker.record_failure()
-    assert breaker.as_dict()["retry_after"] == pytest.approx(1.0)
-
-
-def test_transport_feeds_breaker_5xx_and_4xx():
-    clock = _FakeClock()
-    breaker = CircuitBreaker(failures=2, backoff_s=1.0, clock=clock)
-    app = _EchoApp(status=503)
-    transport = InProcessTransport(app, breaker=breaker)
-    for _ in range(2):
-        with pytest.raises(ApiError):
-            transport.json("GET", "/x")
-    # Tripped: the next call is rejected locally, no dispatch.
-    calls = app.calls
-    with pytest.raises(CircuitOpenError):
-        transport.json("GET", "/x")
-    assert app.calls == calls
-
-    # A 4xx is a *working* server: the probe closes the breaker.
-    clock.now = 2.0
-    app.status = 404
-    with pytest.raises(ApiError):
-        transport.json("GET", "/x")
-    assert breaker.state == CircuitBreaker.CLOSED
 
 
 # -- HttpTransport backoff --------------------------------------------------

@@ -42,3 +42,31 @@ class FailPoint(SimPoint):
 
     def describe(self):
         return f"fail:{self.token}"
+
+
+@dataclass(frozen=True)
+class FlakyPoint(SimPoint):
+    """Raises on its first ``fails`` executions, then succeeds.
+
+    Each execution leaves one file in ``tally_dir``, so the count holds
+    across pool processes and fabric workers alike.
+    """
+
+    kind: ClassVar[str] = "fabric_flaky"
+    token: str
+    fails: int
+    tally_dir: str
+
+    def execute(self):
+        import os
+        import uuid
+
+        os.makedirs(self.tally_dir, exist_ok=True)
+        open(os.path.join(self.tally_dir, uuid.uuid4().hex), "w").close()
+        runs = len(os.listdir(self.tally_dir))
+        if runs <= self.fails:
+            raise RuntimeError(f"flaky {self.token} run {runs}")
+        return {"token": self.token, "runs": runs}
+
+    def describe(self):
+        return f"flaky:{self.token}"

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.fabric.lease import LeaseManager, Leasable, atomic_write
+from repro.fabric.lease import LeaseManager, Leasable
+from repro.runner.fsio import atomic_write
 
 
 @dataclass

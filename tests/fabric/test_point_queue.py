@@ -91,6 +91,23 @@ def test_fail_retries_then_goes_terminal(tmp_path):
     assert len(journal_events(queue, "point_failed")) == 1
 
 
+def test_dead_worker_recovery_does_not_spend_a_retry(tmp_path):
+    """A lapsed lease charges ``max_recoveries`` only, as the pool
+    replays crash victims uncharged: ``retries`` counts reported
+    failures."""
+    queue, clock = make_queue(tmp_path, retries=1)
+    _, (item_id,) = queue.enqueue(points("a"))
+    queue.lease("dead")
+    clock[0] = 50.0
+    queue.requeue_expired()
+    queue.lease("w1")
+    assert queue.fail("w1", item_id, "boom") == ItemState.PENDING
+    queue.lease("w1")
+    assert queue.fail("w1", item_id, "boom again") == ItemState.FAILED
+    item = queue.get(item_id)
+    assert (item.attempts, item.recoveries) == (3, 1)
+
+
 def test_fail_from_stale_worker_is_a_noop(tmp_path):
     """A late failure report from a reclaimed lease must not requeue
     (double-lease) or spuriously FAIL the new holder's live item."""

@@ -24,20 +24,32 @@ def test_runner_satisfies_protocol():
 
 
 def test_scheduler_accepts_any_backend(tmp_path):
-    """The scheduler wraps an injected backend in a per-job view that
-    delegates everything to the shared backend underneath."""
-    from repro.service import JobQueue, Scheduler
+    """Each job gets its own Runner front-end whose cache misses run on
+    the injected backend's ``_drive``; the job reports only its own
+    counts, not the shared backend's lifetime totals."""
+    from repro.service import JobQueue, JobState, Scheduler, parse_spec
 
-    backend = Runner(workers=0)
-    scheduler = Scheduler(JobQueue(tmp_path / "state"),
-                          tmp_path / "results", backend=backend)
-    runner = scheduler._runner(job=None, policy="quarantine")
-    assert runner._backend is backend
-    assert isinstance(runner, ExecutionBackend)
-    # Attribute access falls through to the shared backend.
-    assert runner.workers == backend.workers
-    assert runner.meta() == backend.meta()
-    assert runner.run([TokenPoint(token="x")]) == [{"token": "x"}]
+    driven = []
+
+    class Recording(Runner):
+        def _drive(self, points, groups, todo, resolve, **budget):
+            driven.append((len(todo), budget))
+            super()._drive(points, groups, todo, resolve, **budget)
+
+    backend = Recording(workers=0)
+    backend.run([TokenPoint(token="earlier")])
+    queue = JobQueue(tmp_path / "state")
+    scheduler = Scheduler(queue, tmp_path / "results", backend=backend,
+                          point_retries=2)
+    job = queue.submit(parse_spec({"points": [
+        {"kind": "osu_allreduce", "gpus": 2, "nbytes": 1024,
+         "iterations": 1}]}))
+    scheduler._execute(queue.lease("w0"))
+    done = queue.get(job.id)
+    assert done.state == JobState.DONE
+    assert driven[1:] == [(1, {"timeout_s": None, "retries": 2})]
+    assert (done.runner["points"], done.runner["executed"]) == (1, 1)
+    assert backend.stats.points == 1  # the job never touched its front-end
 
 
 def test_run_points_overrides_are_batch_scoped():

@@ -14,7 +14,7 @@ from repro.fabric import FabricRunner
 from repro.runner import ResultCache, Runner, RunnerError, TrainPoint
 from repro.telemetry import to_prometheus
 
-from tests.fabric._points import FailPoint, OkPoint
+from tests.fabric._points import FailPoint, FlakyPoint, OkPoint
 
 RUNNER_FAMILIES = {
     "runner_points_total", "runner_batches_total",
@@ -89,6 +89,31 @@ def test_quarantine_record_carries_the_real_cause(make):
 def test_raised_failure_names_the_real_cause(make):
     with pytest.raises(RunnerError, match=r"point failed: fail:bad .*poison bad"):
         make().run([FailPoint(token="bad")])
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_retries_count_charged_failures_alike(make, tmp_path, k):
+    """A point failing k times resolves with retries=k and fails with
+    retries=k-1 — one budget meaning on every backend."""
+    runner = make(retries=k)
+    ok = FlakyPoint(token="ok", fails=k, tally_dir=str(tmp_path / "ok"))
+    assert runner.run([ok]) == [{"token": "ok", "runs": k + 1}]
+    short = tmp_path / "short"
+    with pytest.raises(RunnerError, match=f"flaky short run {k}"):
+        runner.run([FlakyPoint(token="short", fails=k,
+                               tally_dir=str(short))], retries=k - 1)
+    assert len(list(short.iterdir())) == k
+
+
+@pytest.mark.parametrize("make", ("pool", "fabric"), indirect=True)
+def test_overrun_is_a_charged_timeout(make):
+    """Inline execution cannot be interrupted; the pool watchdog and the
+    fabric worker's heartbeat deadline both charge a TimeoutError."""
+    runner = make(failure_policy="quarantine", timeout_s=0.3)
+    assert runner.run([OkPoint(token="slow", delay_s=3.0)]) == [None]
+    (record,) = runner.quarantined
+    assert record["point"] == "ok:slow"
+    assert "TimeoutError('point exceeded timeout_s=0.3')" in record["error"]
 
 
 def test_metric_names_and_meta_keys(make, tmp_path):

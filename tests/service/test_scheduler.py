@@ -1,11 +1,12 @@
 """End-to-end scheduling: byte-identity, cache hits, exactly-once."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.bench.registry import REGISTRY
-from repro.runner import RunnerError
+from repro.runner import OSUPoint, RunnerError
 from repro.service import (
     JobState,
     Service,
@@ -90,7 +91,7 @@ def test_points_job_and_resubmission(tmp_path):
         service.stop()
 
 
-def test_transient_error_requeues_then_fails(tmp_path):
+def test_transient_error_fails_without_requeue(tmp_path):
     service = make_service(tmp_path)
     client = ServiceClient(app=service.app)
     job = client.submit(experiment="E2")
@@ -99,17 +100,13 @@ def test_transient_error_requeues_then_fails(tmp_path):
         raise ValueError("transient wobble")
 
     service.scheduler._run_experiment = explode
-    scheduler = service.scheduler
-    leased = service.queue.lease("w0")
-    scheduler._execute(leased)
-    requeued = client.job(job["id"])
-    assert requeued["state"] == JobState.SUBMITTED
-    assert requeued["attempts"] == 1
-    assert "transient wobble" in requeued["error"]
-
-    # Second failure exhausts job_retries=1 and is terminal.
-    scheduler._execute(service.queue.lease("w0"))
-    assert client.job(job["id"])["state"] == JobState.FAILED
+    service.scheduler._execute(service.queue.lease("w0"))
+    # The point budget is the one retry layer: a job error is terminal.
+    doc = client.job(job["id"])
+    assert doc["state"] == JobState.FAILED
+    assert doc["attempts"] == 1
+    assert doc["error"] == "ValueError: transient wobble"
+    assert service.queue.lease("w0") is None
 
 
 def test_poison_job_quarantines_without_retry(tmp_path):
@@ -128,6 +125,59 @@ def test_poison_job_quarantines_without_retry(tmp_path):
     with pytest.raises(ServiceError) as err:
         client.result(job["id"])
     assert err.value.status == 409
+
+
+@pytest.fixture(params=("local", "fabric"))
+def poisoned_service(request, tmp_path, monkeypatch):
+    """A running service whose 1 KiB OSU points raise, on either
+    backend; yields ``(service, client, runs)``, ``runs`` listing the
+    key of every poisoned execution."""
+    runs = []
+    execute = OSUPoint.execute
+
+    def poisoned(point):
+        if point.nbytes == 1024:
+            runs.append(point.key())
+            raise ValueError(f"poisoned {point.describe()}")
+        return execute(point)
+
+    monkeypatch.setattr(OSUPoint, "execute", poisoned)
+    service = make_service(tmp_path, backend=request.param)
+    if service.fabric is not None:
+        service.fabric.spawn = "thread"  # workers see the patched class
+    service.start()
+    try:
+        yield service, ServiceClient(app=service.app), runs
+    finally:
+        service.stop(drain=True)
+
+
+@pytest.mark.parametrize("spec", [
+    {"experiment": "E3", "variant": "quick"},
+    {"points": [{"kind": "osu_allreduce", "gpus": 2, "nbytes": nbytes,
+                 "iterations": 2} for nbytes in (2048, 1024)]},
+], ids=("experiment", "points"))
+def test_poison_point_quarantines_its_job(poisoned_service, spec):
+    service, client, runs = poisoned_service
+    job = run_job(service, client, **spec)
+    assert job["state"] == JobState.QUARANTINED
+    assert job["error"].startswith("RunnerError: ")
+    assert "ValueError('poisoned " in job["error"]
+    # The point budget is the only retry layer: no job-level replay.
+    assert runs
+    assert max(Counter(runs).values()) <= service.config.point_retries + 1
+
+
+def test_identical_points_job_reports_its_own_counts(poisoned_service):
+    service, client, _runs = poisoned_service
+    points = [{"kind": "osu_allreduce", "gpus": 2, "nbytes": 2048,
+               "iterations": 2}]
+    first = run_job(service, client, points=points)
+    assert (first["state"], first["runner"]["executed"]) == (JobState.DONE, 1)
+    second = run_job(service, client, points=points)
+    assert second["state"] == JobState.DONE
+    assert second["runner"]["executed"] == 0
+    assert second["runner"]["cache_hits"] == 1
 
 
 @pytest.mark.chaos
