@@ -17,7 +17,9 @@ A point's result is written into the shared content-addressed
 completion wins: a late completion from a worker whose lease was
 reclaimed is journaled as a no-op duplicate — harmless, because the
 deterministic simulation wrote byte-identical bytes under the same
-content key — and the item reaches DONE exactly once.
+content key — and the item reaches DONE exactly once.  DONE and FAILED
+are final: a completion arriving for a FAILED item (a point charged a
+``timeout_s`` overrun that finished anyway) is a duplicate too.
 
 Item states::
 
@@ -26,6 +28,8 @@ Item states::
                                     recovery)
                       -> FAILED    (retries or recoveries exhausted:
                                     poison point)
+            -> FAILED              (cancelled: the last batch waiting
+                                    on the point released it)
 
 Two budgets, as on the local pool: a failure a worker *reports* (the
 point raised, or overran its ``timeout_s``) charges ``retries``; a
@@ -256,13 +260,24 @@ class PointQueue:
             return self._waiting.get(key, 0)
 
     def release(self, key: str) -> bool:
-        """Drop one claim on ``key``; ``True`` when it was the last."""
+        """Drop one claim on ``key``; ``True`` when it was the last.
+
+        With the last claim gone nobody waits for the point, so a
+        PENDING item of ``key`` (its batch aborted) is cancelled: it
+        ends FAILED, journaled like any failure, and no worker leases
+        it.  A LEASED one runs on and still fills the cache.
+        """
         with self._lock:
             left = self._waiting.get(key, 0) - 1
             if left > 0:
                 self._waiting[key] = left
                 return False
             self._waiting.pop(key, None)
+            for item in self._items.values():
+                if item.key == key and item.state == ItemState.PENDING:
+                    self._end(item, None, "cancelled: no batch waits for "
+                                          "this point", cancelled=True)
+                    self._update_gauges()
             return True
 
     # -- worker protocol ---------------------------------------------------
@@ -327,15 +342,16 @@ class PointQueue:
 
         Call only *after* the result bytes are durably in the shared
         cache (result-before-journal).  The first completion journals
-        ``point_done``; a second is a no-op duplicate.  A completion
-        from a worker whose lease was reclaimed but whose item is still
-        un-done is accepted (``"late"``) — the result is deterministic
+        ``point_done``; a second is a no-op duplicate, and so is one for
+        a FAILED item, which stays FAILED.  A completion from a worker
+        whose lease was reclaimed but whose item is still PENDING or
+        LEASED is accepted (``"late"``) — the result is deterministic
         and already stored, so discarding it would only waste work.
         """
         with self._lock:
             self._saw(worker)
             item = self.get(item_id)
-            if item.state == ItemState.DONE:
+            if item.state in (ItemState.DONE, ItemState.FAILED):
                 if self._m_completions is not None:
                     self._m_completions.labels(status="duplicate").inc()
                 return "duplicate"
@@ -378,19 +394,25 @@ class PointQueue:
                 self._m_failures.inc()
             budget = item.retries if item.retries is not None else self.retries
             if item.attempts - item.recoveries > budget:
-                item.state = ItemState.FAILED
-                item.error = str(error)
-                self.leases.release(item)
-                self._journal("point_failed", id=item.id,
-                              worker=worker, error=str(error))
-                with obs_bind(**(item.ctx or {}), point_key=item.key,
-                              worker_id=worker):
-                    obs_emit("point_failed", level="error", item=item.id,
-                             error=str(error))
+                self._end(item, worker, str(error))
             else:
                 self._requeue(item, error=str(error))
             self._update_gauges()
             return item.state
+
+    def _end(self, item: WorkItem, worker: str | None, error: str,
+             **detail) -> None:
+        """Move ``item`` to FAILED with ``error`` and journal it."""
+        holder = item.worker
+        item.state = ItemState.FAILED
+        item.error = error
+        self.leases.release(item)
+        self._journal("point_failed", id=item.id, worker=worker,
+                      error=error)
+        with obs_bind(**(item.ctx or {}), point_key=item.key,
+                      worker_id=holder):
+            obs_emit("point_failed", level="error", item=item.id,
+                     error=error, **detail)
 
     # -- crash recovery ----------------------------------------------------
     def _requeue(self, item: WorkItem, error: str | None = None,
@@ -423,17 +445,8 @@ class PointQueue:
         """
         def reclaim(item: WorkItem) -> None:
             if self.leases.should_quarantine(item):
-                holder = item.worker
-                item.state = ItemState.FAILED
-                item.error = (f"failed after {item.recoveries + 1} "
-                              f"dead-worker recoveries")
-                self.leases.release(item)
-                self._journal("point_failed", id=item.id,
-                              worker=None, error=item.error)
-                with obs_bind(**(item.ctx or {}), point_key=item.key,
-                              worker_id=holder):
-                    obs_emit("point_failed", level="error", item=item.id,
-                             error=item.error, poison=True)
+                self._end(item, None, f"failed after {item.recoveries + 1} "
+                                      f"dead-worker recoveries", poison=True)
             else:
                 self._requeue(item, recovered=True)
             if self._m_requeues is not None:

@@ -221,10 +221,12 @@ class FabricCoordinator:
         DONE skips the stores entirely — a duplicate (or never-leased)
         worker's bytes must not replace a result the journal already
         vouches for, even if that worker is buggy or nondeterministic.
+        A FAILED item skips them too: a point charged a timeout leaves
+        no cached value, as on the local pool.
         """
         with self.queue.lock:
             item = self.queue.get(item_id)
-            if item.state != ItemState.DONE:
+            if item.state not in (ItemState.DONE, ItemState.FAILED):
                 if self.cache is not None:
                     self.cache.put(item.key, value)
                 if self.queue.waiting(item.key):
@@ -487,8 +489,10 @@ class FabricRunner(Runner):
                     self._ensure_workers()
                     time.sleep(self.poll_s)
         finally:
-            # An aborted batch (raise policy, interrupt) drops its claims
-            # so later completions of its points are not held for it.
+            # An aborted batch (raise policy, interrupt) drops its claims,
+            # so later completions of its points are not held for it and
+            # the points nobody else claims and no worker has started
+            # are cancelled.
             for key in pending.values():
                 self.coordinator.take(key)
 

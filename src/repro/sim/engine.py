@@ -11,7 +11,11 @@ The model follows SimPy's semantics closely:
   is resumed with the event's value (or the event's exception is thrown into
   the generator).  A process is itself an event that triggers when the
   generator returns, with the generator's return value as the event value.
-* :class:`Environment` owns virtual time and the priority queue.
+* :class:`Environment` owns virtual time and the event queue, and
+  dispatches events in ``(time, priority, eid)`` order.  Only future
+  events wait in a heap; the many events due at the instant they are
+  scheduled (a triggered event, a process start, a zero-delay timeout)
+  wait in two FIFOs and cost no heap push or pop.
 
 Only features the reproduction needs are implemented — but they are
 implemented completely, with failure propagation, interrupts and composite
@@ -20,6 +24,7 @@ events, because the MPI and Horovod layers lean on all of them.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Generator
 from heapq import heappop, heappush
 from typing import Any, Callable
@@ -442,11 +447,21 @@ class Environment:
         p = env.process(proc(env))
         env.run()
         assert env.now == 1.5 and p.value == "done"
+
+    Events run in ``(time, priority, eid)`` order, ``eid`` being the
+    scheduling order.  Only future events wait in a heap; events due at
+    the current instant wait in two FIFOs, URGENT before NORMAL (see
+    :meth:`_schedule` and :meth:`_advance`).  The queue depth a monitor
+    sees counts both.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        #: Events due after ``now``, as ``(when, eid, event)``.
+        self._heap: list[tuple[float, int, Event]] = []
+        #: Events due at ``now``, in scheduling order, by priority.
+        self._urgent: deque[Event] = deque()
+        self._normal: deque[Event] = deque()
         self._eid = 0
         self._active: Process | None = None
         #: Optional observation-only hook object (``on_schedule(env, event,
@@ -516,27 +531,61 @@ class Environment:
     # -- scheduling ------------------------------------------------------
     def _schedule(self, event: Event, priority: int, when: float,
                   delay: float = 0.0) -> None:
-        """Push ``event`` onto the queue to fire at ``when``.
+        """Enqueue ``event`` to fire at ``when``.
 
-        The one function that enqueues events (so one call per kernel
-        event).  ``delay`` is only reported to the monitor.
+        The one function that enqueues events, on the heap or a FIFO (so
+        one call per kernel event).  An event due now joins the FIFO of
+        its priority: it runs after everything already due now, as its
+        larger eid would sort it.  URGENT events are only ever due now.
+        ``delay`` is only reported to the monitor.
         """
         self._eid += 1
-        heappush(self._queue, (when, priority, self._eid, event))
+        if when != self._now:
+            heappush(self._heap, (when, self._eid, event))
+        elif priority:
+            self._normal.append(event)
+        else:
+            self._urgent.append(event)
         if self.monitor is not None:
             self.monitor.on_schedule(self, event, delay)
 
+    def _advance(self) -> Event:
+        """Advance time to the earliest heap entry and return its event.
+
+        Called with both FIFOs empty and the heap non-empty.  Every other
+        entry due at that time moves to the NORMAL FIFO in eid order.
+        This keeps the ``(time, priority, eid)`` order: each of them was
+        scheduled before time reached it, so it precedes every event
+        scheduled from now on, and none of them is URGENT.
+        """
+        heap = self._heap
+        when, _, event = heappop(heap)
+        self._now = when
+        while heap and heap[0][0] == when:
+            self._normal.append(heappop(heap)[2])
+        return event
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if queue is empty."""
-        return self._queue[0][0] if self._queue else float("inf")
+        if self._urgent or self._normal:
+            return self._now
+        return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
         """Process exactly one event, advancing time to its timestamp."""
-        if not self._queue:
+        urgent = self._urgent
+        normal = self._normal
+        if urgent:
+            event = urgent.popleft()
+        elif normal:
+            event = normal.popleft()
+        elif self._heap:
+            event = self._advance()
+        else:
             raise SimulationError("step() on an empty event queue")
-        self._now, _, _, event = heappop(self._queue)
         if self.monitor is not None:
-            self.monitor.on_step(self, event, len(self._queue))
+            self.monitor.on_step(
+                self, event, len(self._heap) + len(urgent) + len(normal))
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -546,25 +595,37 @@ class Environment:
     def _drain(self, horizon: float | None, until: "Event | None") -> None:
         """Hot drain loop shared by every :meth:`run` mode.
 
-        Dispatch is inlined rather than delegated to :meth:`step` so a
-        same-timestamp event cohort (a barrier releasing dozens of rank
-        processes, a fused group completing on every rank at once) drains
-        in one tight loop: one heap pop, one monitor check and one
-        callback walk per event, with no per-event method-call or
-        attribute-lookup overhead on top.  Semantics are identical to
-        calling :meth:`step` in a loop.
+        Dispatch, and :meth:`_advance` with it, is inlined rather than
+        delegated to :meth:`step` so a same-timestamp event cohort (a
+        barrier releasing dozens of rank processes, a fused group
+        completing on every rank at once) drains in one tight loop: one
+        FIFO or heap pop, one monitor check and one callback walk per
+        event, with no per-event method-call or attribute-lookup overhead
+        on top.  Semantics are identical to calling :meth:`step` in a
+        loop.
         """
-        queue = self._queue
+        heap = self._heap
+        urgent = self._urgent
+        normal = self._normal
         pop = heappop
-        while queue:
+        while True:
             if until is not None and until.callbacks is None:
                 return
-            if horizon is not None and queue[0][0] > horizon:
+            if urgent:
+                event = urgent.popleft()
+            elif normal:
+                event = normal.popleft()
+            elif heap and (horizon is None or heap[0][0] <= horizon):
+                when, _, event = pop(heap)
+                self._now = when
+                while heap and heap[0][0] == when:
+                    normal.append(pop(heap)[2])
+            else:
                 return
-            self._now, _, _, event = pop(queue)
             monitor = self.monitor
             if monitor is not None:
-                monitor.on_step(self, event, len(queue))
+                monitor.on_step(self, event,
+                                len(heap) + len(urgent) + len(normal))
             callbacks = event.callbacks
             event.callbacks = None
             for callback in callbacks:

@@ -7,10 +7,12 @@ these fast; the multi-process SIGKILL battery lives in
 
 import pickle
 import threading
+import time
 
 import pytest
 
 from repro.fabric import FabricCoordinator, FabricRunner
+from repro.fabric.queue import ItemState
 from repro.runner import ExecutionBackend, ResultCache, Runner, RunnerError
 from repro.telemetry import to_prometheus
 
@@ -168,6 +170,57 @@ def test_concurrent_batches_sharing_points_both_get_values(tmp_path):
         assert not any(t.is_alive() for t in threads)
         assert fabric.coordinator.results == {}
     assert out["a"] == out["b"] == expected
+
+
+def test_aborted_batch_cancels_its_pending_items(tmp_path):
+    """A batch that raises ends its PENDING items, so workers stop
+    executing points of a job that is over; its LEASED items run on."""
+    points = [FailPoint(token="bad")] + [
+        OkPoint(token=f"ok{i}", delay_s=0.2) for i in range(10)]
+    with make_runner(tmp_path, retries=0) as fabric:
+        queue = fabric.coordinator.queue
+        with pytest.raises(RunnerError, match="fail:bad"):
+            fabric.run(points)
+        with queue.lock:
+            states = [item.state for item in queue.items()]
+        assert ItemState.PENDING not in states
+        started = states.count(ItemState.DONE) + states.count(ItemState.LEASED)
+        cancelled = [item for item in queue.items()
+                     if item.state == ItemState.FAILED
+                     and item.describe != "fail:bad"]
+        assert cancelled and all("cancelled" in item.error
+                                 for item in cancelled)
+        deadline = time.monotonic() + 5.0
+        while ItemState.LEASED in states and time.monotonic() < deadline:
+            time.sleep(0.05)
+            with queue.lock:
+                states = [item.state for item in queue.items()]
+            assert states.count(ItemState.DONE) <= started
+        assert ItemState.LEASED not in states
+        failed = [record["id"] for record in queue.journal.events()
+                  if record["event"] == "point_failed"]
+        assert sorted(failed) == sorted(
+            item.id for item in queue.items()
+            if item.state == ItemState.FAILED)
+
+
+def test_late_completion_leaves_a_failed_item_failed(tmp_path):
+    """A point charged a ``timeout_s`` overrun stays FAILED when it
+    finishes anyway: no ``point_done`` and, as on the pool, no cached
+    value."""
+    cache = ResultCache(directory=tmp_path / "cache")
+    point = OkPoint(token="slow", delay_s=2.0)
+    with make_runner(tmp_path, cache=cache, retries=0, timeout_s=0.5,
+                     failure_policy="quarantine") as fabric:
+        assert fabric.run([point]) == [None]
+        time.sleep(2.5)
+        queue = fabric.coordinator.queue
+        (item,) = queue.items()
+        assert item.state == ItemState.FAILED
+        events = [record["event"] for record in queue.journal.events()]
+        assert "point_done" not in events
+        assert cache.get(point.key()) is None
+        assert fabric.coordinator.results == {}
 
 
 def test_serve_refuses_non_loopback_bind_without_token(tmp_path):

@@ -10,6 +10,8 @@ order, the safety invariants must hold:
 * no point is doubly completed — the journal records at most one
   ``point_done`` per item, and DONE is sticky (a later failure report
   or expiry sweep never resurrects a completed item);
+* FAILED is sticky too — a late completion of a failed item is a
+  duplicate, not a second outcome;
 * a lease is held by at most the worker the queue says holds it.
 """
 
@@ -38,8 +40,14 @@ class PointQueueMachine(RuleBasedStateMachine):
                                 retries=1, max_recoveries=3,
                                 clock=lambda: self.now)
         points = [OkPoint(token=f"sp{i}") for i in range(N_POINTS)]
-        _batch, self.ids = self.queue.enqueue(points)
+        # The first two points (leased first) fail on their first
+        # reported failure, so short interleavings reach FAILED as well
+        # as the retry path.
+        _batch, self.ids = self.queue.enqueue(points[:2], retries=0)
+        _batch, more = self.queue.enqueue(points[2:])
+        self.ids += more
         self.done_seen: set[str] = set()
+        self.failed_seen: set[str] = set()
 
     def teardown(self):
         self.tmp.cleanup()
@@ -64,20 +72,26 @@ class PointQueueMachine(RuleBasedStateMachine):
     @rule(worker=st.sampled_from(WORKERS),
           index=st.integers(min_value=0, max_value=N_POINTS - 1))
     def complete(self, worker, index):
-        status = self.queue.complete(worker, self.ids[index])
+        item_id = self.ids[index]
+        before = self.queue.get(item_id).state
+        status = self.queue.complete(worker, item_id)
         assert status in ("done", "late", "duplicate")
+        if before == ItemState.FAILED:
+            assert status == "duplicate"
+            assert self.queue.get(item_id).state == ItemState.FAILED
+            return
         if status == "duplicate":
-            assert self.ids[index] in self.done_seen
-        self.done_seen.add(self.ids[index])
-        assert self.queue.get(self.ids[index]).state == ItemState.DONE
+            assert item_id in self.done_seen
+        self.done_seen.add(item_id)
+        assert self.queue.get(item_id).state == ItemState.DONE
 
     @rule(worker=st.sampled_from(WORKERS),
           index=st.integers(min_value=0, max_value=N_POINTS - 1))
     def fail(self, worker, index):
         before = self.queue.get(self.ids[index]).state
         state = self.queue.fail(worker, self.ids[index], "chaos says no")
-        if before == ItemState.DONE:
-            assert state == ItemState.DONE  # stale report: no-op
+        if before in (ItemState.DONE, ItemState.FAILED):
+            assert state == before  # stale report: no-op
         else:
             assert state in (ItemState.PENDING, ItemState.FAILED,
                              ItemState.LEASED)
@@ -107,6 +121,13 @@ class PointQueueMachine(RuleBasedStateMachine):
     def done_is_sticky(self):
         for item_id in self.done_seen:
             assert self.queue.get(item_id).state == ItemState.DONE
+
+    @invariant()
+    def failed_is_sticky(self):
+        for item_id in self.failed_seen:
+            assert self.queue.get(item_id).state == ItemState.FAILED
+        self.failed_seen |= {item.id for item in self.queue.items()
+                             if item.state == ItemState.FAILED}
 
     @invariant()
     def journal_never_doubles_a_completion(self):
