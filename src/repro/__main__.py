@@ -356,9 +356,6 @@ def cmd_submit(target: str, variant: str, priority: int, url: str,
             for doc in client.follow(job["id"], timeout_s=timeout):
                 job = doc
                 _print_follow_line(doc)
-            if job["state"] not in ("DONE", "FAILED", "QUARANTINED",
-                                    "CANCELLED"):
-                job = client.job(job["id"])
         else:
             job = client.wait(job["id"], timeout_s=timeout)
     except TimeoutError as err:

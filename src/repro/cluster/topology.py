@@ -1,17 +1,29 @@
 """Cluster topology graph: devices, links, and routing.
 
-The topology is a directed multigraph-free ``networkx.DiGraph`` whose nodes
-are :class:`Device` instances (GPUs, CPUs/sockets, NICs, switches) and
-whose edges each carry one :class:`~repro.cluster.links.Link`.  Routes are
+The topology is a directed graph, at most one edge per ordered pair,
+whose nodes are :class:`Device` instances (GPUs, CPUs/sockets, NICs,
+switches) and whose edges each carry one
+:class:`~repro.cluster.links.Link`.  It is held as two insertion-ordered
+adjacency dicts, successors and predecessors.  Routes are
 minimum-latency shortest paths, computed lazily and cached — on the
 fat-tree topologies we build, these coincide with the routes a real
 subnet manager would program.
+
+The search is a bidirectional Dijkstra whose choices are fixed down to
+ties, so that a route never depends on anything but the construction
+calls: both sides expand alternately, forward first; one shared
+counter breaks heap ties (push order); a neighbour is relaxed only on
+a strictly shorter distance; the meeting node is the one with the
+strictly shortest total seen so far; and neighbours are read in
+insertion order.  ``tests/cluster/test_topology.py`` checks it, tie for
+tie, against the reference graph library's latency-weighted
+``shortest_path`` on a digraph built by the same calls.
 
 Every simulated point builds a fresh topology, so the shortest-path
 searches are memoized across instances, keyed by the topology's
 construction history: the endpoints, latency and direction of every
 :meth:`Topology.add_device` / :meth:`Topology.add_link` call, in order.
-Those are all the latency-weighted search reads, including the graph's
+Those are all the latency-weighted search reads, including the
 insertion order that breaks ties, so two topologies with the same
 history get the same routes.  Fault injection changes a link's
 bandwidth or up state, never its latency, so it cannot change a route.
@@ -20,8 +32,8 @@ bandwidth or up state, never its latency, so it cannot change a route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
 
 from repro.cluster.links import Link, LinkSpec
 from repro.sim import Environment
@@ -35,8 +47,54 @@ __all__ = ["Device", "RouteInfo", "Topology"]
 _PATHS: dict[tuple, dict[tuple["Device", "Device"], list["Device"]]] = {}
 
 
-def _latency(a, b, data) -> float:
-    return data["link"].latency_s
+def _shortest_path(succ: dict, pred: dict, source: "Device",
+                   target: "Device") -> list["Device"]:
+    """The minimum-latency device path from ``source`` to ``target``.
+
+    Bidirectional Dijkstra over the ``succ`` / ``pred`` adjacency, with
+    the tie rules of the module docstring.  Raises
+    :class:`LookupError` when no path exists.  Latencies are
+    non-negative (:class:`LinkSpec` checks), so a finished node is
+    never improved on.
+    """
+    adjacency = (succ, pred)
+    dists = ({}, {})  # finished: device -> distance
+    seen = ({source: 0}, {target: 0})  # best distance found so far
+    preds = ({source: None}, {target: None})
+    tie = count()
+    fringe = ([(0, next(tie), source)], [(0, next(tie), target)])
+    best = meet = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heappop(fringe[direction])
+        done = dists[direction]
+        if v in done:
+            continue
+        done[v] = dist
+        if v in dists[1 - direction]:
+            path, node = [], meet
+            while node is not None:
+                path.append(node)
+                node = preds[0][node]
+            path.reverse()
+            node = preds[1][meet]
+            while node is not None:
+                path.append(node)
+                node = preds[1][node]
+            return path
+        near, far = seen[direction], seen[1 - direction]
+        for w, link in adjacency[direction][v].items():
+            length = dist + link.latency_s
+            if w not in done and (w not in near or length < near[w]):
+                near[w] = length
+                heappush(fringe[direction], (length, next(tie), w))
+                preds[direction][w] = v
+                if w in far:
+                    total = length + far[w]
+                    if best is None or best > total:
+                        best, meet = total, w
+    raise LookupError(f"no route from {source} to {target}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +177,11 @@ class Topology:
     def __init__(self, env: Environment, name: str = "cluster") -> None:
         self.env = env
         self.name = name
-        self.graph = nx.DiGraph()
+        #: a -> {b: link a->b}, devices and successors in insertion
+        #: order (the order the route search and :meth:`links` read).
+        self._succ: dict[Device, dict[Device, Link]] = {}
+        #: b -> {a: link a->b}: the same links, keyed by their far end.
+        self._pred: dict[Device, dict[Device, Link]] = {}
         self._route_cache: dict[tuple[Device, Device], list[Link]] = {}
         self._route_info_cache: dict[tuple[Device, Device], RouteInfo] = {}
         #: Every construction call so far, as plain tuples (the memo key).
@@ -130,7 +192,9 @@ class Topology:
     # -- construction ----------------------------------------------------
     def add_device(self, device: Device) -> Device:
         """Register a device (idempotent)."""
-        self.graph.add_node(device)
+        if device not in self._succ:
+            self._succ[device] = {}
+            self._pred[device] = {}
         self._record((device.kind, device.node, device.index))
         return device
 
@@ -144,9 +208,12 @@ class Topology:
         """
         self.add_device(a)
         self.add_device(b)
-        self.graph.add_edge(a, b, link=Link(self.env, spec, f"{a}->{b}"))
+        # Re-adding a pair replaces its link in place: both dicts keep
+        # the first insertion's position, and with it the tie order.
+        self._succ[a][b] = self._pred[b][a] = Link(self.env, spec, f"{a}->{b}")
         if duplex:
-            self.graph.add_edge(b, a, link=Link(self.env, spec, f"{b}->{a}"))
+            self._succ[b][a] = self._pred[a][b] = Link(
+                self.env, spec, f"{b}->{a}")
         self._record((a.kind, a.node, a.index, b.kind, b.node, b.index,
                       spec.latency_s, duplex))
         self._invalidate_routes()
@@ -159,7 +226,7 @@ class Topology:
     # -- queries ----------------------------------------------------------
     def devices(self, kind: str | None = None) -> list[Device]:
         """All devices, optionally filtered by ``kind``, in sorted order."""
-        devs = (d for d in self.graph.nodes if kind is None or d.kind == kind)
+        devs = (d for d in self._succ if kind is None or d.kind == kind)
         return sorted(devs)
 
     def gpus(self) -> list[Device]:
@@ -168,11 +235,11 @@ class Topology:
 
     def link(self, a: Device, b: Device) -> Link:
         """The direct link from ``a`` to ``b`` (KeyError if absent)."""
-        return self.graph.edges[a, b]["link"]
+        return self._succ[a][b]
 
     def links(self) -> list[Link]:
-        """Every directed link in the topology."""
-        return [data["link"] for _, _, data in self.graph.edges(data=True)]
+        """Every directed link, by source device, then insertion order."""
+        return [link for out in self._succ.values() for link in out.values()]
 
     def same_node(self, a: Device, b: Device) -> bool:
         """True when both devices live in the same physical node."""
@@ -193,9 +260,9 @@ class Topology:
                 paths = self._paths = _PATHS.setdefault(tuple(self._history), {})
             path = paths.get((src, dst))
             if path is None:
-                path = paths[(src, dst)] = nx.shortest_path(
-                    self.graph, src, dst, weight=_latency)
-            cached = [self.graph.edges[u, v]["link"] for u, v in zip(path, path[1:])]
+                path = paths[(src, dst)] = _shortest_path(
+                    self._succ, self._pred, src, dst)
+            cached = [self._succ[u][v] for u, v in zip(path, path[1:])]
             self._route_cache[(src, dst)] = cached
         return cached
 
@@ -292,6 +359,6 @@ class Topology:
 
     def __repr__(self) -> str:
         return (
-            f"<Topology {self.name}: {len(self.graph.nodes)} devices, "
-            f"{self.graph.number_of_edges()} links>"
+            f"<Topology {self.name}: {len(self._succ)} devices, "
+            f"{sum(map(len, self._succ.values()))} links>"
         )

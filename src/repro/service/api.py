@@ -49,7 +49,7 @@ from repro.obs import (CONTEXT_HEADER, bind as obs_bind, decode_context,
 from repro.runner import ResultCache
 from repro.runner.cache import SNAPSHOT_STAT_FIELDS
 from repro.service.config import AuthError, QuotaError, ServiceConfig, TokenAuth
-from repro.service.jobs import JobState, SpecError, parse_spec
+from repro.service.jobs import TERMINAL_STATES, JobState, SpecError, parse_spec
 from repro.service.queue import JobQueue, QueueError, QueueWriteError
 from repro.service.scheduler import Scheduler
 from repro.telemetry.metrics import MetricRegistry
@@ -327,18 +327,17 @@ class ServiceApp:
         return self._json(200, {"jobs": [j.to_dict() for j in jobs]})
 
     def _job(self, job_id: str):
-        job = self.service.queue.get(job_id)
-        return self._json(200, {"job": job.to_dict()})
+        return self._json(200, {"job": self.service.queue.doc(job_id)})
 
     def _result(self, job_id: str):
-        job = self.service.queue.get(job_id)
-        if job.state != JobState.DONE:
+        doc = self.service.queue.doc(job_id)
+        if doc["state"] != JobState.DONE:
             return self._error(
                 409, "not_done",
-                f"job {job_id} is {job.state}; results exist only for "
+                f"job {job_id} is {doc['state']}; results exist only for "
                 f"DONE jobs")
         try:
-            text = open(job.result_path, "rb").read()
+            text = open(doc["result_path"], "rb").read()
         except OSError as err:
             return self._error(500, "result_missing",
                                f"stored result unreadable: {err}")
@@ -398,7 +397,9 @@ class ServiceApp:
         job version, the ``Last-Event-ID`` resume cursor), comment
         keep-alives hold the connection open, and a terminal job sends
         a ``result`` event whose data is the *exact* stored result
-        envelope, then ``end``.
+        envelope, then ``end``.  Unless the client's cursor is already
+        at the terminal version, the last ``state`` event before
+        ``end`` is the terminal doc, with the ``end`` event's state.
         """
         queue = self.service.queue
         job = queue.get(job_id)  # 404 via QueueError when unknown
@@ -411,8 +412,7 @@ class ServiceApp:
                 return self._error(400, "bad_query",
                                    "since/timeout must be numeric")
             fresh = queue.wait_version(job_id, since, timeout_s=timeout)
-            doc = (fresh if fresh is not None else queue.get(job_id)).to_dict()
-            return self._json(200, {"job": doc,
+            return self._json(200, {"job": queue.doc(job_id),
                                     "changed": fresh is not None})
         try:
             since = int(headers.get("last-event-id",
@@ -432,7 +432,10 @@ class ServiceApp:
 
         Runs in the HTTP handler thread as the response streams; a
         dropped client surfaces as a broken pipe in the socket layer,
-        which closes this generator.
+        which closes this generator.  Each pass reads one doc snapshot
+        (:meth:`JobQueue.doc`): the scheduler may finish the job while
+        a frame is in flight, and a terminal test on the live job would
+        then send ``end`` without the terminal ``state`` frame.
         """
         from repro.obs.sse import format_comment, format_event
 
@@ -441,17 +444,17 @@ class ServiceApp:
         sent_retry = False
         while True:
             try:
-                job = queue.get(job_id)
-                if job.version > seen:
-                    seen = job.version
+                doc = queue.doc(job_id)
+                if doc["version"] > seen:
+                    seen = doc["version"]
                     yield format_event(
-                        job.to_dict(), id=seen, event="state",
+                        doc, id=seen, event="state",
                         retry_ms=None if sent_retry else 2000)
                     sent_retry = True
-                if job.terminal:
-                    if job.state == JobState.DONE and job.result_path:
+                if doc["state"] in TERMINAL_STATES:
+                    if doc["state"] == JobState.DONE and doc["result_path"]:
                         try:
-                            text = open(job.result_path, "rb").read()
+                            text = open(doc["result_path"], "rb").read()
                         except OSError:
                             text = None
                         if text is not None:
@@ -460,7 +463,7 @@ class ServiceApp:
                             # so the round trip is byte-lossless.
                             yield format_event(text, id=seen,
                                                event="result")
-                    yield format_event({"id": job.id, "state": job.state},
+                    yield format_event({"id": job_id, "state": doc["state"]},
                                        id=seen, event="end")
                     return
                 if queue.wait_version(job_id, seen,

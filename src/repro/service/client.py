@@ -135,8 +135,9 @@ class ServiceClient:
 
         Over HTTP this streams ``GET /v1/jobs/{id}/events`` as SSE
         (reconnecting with ``Last-Event-ID`` if the stream drops) and
-        falls back to long-polling when the server answers the stream
-        request with an error status.  In-process clients long-poll
+        long-polls from the last doc it saw when the server answers the
+        stream request with an error status, or when the stream ends
+        before a terminal doc.  In-process clients long-poll
         directly — the blocking transport consumes a whole response at
         a time, so streaming buys nothing there.
 
@@ -146,13 +147,17 @@ class ServiceClient:
         from repro.service.jobs import TERMINAL_STATES
 
         deadline = time.monotonic() + timeout_s
+        last: dict = {}
         if self.url is not None:
             try:
-                yield from self._follow_sse(job_id, deadline, heartbeat_s)
-                return
+                for last in self._follow_sse(job_id, deadline, heartbeat_s):
+                    yield last
             except _SSEUnavailable:
                 pass  # fall back to long-polling below
-        yield from self._follow_poll(job_id, deadline, TERMINAL_STATES)
+            if last.get("state") in TERMINAL_STATES:
+                return
+        yield from self._follow_poll(job_id, deadline, TERMINAL_STATES,
+                                     last.get("version", -1))
 
     def _follow_sse(self, job_id: str, deadline: float,
                     heartbeat_s: float | None):
@@ -184,8 +189,8 @@ class ServiceClient:
             # stream (auth proxy, old version) — long-poll instead.
             raise _SSEUnavailable(str(err)) from err
 
-    def _follow_poll(self, job_id: str, deadline: float, terminal):
-        version = -1
+    def _follow_poll(self, job_id: str, deadline: float, terminal,
+                     version: int):
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:

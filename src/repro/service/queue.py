@@ -497,6 +497,16 @@ class JobQueue:
             raise QueueError(f"unknown job {job_id!r}")
         return job
 
+    def doc(self, job_id: str) -> dict:
+        """The job's API doc, taken whole under the queue lock.
+
+        Readers that act on several fields (version, state, result
+        path) read them from this one doc, so a transition landing
+        between two reads of the live job cannot split them.
+        """
+        with self._lock:
+            return self.get(job_id).to_dict()
+
     def jobs(self, state: str | None = None,
              tenant: str | None = None) -> list[Job]:
         """Jobs in submission order, optionally filtered."""

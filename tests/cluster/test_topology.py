@@ -2,6 +2,8 @@
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     Device, Fabric, LinkDownError, LinkSpec, Topology, build_summit,
@@ -128,8 +130,8 @@ def test_route_latency_is_sum():
 
 def _endpoints(topo, route):
     """A link list as the device path it walks."""
-    ends = {id(data["link"]): (u, v)
-            for u, v, data in topo.graph.edges(data=True)}
+    ends = {id(link): (u, v)
+            for u, out in topo._succ.items() for v, link in out.items()}
     path = [ends[id(route[0])][0]]
     for link in route:
         u, v = ends[id(link)]
@@ -147,13 +149,13 @@ def _gpu_pairs(topo):
 def count_searches(monkeypatch):
     """Count the shortest-path searches topologies run."""
     calls = []
-    search = nx.shortest_path
+    search = topology_mod._shortest_path
 
-    def counting(graph, src, dst, **kwargs):
+    def counting(succ, pred, src, dst):
         calls.append((src, dst))
-        return search(graph, src, dst, **kwargs)
+        return search(succ, pred, src, dst)
 
-    monkeypatch.setattr(topology_mod.nx, "shortest_path", counting)
+    monkeypatch.setattr(topology_mod, "_shortest_path", counting)
     return calls
 
 
@@ -166,11 +168,28 @@ def summit_22_routed():
     return topo
 
 
+def _networkx_graph(topo):
+    """The reference: a networkx DiGraph replaying the topology's
+    construction calls in order, so that its adjacency, and with it
+    networkx's tie order, has the topology's insertion order."""
+    graph = nx.DiGraph()
+    for call in topo._history:
+        a = Device(*call[:3])
+        graph.add_node(a)
+        if len(call) > 3:
+            b = Device(*call[3:6])
+            latency_s, duplex = call[6:]
+            graph.add_edge(a, b, latency=latency_s)
+            if duplex:
+                graph.add_edge(b, a, latency=latency_s)
+    return graph
+
+
 def test_memoized_routes_match_a_fresh_search(summit_22_routed):
     topo = build_summit(Environment(), nodes=22)
+    graph = _networkx_graph(topo)
     for a, b in _gpu_pairs(topo):
-        fresh = nx.shortest_path(topo.graph, a, b,
-                                 weight=lambda u, v, d: d["link"].latency_s)
+        fresh = nx.shortest_path(graph, a, b, weight="latency")
         # Same path, over this topology's own links.
         assert topo.route(a, b) == [topo.link(u, v)
                                     for u, v in zip(fresh, fresh[1:])]
@@ -255,3 +274,71 @@ def test_faults_on_a_memoized_topology(fresh_memo, count_searches):
     assert topo.route(src, dst) == route
     assert topo.route_info(src, dst).bottleneck_Bps == healthy
     assert len(count_searches) == 1
+
+
+# -- the route search against networkx ----------------------------------------
+
+
+#: Microsecond-scale latencies that are small multiples of 2**-20 s, so
+#: path sums are exact and equal-latency paths really tie (1e-6 + 2e-6
+#: != 3e-6 in floating point, which would hide the tie order).
+_TIED_LATENCIES = [2**-20, 2**-19, 3 * 2**-20]
+
+
+@st.composite
+def _link_calls(draw):
+    """``add_link`` calls over a few devices: latencies from two or
+    three values (ties), random duplex, repeated pairs (replacements)."""
+    devices = draw(st.integers(min_value=2, max_value=10))
+    latencies = draw(st.lists(st.sampled_from(_TIED_LATENCIES),
+                              min_size=2, max_size=3, unique=True))
+    pair = st.tuples(st.integers(0, devices - 1),
+                     st.integers(0, devices - 1)).filter(lambda p: p[0] != p[1])
+    calls = draw(st.lists(st.tuples(pair, st.sampled_from(latencies),
+                                    st.booleans()), max_size=30))
+    return devices, calls
+
+
+_ONE_HOP = _TIED_LATENCIES[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_link_calls())
+# Two equal routes 0 -> {2, 1} -> 3 -> 4 -> 5, the first hop added
+# 2 before 1: the forward heap's push order, not device order or the
+# reverse of it, picks 2.
+@example((6, [((0, 2), _ONE_HOP, False), ((0, 1), _ONE_HOP, False),
+              ((1, 3), _ONE_HOP, False), ((2, 3), _ONE_HOP, False),
+              ((3, 4), _ONE_HOP, False), ((4, 5), _ONE_HOP, False)]))
+# Two equal routes 0 -> 1 -> 2 -> {3, 4} -> 5, 4 -> 5 added before
+# 3 -> 5: the backward search reaches 4 first and picks it, where a
+# forward-only search picks 3.
+@example((6, [((0, 1), _ONE_HOP, False), ((1, 2), _ONE_HOP, False),
+              ((2, 3), _ONE_HOP, False), ((2, 4), _ONE_HOP, False),
+              ((4, 5), _ONE_HOP, False), ((3, 5), _ONE_HOP, False)]))
+def test_routes_match_networkx_on_random_digraphs(case):
+    devices, calls = case
+    topo = Topology(Environment())
+    graph = nx.DiGraph()
+    nodes = [Device.gpu(0, i) for i in range(devices)]
+    for device in nodes:
+        topo.add_device(device)
+        graph.add_node(device)
+    for (i, j), latency_s, duplex in calls:
+        a, b = nodes[i], nodes[j]
+        topo.add_link(a, b, LinkSpec("l", latency_s, 1e9), duplex=duplex)
+        graph.add_edge(a, b, latency=latency_s)
+        if duplex:
+            graph.add_edge(b, a, latency=latency_s)
+    assert repr(topo).endswith(
+        f"{graph.number_of_nodes()} devices, {graph.number_of_edges()} links>")
+    for a in nodes:
+        for b in nodes:
+            if a == b:
+                continue
+            if nx.has_path(graph, a, b):
+                expected = nx.shortest_path(graph, a, b, weight="latency")
+                assert _endpoints(topo, topo.route(a, b)) == expected
+            else:
+                with pytest.raises(LookupError):
+                    topo.route(a, b)

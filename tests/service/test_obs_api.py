@@ -163,6 +163,29 @@ def test_client_follow_yields_docs_until_terminal(client, service):
     assert docs[-1]["state"] == JobState.DONE
 
 
+def test_follow_long_polls_when_the_stream_ends_early(service, monkeypatch):
+    from repro.fabric.transport import InProcessTransport
+    from repro.obs import sse
+
+    job = ServiceClient(app=service.app).submit(experiment="E6")
+    service.queue.lease("w0")
+    service.queue.mark_running(job["id"])
+    running = service.queue.doc(job["id"])
+    path = service.config.results_dir / f"{job['id']}.json"
+    write_result(path, '{"schema_version": 2}\n')
+    service.queue.complete(job["id"], str(path))
+    # A stream that ends without the terminal state frame.
+    frames = (sse.format_event(running, id=running["version"], event="state")
+              + sse.format_event({"id": job["id"], "state": JobState.DONE},
+                                 event="end"))
+    monkeypatch.setattr(sse, "follow", lambda url, **kwargs: iter(
+        sse.parse_sse(frames.decode("utf-8").split("\n"))))
+    client = ServiceClient(url="http://127.0.0.1:9")
+    client.transport = InProcessTransport(service.app)
+    docs = list(client.follow(job["id"], timeout_s=10.0))
+    assert [doc["state"] for doc in docs] == [JobState.RUNNING, JobState.DONE]
+
+
 # -- the SSE stream ---------------------------------------------------------
 
 def sse_events(client, job_id, query=""):
@@ -207,6 +230,25 @@ def test_sse_last_event_id_resumes_past_seen_versions(client, service):
     events = parse_sse(raw.decode("utf-8").split("\n"))
     # Already caught up: no state replay, straight to result + end.
     assert [e.event for e in events] == ["result", "end"]
+
+
+def test_sse_stream_ends_on_the_terminal_state(client, service):
+    job = client.submit(experiment="E6")
+    service.queue.lease("w0")
+    service.queue.mark_running(job["id"])
+    frames = iter(service.app.handle(
+        "GET", f"/v1/jobs/{job['id']}/events", {}, b"")[2])
+    first = next(frames)
+    # The scheduler finishes the job while the first frame is in flight.
+    path = service.config.results_dir / f"{job['id']}.json"
+    write_result(path, '{"schema_version": 2}\n')
+    service.queue.complete(job["id"], str(path))
+    events = parse_sse((first + b"".join(frames)).decode("utf-8").split("\n"))
+    assert [(e.event, None if e.event == "result" else e.json()["state"])
+            for e in events] == [("state", JobState.RUNNING),
+                                 ("state", JobState.DONE),
+                                 ("result", None),
+                                 ("end", JobState.DONE)]
 
 
 def test_sse_heartbeats_while_nothing_changes(client, service):
