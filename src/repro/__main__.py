@@ -9,6 +9,7 @@ Usage::
     python -m repro run all --resume      # finish an interrupted sweep
     python -m repro cache stats           # inspect the result cache
     python -m repro measure --gpus 48 --config tuned
+    python -m repro measure --gpus 12 --trace links --out DIR   # traced
     python -m repro serve --port 8765     # simulation-as-a-service API
     python -m repro submit E6 --wait      # queue a job on a server
     python -m repro jobs ls               # inspect the job queue
@@ -45,6 +46,10 @@ from repro.core import (
 
 #: Exit codes shared by every subcommand.
 EXIT_OK, EXIT_FAILURE, EXIT_USAGE = 0, 1, 2
+
+#: ``--config`` and ``--model`` choices of ``measure`` and ``faults run``.
+CONFIGS = {"default": paper_default_config, "tuned": paper_tuned_config}
+MODELS = ("deeplab", "resnet50", "resnet101", "mobilenetv2")
 
 
 def fail(message: str, *, usage: bool = False) -> int:
@@ -543,9 +548,6 @@ def cmd_faults_run(schedule_path: str, gpus: int, config_name: str,
 
     from repro.faults import FaultSchedule
 
-    configs = {"default": paper_default_config, "tuned": paper_tuned_config}
-    if config_name not in configs:
-        return fail(f"config must be one of {sorted(configs)}", usage=True)
     path = Path(schedule_path)
     if not path.exists():
         return fail(f"schedule file not found: {path}", usage=True)
@@ -563,7 +565,7 @@ def cmd_faults_run(schedule_path: str, gpus: int, config_name: str,
         return fail("schedule contains a rank_crash but the failure "
                     "detector is off; pass --deadline-ms > 0 or the run "
                     "will never terminate", usage=True)
-    cfg = configs[config_name]()
+    cfg = CONFIGS[config_name]()
     if deadline_ms > 0:
         cfg = dataclasses.replace(cfg, horovod=cfg.horovod.with_(
             negotiation_deadline_s=deadline_ms * 1e-3
@@ -589,35 +591,35 @@ def cmd_faults_run(schedule_path: str, gpus: int, config_name: str,
     return 0
 
 
-def _run_arg_error(gpus: int, iterations: int) -> str | None:
-    """Why ``--gpus``/``--iterations`` cannot make a measured run, if so."""
-    if gpus < 1:
-        return f"--gpus must be >= 1, got {gpus}"
-    if iterations < 2:
-        return (f"--iterations must be >= 2 (one warmup iteration plus at "
-                f"least one measured), got {iterations}")
-    return None
-
-
 def cmd_measure(gpus: int, config_name: str, iterations: int,
-                model: str, as_json: bool = False,
-                trace: bool = False) -> int:
-    """One ad-hoc measurement of a named configuration."""
-    configs = {"default": paper_default_config, "tuned": paper_tuned_config}
-    if config_name not in configs:
-        return fail(f"config must be one of {sorted(configs)}", usage=True)
-    error = _run_arg_error(gpus, iterations)
-    if error:
-        return fail(error, usage=True)
-    m = measure_training(gpus, configs[config_name](), model=model,
+                model: str, as_json: bool = False, trace: str | None = None,
+                out_dir: str | None = None) -> int:
+    """One measurement of a named configuration, optionally traced.
+
+    ``trace`` (``"spans"`` or ``"links"``) attaches the span recorder
+    and adds the critical-path report to the output (``trace_summary``
+    under ``--json``, whose attribution block traces at ``"spans"``).
+    ``out_dir`` implies ``trace="spans"`` and writes ``metrics.prom``,
+    ``telemetry.jsonl``, ``trace.json`` (Chrome trace with spans),
+    ``spans.json`` and ``critical_path.txt`` there.
+    """
+    if gpus < 1:
+        return fail(f"--gpus must be >= 1, got {gpus}", usage=True)
+    if iterations < 2:
+        return fail(f"--iterations must be >= 2 (one warmup iteration plus "
+                    f"at least one measured), got {iterations}", usage=True)
+    if out_dir is not None and trace is None:
+        trace = "spans"
+    m = measure_training(gpus, CONFIGS[config_name](), model=model,
                          iterations=iterations, jitter_std=0.03,
-                         trace="spans" if as_json or trace else None)
+                         trace=trace or ("spans" if as_json else None))
     report = None
-    if as_json or trace:
+    if m.trace is not None:
         from repro.trace import explain_measurement
 
         report = explain_measurement(m)
-    trace_summary = report.trace_summary() if trace else None
+    if out_dir is not None:
+        _export_observations(m, report, out_dir)
     if as_json:
         import json
 
@@ -647,97 +649,45 @@ def cmd_measure(gpus: int, config_name: str, iterations: int,
                 "overhead_share": report.overhead_share(),
                 "max_sum_error": report.max_sum_error,
             },
-            **({"trace_summary": trace_summary}
-               if trace_summary is not None else {}),
+            **({"trace_summary": report.trace_summary()}
+               if trace is not None else {}),
         }, indent=1))
         return 0
     print(f"{m.config.label}  model={model}")
     print(f"{gpus} GPUs: {m.images_per_second:.1f} img/s, "
           f"{m.scaling_efficiency * 100:.1f}% scaling efficiency")
-    if trace_summary is not None:
-        print(f"critical path: {trace_summary['critical_path_ms']:.1f} ms, "
-              f"exposed allreduce share "
-              f"{trace_summary['exposed_allreduce_share'] * 100:.2f}%")
+    if trace is not None:
+        print(f"\n{report.report()}")
+    if out_dir is not None:
+        print(f"\n[exported metrics.prom, telemetry.jsonl, trace.json, "
+              f"spans.json, critical_path.txt to {out_dir}]")
     return 0
 
 
-def cmd_telemetry(gpus: int, config_name: str, iterations: int, model: str,
-                  export_dir: str | None) -> int:
-    """Run one instrumented measurement and print/export the attribution."""
+def _export_observations(m, report, out_dir: str) -> None:
+    """Write a traced measurement's five observation files."""
     from pathlib import Path
 
     from repro.telemetry import to_jsonl, to_prometheus
-    from repro.trace import explain_measurement, merged_chrome_trace
+    from repro.trace import merged_chrome_trace, save_spans
 
-    configs = {"default": paper_default_config, "tuned": paper_tuned_config}
-    if config_name not in configs:
-        return fail(f"config must be one of {sorted(configs)}", usage=True)
-    error = _run_arg_error(gpus, iterations)
-    if error:
-        return fail(error, usage=True)
-    m = measure_training(gpus, configs[config_name](), model=model,
-                         iterations=iterations, jitter_std=0.03,
-                         trace="spans")
-    print(f"{m.config.label}  model={model}")
-    print(f"{gpus} GPUs: {m.images_per_second:.1f} img/s, "
-          f"{m.scaling_efficiency * 100:.1f}% scaling efficiency\n")
-    print(explain_measurement(m).table())
-    if export_dir is not None:
-        out = Path(export_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        registry = m.trace.registry
-        (out / "metrics.prom").write_text(to_prometheus(registry))
-        (out / "telemetry.jsonl").write_text(
-            to_jsonl(registry, m.trace.iteration_records()))
-        (out / "trace.json").write_text(
-            merged_chrome_trace(m.timeline, registry))
-        print(f"\n[exported metrics.prom, telemetry.jsonl, trace.json "
-              f"to {out}]")
-    return 0
-
-
-def cmd_trace_run(gpus: int, config_name: str, iterations: int, model: str,
-                  level: str, out_dir: str | None) -> int:
-    """One traced measurement: critical-path report + optional exports."""
-    from pathlib import Path
-
-    from repro.trace import (
-        explain_measurement,
-        merged_chrome_trace,
-        save_spans,
-    )
-
-    configs = {"default": paper_default_config, "tuned": paper_tuned_config}
-    if config_name not in configs:
-        return fail(f"config must be one of {sorted(configs)}", usage=True)
-    error = _run_arg_error(gpus, iterations)
-    if error:
-        return fail(error, usage=True)
-    m = measure_training(gpus, configs[config_name](), model=model,
-                         iterations=iterations, jitter_std=0.03,
-                         trace=level)
-    report = explain_measurement(m)
-    print(f"{m.config.label}  model={model}")
-    print(f"{gpus} GPUs: {m.images_per_second:.1f} img/s, "
-          f"{m.scaling_efficiency * 100:.1f}% scaling efficiency\n")
-    print(report.report())
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_spans(m.trace, out / "spans.json")
-        (out / "trace.json").write_text(merged_chrome_trace(
-            m.timeline, m.trace.registry, m.trace))
-        (out / "critical_path.txt").write_text(report.report() + "\n")
-        print(f"\n[exported spans.json, trace.json, critical_path.txt "
-              f"to {out}]")
-    return 0
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    registry = m.trace.registry
+    (out / "metrics.prom").write_text(to_prometheus(registry))
+    (out / "telemetry.jsonl").write_text(
+        to_jsonl(registry, m.trace.iteration_records()))
+    (out / "trace.json").write_text(
+        merged_chrome_trace(m.timeline, registry, m.trace))
+    save_spans(m.trace, out / "spans.json")
+    (out / "critical_path.txt").write_text(report.report() + "\n")
 
 
 def cmd_explain(target: str) -> int:
     """Critical-path diagnosis of a saved trace or experiment result.
 
     ``target`` is either a span JSON file written by
-    ``repro trace run --out`` / the runner's ``--trace-dir``, or an
+    ``repro measure --out`` / the runner's ``--trace-dir``, or an
     experiment id whose saved ``bench_results/<id>.json`` carries a
     ``trace_summary`` block (E16).  A span file carries its run context
     (GPU count, config label, warmup iterations) but not the runtime
@@ -770,7 +720,7 @@ def cmd_explain(target: str) -> int:
         if result.trace_summary is None:
             return fail(f"{saved} carries no trace_summary; only traced "
                         f"experiments (E16) record one — or point explain "
-                        f"at a span JSON from `repro trace run --out`",
+                        f"at a span JSON from `repro measure --out`",
                         usage=True)
         summary = result.trace_summary
         print(f"== {result.experiment}: {result.title} ==")
@@ -946,56 +896,30 @@ def main(argv: list[str] | None = None) -> int:
                        help="stop after N frames (default: until Ctrl-C)")
     top_p.add_argument("--no-color", action="store_true",
                        help="plain text (no ANSI colors)")
-    meas_p = sub.add_parser("measure", help="one ad-hoc training measurement")
+    meas_p = sub.add_parser(
+        "measure", help="one training measurement, optionally traced")
     meas_p.add_argument("--gpus", type=int, default=24)
-    meas_p.add_argument("--config", default="tuned",
-                        choices=("default", "tuned"))
+    meas_p.add_argument("--config", default="tuned", choices=tuple(CONFIGS))
     meas_p.add_argument("--iterations", type=int, default=3)
-    meas_p.add_argument("--model", default="deeplab",
-                        choices=("deeplab", "resnet50", "resnet101",
-                                 "mobilenetv2"))
+    meas_p.add_argument("--model", default="deeplab", choices=MODELS)
     meas_p.add_argument("--json", action="store_true",
                         help="machine-readable output (includes the "
                              "efficiency attribution summary)")
-    meas_p.add_argument("--trace", action="store_true",
-                        help="also trace spans and report the critical "
-                             "path (adds trace_summary to --json)")
-    tele_p = sub.add_parser(
-        "telemetry",
-        help="instrumented measurement + efficiency attribution")
-    tele_p.add_argument("--gpus", type=int, default=24)
-    tele_p.add_argument("--config", default="tuned",
-                        choices=("default", "tuned"))
-    tele_p.add_argument("--iterations", type=int, default=3)
-    tele_p.add_argument("--model", default="deeplab",
-                        choices=("deeplab", "resnet50", "resnet101",
-                                 "mobilenetv2"))
-    tele_p.add_argument("--export", metavar="DIR", default=None,
-                        help="also write metrics.prom, telemetry.jsonl and "
-                             "trace.json into DIR")
-    trace_p = sub.add_parser(
-        "trace", help="span tracing + critical-path diagnosis")
-    trace_sub = trace_p.add_subparsers(dest="trace_command", required=True)
-    trun_p = trace_sub.add_parser(
-        "run", help="one traced measurement + critical-path report")
-    trun_p.add_argument("--gpus", type=int, default=24)
-    trun_p.add_argument("--config", default="tuned",
-                        choices=("default", "tuned"))
-    trun_p.add_argument("--iterations", type=int, default=3)
-    trun_p.add_argument("--model", default="deeplab",
-                        choices=("deeplab", "resnet50", "resnet101",
-                                 "mobilenetv2"))
-    trun_p.add_argument("--level", default="spans",
+    meas_p.add_argument("--trace", nargs="?", const="spans", default=None,
                         choices=("spans", "links"),
-                        help="'links' adds per-transfer spans")
-    trun_p.add_argument("--out", metavar="DIR", default=None,
-                        help="also write spans.json, trace.json (Chrome) "
-                             "and critical_path.txt into DIR")
+                        help="trace spans ('links' adds per-transfer "
+                             "spans) and report the critical path (adds "
+                             "trace_summary to --json)")
+    meas_p.add_argument("--out", metavar="DIR", default=None,
+                        help="write metrics.prom, telemetry.jsonl, "
+                             "trace.json (Chrome), spans.json and "
+                             "critical_path.txt into DIR (implies "
+                             "--trace spans)")
     explain_p = sub.add_parser(
         "explain",
         help="critical-path diagnosis of a span JSON or saved experiment",
         description="Critical-path diagnosis of a span JSON file (from "
-                    "`repro trace run --out` or `repro run --trace-dir`) "
+                    "`repro measure --out` or `repro run --trace-dir`) "
                     "or of a saved experiment result with a trace_summary "
                     "block (E16).  A span file carries the run's GPU "
                     "count, config label and warmup iterations, but no "
@@ -1013,12 +937,9 @@ def main(argv: list[str] | None = None) -> int:
     frun_p.add_argument("--schedule", required=True,
                         help="path to a fault-schedule JSON file")
     frun_p.add_argument("--gpus", type=int, default=24)
-    frun_p.add_argument("--config", default="tuned",
-                        choices=("default", "tuned"))
+    frun_p.add_argument("--config", default="tuned", choices=tuple(CONFIGS))
     frun_p.add_argument("--iterations", type=int, default=6)
-    frun_p.add_argument("--model", default="deeplab",
-                        choices=("deeplab", "resnet50", "resnet101",
-                                 "mobilenetv2"))
+    frun_p.add_argument("--model", default="deeplab", choices=MODELS)
     frun_p.add_argument("--deadline-ms", type=float, default=0.0,
                         help="negotiation deadline in ms (0 = detector off; "
                              "required for crash schedules to shrink)")
@@ -1061,16 +982,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "faults":
         return cmd_faults_run(args.schedule, args.gpus, args.config,
                               args.iterations, args.model, args.deadline_ms)
-    if args.command == "telemetry":
-        return cmd_telemetry(args.gpus, args.config, args.iterations,
-                             args.model, args.export)
-    if args.command == "trace":
-        return cmd_trace_run(args.gpus, args.config, args.iterations,
-                             args.model, args.level, args.out)
     if args.command == "explain":
         return cmd_explain(args.target)
     return cmd_measure(args.gpus, args.config, args.iterations, args.model,
-                       args.json, trace=args.trace)
+                       args.json, trace=args.trace, out_dir=args.out)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,7 @@ The resume contract is **bit-identical continuation**: a run interrupted
 at boundary *k* and resumed via :func:`resume_training` yields the same
 :class:`~repro.core.sweep.Measurement` payload (training statistics,
 timeline, link utilization, fault report, attribution buckets)
-as the same run left uninterrupted.  Kernel-level event *counts* (e.g.
-``sim_events_processed_total``) are excluded: a resumed run pays a few
-bootstrap events the uninterrupted run does not.
+as the same run left uninterrupted.
 
 Pending :class:`~repro.faults.ProcessKill` specs are stripped on resume —
 the kill models the interruption itself, not workload behaviour, so

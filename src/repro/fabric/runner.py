@@ -13,8 +13,8 @@ Three layers, mirroring the service's app/composition split:
   result bytes land in the cache *before* ``point_done`` is journaled;
 * :class:`FabricRunner` — a :class:`~repro.runner.pool.Runner` whose
   cache misses run on N remote pull-workers instead of inline or in a
-  process pool.  Everything else (``run``, dedup, cache, failure
-  policy, ``stats``, ``meta``, ``quarantined``, ``trace_dir``) is the
+  process pool.  Everything else (``run``, dedup, cache, the terminal
+  ``RunnerError``, ``stats``, ``meta``, ``trace_dir``) is the
   Runner's own batch front-end, so ``repro run --backend fabric``
   targets it transparently, and the service scheduler runs each job's
   misses on its ``_drive``.
@@ -298,8 +298,9 @@ class FabricRunner(Runner):
     Only :meth:`_drive` — how the cache misses execute — is the
     fabric's own: it enqueues them on the coordinator's lease queue and
     polls until each is terminal.  Dedup, the cache lookup, input-order
-    merge, the raise/quarantine policy, ``stats``, the ``runner_*``
-    metrics, ``trace_dir`` capture and :meth:`meta` are inherited.
+    merge, the terminal :class:`~repro.runner.RunnerError`, ``stats``,
+    the ``runner_*`` metrics, ``trace_dir`` capture and :meth:`meta` are
+    inherited.
 
     Parameters
     ----------
@@ -307,7 +308,7 @@ class FabricRunner(Runner):
         Worker processes to spawn (``spawn="process"``/``"thread"``) or
         merely expected (``spawn=None``: the caller starts workers by
         hand, e.g. ``repro worker`` on other hosts).
-    cache / registry / progress / retries / timeout_s / failure_policy / trace_dir:
+    cache / registry / progress / retries / timeout_s / trace_dir:
         Exactly the local :class:`~repro.runner.pool.Runner` meanings.
         ``retries`` is enforced by the *coordinator*: a point whose
         worker reports a failure is re-leased up to that many times
@@ -335,7 +336,6 @@ class FabricRunner(Runner):
                  progress: Callable[[int, int, SimPoint, bool], None] | None = None,
                  retries: int = 0,
                  timeout_s: float | None = None,
-                 failure_policy: str = "raise",
                  trace_dir: str | Path | None = None,
                  lease_s: float = 30.0,
                  poll_s: float = 0.05,
@@ -354,8 +354,7 @@ class FabricRunner(Runner):
             raise ValueError("spawn must be 'process', 'thread' or None")
         super().__init__(workers=workers, cache=cache, registry=registry,
                          progress=progress, retries=retries,
-                         timeout_s=timeout_s, failure_policy=failure_policy,
-                         trace_dir=trace_dir)
+                         timeout_s=timeout_s, trace_dir=trace_dir)
         self.lease_s = float(lease_s)
         self.poll_s = float(poll_s)
         self.host = host
@@ -482,8 +481,8 @@ class FabricRunner(Runner):
                     elif item.state == ItemState.FAILED:
                         del pending[item_id]
                         self.coordinator.take(key)
-                        self._terminal(key, points[groups[key][0]],
-                                       item.error, resolve, None)
+                        raise self._terminal(points[groups[key][0]],
+                                             item.error)
                 if pending:
                     queue.requeue_expired()
                     self._ensure_workers()

@@ -14,11 +14,11 @@ simulation.  This package makes the sweep layer exploit that:
 * :class:`~repro.runner.pool.Runner` — the one batch front-end
   (``run(points, *, timeout_s=None, retries=None, progress=None)``):
   deterministic input-order merge, batch dedup, cache lookup, progress
-  callbacks, :mod:`repro.telemetry` counters and the raise/quarantine
-  policy.  Its misses run inline or across a self-healing process pool
-  (per-point watchdog timeouts, worker-crash detection with pool
-  respawn and isolation replay, bounded retry with exponential backoff,
-  poison-point quarantine); :class:`~repro.fabric.runner.FabricRunner`
+  callbacks, :mod:`repro.telemetry` counters and one terminal
+  ``RunnerError``.  Its misses run inline or across a self-healing
+  process pool (per-point watchdog timeouts, worker-crash detection
+  with pool respawn and isolation replay, bounded retry with
+  exponential backoff); :class:`~repro.fabric.runner.FabricRunner`
   subclasses it to run them on a fleet of pull-workers instead;
 * :class:`~repro.runner.journal.RunJournal` — append-only JSONL event
   log under ``bench_results/`` that makes ``repro run all --resume``

@@ -11,9 +11,7 @@ backend-agnostic:
   list`` — resolve a batch, results in input order; the keyword-only
   overrides apply to that batch;
 * ``stats`` — a :class:`~repro.runner.pool.RunnerStats`;
-* ``meta()`` — accounting dict for result envelopes;
-* ``quarantined`` — terminal failures recorded under
-  ``failure_policy="quarantine"``.
+* ``meta()`` — accounting dict for result envelopes.
 
 Parameter names are uniform everywhere: ``timeout_s`` (never
 ``timeout``), ``retries``, ``workers``, ``progress``.

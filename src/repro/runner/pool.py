@@ -19,8 +19,9 @@
    exported to ``trace_dir``.
 
 Everything but step 3 is this module's batch front-end, shared by every
-backend: one dedup, one cache lookup, one failure policy, one set of
-``runner_*`` metrics and one :meth:`Runner.meta`.
+backend: one dedup, one cache lookup, one terminal failure
+(:class:`RunnerError`), one set of ``runner_*`` metrics and one
+:meth:`Runner.meta`.
 
 Determinism contract: a point's result depends only on the point (each
 execution builds a fresh simulation :class:`~repro.sim.Environment`), so
@@ -40,11 +41,8 @@ Self-healing: the pool survives the failures a long sweep actually hits.
   innocents are resubmitted uncharged.
 * **Bounded retry** — a charged failure is retried up to ``retries``
   times with exponential backoff and deterministic per-(key, attempt)
-  jitter.
-* **Quarantine** — with ``failure_policy="quarantine"``, a point that
-  exhausts its retries resolves to ``None`` and is recorded in
-  :attr:`Runner.quarantined` instead of sinking the batch (the default
-  ``"raise"`` preserves the historical fail-fast contract).
+  jitter; a point that exhausts them fails the batch with
+  :class:`RunnerError`.
 * **Progress isolation** — an exception from the ``progress`` callback
   is counted (``runner_progress_errors_total``) and swallowed; only
   ``KeyboardInterrupt`` still propagates, after a graceful pool drain.
@@ -90,7 +88,6 @@ class RunnerStats:
     execute_seconds: float = 0.0
     retries: int = 0
     timeouts: int = 0
-    quarantined: int = 0
     pool_respawns: int = 0
     progress_errors: int = 0
     traces_captured: int = 0
@@ -106,7 +103,6 @@ class RunnerStats:
             "execute_seconds": round(self.execute_seconds, 3),
             "retries": self.retries,
             "timeouts": self.timeouts,
-            "quarantined": self.quarantined,
             "pool_respawns": self.pool_respawns,
             "progress_errors": self.progress_errors,
             "traces_captured": self.traces_captured,
@@ -164,11 +160,6 @@ class Runner:
         timeout.  ``None`` (default) disables the watchdog.  Inline
         execution cannot be interrupted, so the watchdog only applies
         with ``workers >= 2``.
-    failure_policy:
-        ``"raise"`` (default) re-raises the first terminal failure as
-        :class:`RunnerError`; ``"quarantine"`` records it in
-        :attr:`quarantined`, resolves the point to ``None`` and keeps
-        going.
     trace_dir:
         When set, every resolved measurement carrying a span recorder
         (``measurement.trace``, from a traced :class:`TrainPoint`) has
@@ -187,7 +178,6 @@ class Runner:
                  backoff_s: float = 0.05,
                  max_backoff_s: float = 2.0,
                  timeout_s: float | None = None,
-                 failure_policy: str = "raise",
                  trace_dir: str | Path | None = None,
                  ) -> None:
         if workers < 0:
@@ -196,11 +186,6 @@ class Runner:
             raise ValueError("retries must be >= 0")
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError("timeout_s must be > 0")
-        if failure_policy not in ("raise", "quarantine"):
-            raise ValueError(
-                f"failure_policy must be 'raise' or 'quarantine', "
-                f"got {failure_policy!r}"
-            )
         self.workers = int(workers)
         self.cache = cache
         self.progress = progress
@@ -208,13 +193,9 @@ class Runner:
         self.backoff_s = float(backoff_s)
         self.max_backoff_s = float(max_backoff_s)
         self.timeout_s = timeout_s
-        self.failure_policy = failure_policy
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         self.registry = registry if registry is not None else MetricRegistry()
         self.stats = RunnerStats()
-        #: Terminal failures recorded under ``failure_policy="quarantine"``:
-        #: ``{"key", "point", "error"}`` dicts, in failure order.
-        self.quarantined: list[dict] = []
         self._m_points = self.registry.counter(
             "runner_points_total", "simulation points resolved",
             labelnames=("status",))
@@ -227,8 +208,6 @@ class Runner:
             "runner_retries_total", "point retry attempts")
         self._m_timeouts = self.registry.counter(
             "runner_timeouts_total", "points killed by the watchdog")
-        self._m_quarantined = self.registry.counter(
-            "runner_quarantined_total", "points quarantined after retries")
         self._m_respawns = self.registry.counter(
             "runner_pool_respawns_total", "worker pool respawns")
         self._m_progress_errors = self.registry.counter(
@@ -269,13 +248,12 @@ class Runner:
             groups.setdefault(point.key(), []).append(i)
         self.stats.deduplicated += len(points) - len(groups)
 
-        def resolve(key: str, value, cached: bool,
-                    status: str | None = None) -> None:
+        def resolve(key: str, value, cached: bool) -> None:
             nonlocal done
             for i in groups[key]:
                 results[i] = value
                 done += 1
-                label = status or ("cache_hit" if cached else "executed")
+                label = "cache_hit" if cached else "executed"
                 self._m_points.labels(status=label).inc()
                 if cached:
                     self.stats.cache_hits += 1
@@ -351,8 +329,7 @@ class Runner:
                     if attempt <= retries:
                         self._count_retry(key, attempt)
                         continue
-                    self._terminal(key, point, repr(exc), resolve, exc)
-                    break
+                    raise self._terminal(point, repr(exc)) from exc
                 self._store(key, value)
                 resolve(key, value, cached=False)
                 break
@@ -368,26 +345,15 @@ class Runner:
         self._m_retries.inc()
         time.sleep(self._backoff(key, attempt))
 
-    def _terminal(self, key, point, error: str, resolve,
-                  cause: BaseException | None) -> None:
-        """Apply the failure policy to a point that exhausted its retries.
+    @staticmethod
+    def _terminal(point, error: str) -> RunnerError:
+        """The error that fails the batch on a point out of retries.
 
         ``error`` describes the cause (``repr`` of the exception, or the
-        text a fabric worker reported); it is the quarantine record's
-        ``error`` and the parenthesized tail of the raised message.
+        text a fabric worker reported); it is the parenthesized tail of
+        the message.
         """
-        if self.failure_policy == "quarantine":
-            self.stats.quarantined += 1
-            self._m_quarantined.inc()
-            self.quarantined.append({
-                "key": key,
-                "point": point.describe(),
-                "error": error,
-            })
-            resolve(key, None, cached=False, status="quarantined")
-            return
-        raise RunnerError(
-            f"point failed: {point.describe()} ({error})") from cause
+        return RunnerError(f"point failed: {point.describe()} ({error})")
 
     def _store(self, key: str, value) -> None:
         if self.cache is not None:
@@ -397,8 +363,6 @@ class Runner:
     def meta(self) -> dict:
         """Runner accounting for the run journal and the service job record."""
         out = {"workers": self.workers, **self.stats.as_dict()}
-        if self.quarantined:
-            out["quarantined_points"] = [dict(q) for q in self.quarantined]
         if self.cache is not None:
             out["cache"] = self.cache.snapshot()
         return out
@@ -559,7 +523,7 @@ class _PoolDriver:
             # repeat offence cannot take innocents down with it.
             (self.isolate if solo_retry else self.queue).append(key)
             return
-        self.r._terminal(key, self.point(key), repr(exc), self.resolve, exc)
+        raise self.r._terminal(self.point(key), repr(exc)) from exc
 
     # -- pool lifecycle ----------------------------------------------------
     def _respawn(self) -> None:

@@ -465,9 +465,11 @@ class Environment:
         self._eid = 0
         self._active: Process | None = None
         #: Optional observation-only hook object (``on_schedule(env, event,
-        #: delay)`` / ``on_step(env, event, depth)``) — see
-        #: :class:`repro.trace.SpanRecorder`.  Must never create events or
-        #: mutate kernel state.
+        #: delay)`` / ``on_step(env, event, depth)``), the seam of the
+        #: kernel's own gates: the event-stream digests
+        #: (``tests/sim/test_event_stream.py``) and the dispatch-order
+        #: differential test (``tests/sim/test_properties.py``).  Must
+        #: never create events or mutate kernel state.
         self.monitor: Any = None
 
     @property

@@ -439,30 +439,18 @@ class CriticalPathReport:
             ],
         }
 
-    def _bucket_lines(self) -> list[str]:
-        totals, shares = self.totals(), self.shares()
-        lines = [f"{'bucket':<16} {'ms/iter':>10} {'share':>8}"]
-        for bucket in BUCKETS:
-            lines.append(f"{bucket:<16} {totals[bucket] * 1e3:>10.2f} "
-                         f"{shares[bucket] * 100:>7.1f}%")
-        return lines
-
-    def table(self) -> str:
-        """Fixed-width per-bucket attribution table."""
-        return "\n".join([
-            f"-- attribution: {self.label} @ {self.gpus} GPUs "
-            f"(wall {self.mean_wall_s * 1e3:.1f} ms/iter) --",
-            *self._bucket_lines(),
-        ])
-
     def report(self) -> str:
         """Plain-text critical-path report."""
+        totals, shares = self.totals(), self.shares()
         lines = [
             f"-- critical path: {self.label or 'run'} @ {self.gpus} GPUs "
             f"({self.mean_path_s * 1e3:.1f} ms/iter over {self.n} steady "
             f"iterations, level={self.level}) --",
-            *self._bucket_lines(),
+            f"{'bucket':<16} {'ms/iter':>10} {'share':>8}",
         ]
+        for bucket in BUCKETS:
+            lines.append(f"{bucket:<16} {totals[bucket] * 1e3:>10.2f} "
+                         f"{shares[bucket] * 100:>7.1f}%")
         lines.append(
             f"exposed allreduce critical-path share: "
             f"{self.exposed_allreduce_share * 100:.1f}%")

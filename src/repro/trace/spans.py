@@ -1,9 +1,11 @@
 """The one observer of a simulated run: hierarchical spans plus metrics.
 
 A :class:`SpanRecorder` is an observation-only hook threaded through the
-simulation stack — kernel (``Environment.monitor``), trainer, Horovod
-runtime, communicator and fabric all carry an optional slot that
-defaults to ``None``.  When attached, each layer records *spans*:
+simulated system — trainer, Horovod runtime, communicator and fabric
+all carry an optional slot that defaults to ``None``.  It leaves the DES
+kernel's ``Environment.monitor`` alone, so a traced run makes no
+recorder call per kernel event.  When attached, each layer records
+*spans*:
 ``(category, name, start_s, end_s, parent, tags)`` intervals in simulated
 seconds, nested parent/child:
 
@@ -18,10 +20,10 @@ seconds, nested parent/child:
                      └─ TRANSFER (per link traversal; ``level="links"``)
 
 The same hooks update the run's simulated-time
-:class:`~repro.telemetry.MetricRegistry` (``recorder.registry``): kernel
-event counts and queue depths, collective counts/bytes/seconds, Horovod
-cycles, negotiations and fusion occupancy, per-phase trainer seconds,
-and — pulled by :meth:`SpanRecorder.finalize` — per-link-type traffic.
+:class:`~repro.telemetry.MetricRegistry` (``recorder.registry``):
+collective counts/bytes/seconds, Horovod cycles, negotiations and fusion
+occupancy, per-phase trainer seconds, and — pulled by
+:meth:`SpanRecorder.finalize` — per-link-type traffic.
 
 The recorder never creates simulation events and never reads anything but
 ``env.now`` at instants the instrumented code already reaches: an
@@ -59,11 +61,6 @@ SPAN_SCHEMA_VERSION = 2
 #: Recorder detail levels: ``"spans"`` stops at per-rank algorithm steps,
 #: ``"links"`` additionally records one TRANSFER span per link traversal.
 LEVELS = ("spans", "links")
-
-#: Sample the tracked event-queue-depth gauge every N kernel steps — the
-#: histogram sees every step; the track stays small enough to merge into
-#: a Chrome trace.
-QUEUE_TRACK_STRIDE = 64
 
 
 @dataclass
@@ -128,20 +125,7 @@ class SpanRecorder:
         self._fabric: Any = None
         self._comm: Any = None
         self._runtime: Any = None
-        self._steps = 0
         self.registry = r = MetricRegistry()
-        # -- sim kernel ---------------------------------------------------
-        self._events_total = r.counter(
-            "sim_events_processed_total", "DES events popped and dispatched")
-        self._queue_depth = r.histogram(
-            "sim_event_queue_depth", "event-queue depth observed at each step",
-            buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, float("inf")))
-        self._queue_track = r.gauge(
-            "sim_event_queue_depth_now", "event-queue depth (sampled track)",
-            track=True)
-        self._schedule_delay = r.histogram(
-            "sim_schedule_delay_seconds",
-            "queue residency: delay between scheduling and dispatch")
         # -- MPI ----------------------------------------------------------
         self._allreduce_ops = r.counter(
             "mpi_allreduce_total", "collective invocations",
@@ -237,7 +221,6 @@ class SpanRecorder:
         if env is not None:
             self._env = env
             self.registry.bind_clock(lambda: env.now)
-            env.monitor = self
         if comm is not None:
             comm.tracer = self
             self._comm = comm
@@ -266,20 +249,6 @@ class SpanRecorder:
             stats = self._runtime.stats
             if stats.negotiations:
                 self._cache_hit_ratio.set(stats.cache_hits / stats.negotiations)
-
-    # -- sim kernel hooks ---------------------------------------------
-
-    def on_schedule(self, env: Any, event: Any, delay: float) -> None:
-        """An event was pushed to fire ``delay`` seconds from now."""
-        self._schedule_delay.observe(delay)
-
-    def on_step(self, env: Any, event: Any, depth: int) -> None:
-        """One event was popped and its callbacks ran."""
-        self._events_total.inc()
-        self._queue_depth.observe(depth)
-        self._steps += 1
-        if self._steps % QUEUE_TRACK_STRIDE == 0:
-            self._queue_track.set(depth)
 
     # -- MPI hooks ----------------------------------------------------
 

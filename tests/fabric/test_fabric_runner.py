@@ -75,13 +75,13 @@ def test_raise_policy_propagates_point_failure(tmp_path):
 
 
 def test_quarantine_policy_resolves_none(tmp_path):
-    with make_runner(tmp_path, failure_policy="quarantine") as fabric:
-        values = fabric.run([OkPoint(token="a"), FailPoint(token="bad")])
-    assert values[0]["token"] == "a"
-    assert values[1] is None
-    assert len(fabric.quarantined) == 1
-    assert fabric.meta()["quarantined_points"][0]["point"] == "fail:bad"
-    assert "runner_quarantined_total 1" in to_prometheus(fabric.registry)
+    """No point resolves to ``None``: a spent budget next to an innocent
+    fails the batch with the worker's report of the real cause."""
+    with make_runner(tmp_path) as fabric:
+        with pytest.raises(RunnerError) as err:
+            fabric.run([OkPoint(token="a"), FailPoint(token="bad")])
+    assert str(err.value) == (
+        "point failed: fail:bad (fail:bad: ValueError('poison bad'))")
 
 
 def test_run_points_overrides_are_batch_scoped(tmp_path):
@@ -210,9 +210,10 @@ def test_late_completion_leaves_a_failed_item_failed(tmp_path):
     value."""
     cache = ResultCache(directory=tmp_path / "cache")
     point = OkPoint(token="slow", delay_s=2.0)
-    with make_runner(tmp_path, cache=cache, retries=0, timeout_s=0.5,
-                     failure_policy="quarantine") as fabric:
-        assert fabric.run([point]) == [None]
+    with make_runner(tmp_path, cache=cache, retries=0,
+                     timeout_s=0.5) as fabric:
+        with pytest.raises(RunnerError, match="point failed: ok:slow"):
+            fabric.run([point])
         time.sleep(2.5)
         queue = fabric.coordinator.queue
         (item,) = queue.items()
@@ -234,8 +235,8 @@ def test_serve_refuses_non_loopback_bind_without_token(tmp_path):
 def test_validation_errors():
     with pytest.raises(ValueError, match="workers"):
         FabricRunner(workers=0)
-    with pytest.raises(ValueError, match="failure_policy"):
-        FabricRunner(failure_policy="explode")
+    with pytest.raises(TypeError):  # one policy: a spent budget raises
+        FabricRunner(failure_policy="quarantine")
     with pytest.raises(ValueError, match="spawn"):
         FabricRunner(spawn="hologram")
 

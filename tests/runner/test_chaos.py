@@ -3,8 +3,9 @@
 The point classes here misbehave on purpose — ``os._exit`` a pool
 worker, sleep past the watchdog, fail until a sentinel file appears —
 and the assertions check the self-healing contract: the batch completes
-(or quarantines precisely the poison point), innocents are never
-charged, and the retry/timeout/respawn accounting is exact.
+(or fails with a :class:`RunnerError` naming precisely the poison
+point), innocents are never charged, and the retry/timeout/respawn
+accounting is exact.
 """
 
 import json
@@ -140,7 +141,7 @@ def test_progress_keyboard_interrupt_propagates():
         runner.run([OkPoint(token="a")])
 
 
-# -- retry / quarantine, inline path -------------------------------------
+# -- retry / terminal failure, inline path --------------------------------
 def test_retry_recovers_flaky_point_inline(tmp_path):
     registry = MetricRegistry()
     runner = Runner(registry=registry, retries=2, backoff_s=0.001)
@@ -152,20 +153,21 @@ def test_retry_recovers_flaky_point_inline(tmp_path):
 
 
 def test_quarantine_isolates_poison_point_inline():
+    """A spent budget fails the batch on the poison point alone: the
+    error names it and chains its exception, the innocent before it
+    resolved, and nothing was retried."""
     registry = MetricRegistry()
-    runner = Runner(registry=registry, failure_policy="quarantine")
+    runner = Runner(registry=registry)
+    resolved = []
     points = [OkPoint(token="a"), RaisePoint(token="p"), OkPoint(token="b")]
-    results = runner.run(points)
-    assert results[0] == {"token": "a"}
-    assert results[1] is None
-    assert results[2] == {"token": "b"}
-    assert runner.stats.quarantined == 1
-    assert _counter(registry, "runner_quarantined_total") == 1
-    (entry,) = runner.quarantined
-    assert entry["point"] == "raise:p"
-    assert "poison" in entry["error"]
-    assert entry["key"] == points[1].key()
-    assert entry in runner.meta()["quarantined_points"]
+    with pytest.raises(RunnerError) as err:
+        runner.run(points, progress=lambda done, total, point, cached:
+                   resolved.append(point.describe()))
+    assert str(err.value) == "point failed: raise:p (ValueError('poison p'))"
+    assert isinstance(err.value.__cause__, ValueError)
+    assert resolved == ["ok:a"]
+    assert runner.stats.retries == 0
+    assert _counter(registry, "runner_retries_total") == 0
 
 
 def test_default_raise_behaviour_unchanged():
@@ -193,8 +195,8 @@ def test_runner_parameter_validation():
         Runner(retries=-1)
     with pytest.raises(ValueError):
         Runner(timeout_s=0)
-    with pytest.raises(ValueError):
-        Runner(failure_policy="retry-forever")
+    with pytest.raises(TypeError):  # one policy: a spent budget raises
+        Runner(failure_policy="quarantine")
 
 
 # -- pool-path failures raise identically --------------------------------
@@ -209,19 +211,18 @@ def test_pool_failure_raises_runner_error_by_default():
 # -- worker crash: pool respawn + isolation replay -----------------------
 @pytest.mark.chaos
 def test_worker_crash_quarantines_culprit_and_resolves_innocents():
+    """Isolation replay pins the crash on its culprit: the batch fails
+    naming ``crash:x`` and the innocent in flight with it resolves."""
     registry = MetricRegistry()
-    runner = Runner(workers=2, registry=registry,
-                    failure_policy="quarantine", backoff_s=0.001)
+    runner = Runner(workers=2, registry=registry, backoff_s=0.001)
+    resolved = []
     points = [OkPoint(token="a"), CrashPoint(token="x"),
               OkPoint(token="b"), OkPoint(token="c")]
-    results = runner.run(points)
-    assert results[0] == {"token": "a"}
-    assert results[1] is None
-    assert results[2] == {"token": "b"}
-    assert results[3] == {"token": "c"}
+    with pytest.raises(RunnerError, match="point failed: crash:x"):
+        runner.run(points, progress=lambda done, total, point, cached:
+                   resolved.append(point.describe()))
+    assert "ok:a" in resolved and "crash:x" not in resolved
     assert runner.stats.pool_respawns >= 1
-    assert runner.stats.quarantined == 1
-    assert runner.quarantined[0]["point"] == "crash:x"
     assert _counter(registry, "runner_pool_respawns_total") >= 1
     # Innocents were replayed, never charged an attempt.
     assert runner.stats.retries == 0
@@ -253,20 +254,16 @@ def test_worker_crash_retry_recovers(tmp_path):
 @pytest.mark.slow
 def test_hung_point_is_killed_and_quarantined():
     registry = MetricRegistry()
-    runner = Runner(workers=2, registry=registry, timeout_s=0.5,
-                    failure_policy="quarantine")
+    runner = Runner(workers=2, registry=registry, timeout_s=0.5)
     points = [HangPoint(token="h"), OkPoint(token="a"), OkPoint(token="b")]
     start = time.perf_counter()
-    results = runner.run(points)
+    with pytest.raises(RunnerError) as err:
+        runner.run(points)
     elapsed = time.perf_counter() - start
     assert elapsed < 30  # nowhere near the 60 s hang
-    assert results[0] is None
-    assert results[1] == {"token": "a"}
-    assert results[2] == {"token": "b"}
+    assert str(err.value) == ("point failed: hang:h (TimeoutError("
+                              "'point exceeded timeout_s=0.5'))")
     assert runner.stats.timeouts == 1
-    assert runner.stats.quarantined == 1
-    assert runner.quarantined[0]["point"] == "hang:h"
-    assert "timeout" in runner.quarantined[0]["error"].lower()
     assert _counter(registry, "runner_timeouts_total") == 1
 
 
@@ -282,24 +279,24 @@ def test_hung_point_timeout_raises_by_default():
 # -- a one-miss batch still runs in the pool ------------------------------
 @pytest.mark.chaos
 def test_lone_hung_point_is_killed_and_quarantined():
-    runner = Runner(workers=2, timeout_s=0.5, failure_policy="quarantine")
+    runner = Runner(workers=2, timeout_s=0.5)
     start = time.perf_counter()
-    results = runner.run([HangPoint(token="h", sleep_s=3.0)])
+    with pytest.raises(RunnerError, match="point failed: hang:h"):
+        runner.run([HangPoint(token="h", sleep_s=3.0)])
     elapsed = time.perf_counter() - start
     assert elapsed < 2.5  # the watchdog fired well before the sleep ended
-    assert results == [None]
     assert runner.stats.timeouts == 1
-    assert runner.quarantined[0]["point"] == "hang:h"
 
 
 _LONE_CRASH = """
 import json
-from repro.runner import Runner
+from repro.runner import Runner, RunnerError
 from tests.runner.test_chaos import CrashPoint
-runner = Runner(workers=2, failure_policy="quarantine", backoff_s=0.001)
-values = runner.run([CrashPoint(token="c")])
-print(json.dumps({"values": values,
-                  "quarantined": [q["point"] for q in runner.quarantined]}))
+runner = Runner(workers=2, backoff_s=0.001)
+try:
+    runner.run([CrashPoint(token="c")])
+except RunnerError as err:
+    print(json.dumps({"error": str(err)}))
 """
 
 
@@ -311,8 +308,8 @@ def test_lone_crash_point_cannot_kill_the_caller():
     proc = subprocess.run([sys.executable, "-c", _LONE_CRASH], cwd=root,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "values": [None], "quarantined": ["crash:c"]}
+    error = json.loads(proc.stdout.splitlines()[-1])["error"]
+    assert error.startswith("point failed: crash:c (BrokenProcessPool(")
 
 
 # -- graceful drain on interrupt -----------------------------------------

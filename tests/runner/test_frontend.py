@@ -19,14 +19,13 @@ from tests.fabric._points import FailPoint, FlakyPoint, OkPoint
 RUNNER_FAMILIES = {
     "runner_points_total", "runner_batches_total",
     "runner_execute_seconds_total", "runner_retries_total",
-    "runner_timeouts_total", "runner_quarantined_total",
-    "runner_pool_respawns_total", "runner_progress_errors_total",
+    "runner_timeouts_total", "runner_pool_respawns_total", "runner_progress_errors_total",
     "runner_traces_captured_total", "runner_workers",
 }
 META_KEYS = {
     "workers", "points", "cache_hits", "cache_misses", "executed",
     "deduplicated", "execute_seconds", "retries", "timeouts",
-    "quarantined", "pool_respawns", "progress_errors", "traces_captured",
+    "pool_respawns", "progress_errors", "traces_captured",
 }
 
 
@@ -75,15 +74,14 @@ def test_raising_progress_callback_is_counted_not_fatal(make):
 
 
 def test_quarantine_record_carries_the_real_cause(make):
-    runner = make(failure_policy="quarantine")
-    bad = FailPoint(token="bad")
-    values = runner.run([OkPoint(token="a"), bad])
-    assert values[0]["token"] == "a" and values[1] is None
-    (record,) = runner.quarantined
-    assert set(record) == {"key", "point", "error"}
-    assert (record["key"], record["point"]) == (bad.key(), "fail:bad")
-    assert "poison bad" in record["error"]
-    assert runner.meta()["quarantined_points"] == [record]
+    """A spent budget next to an innocent fails the batch naming the
+    poison point and its own exception on every backend, never a pool
+    or transport error standing in for it."""
+    with pytest.raises(RunnerError) as err:
+        make().run([OkPoint(token="a"), FailPoint(token="bad")])
+    message = str(err.value)
+    assert message.startswith("point failed: fail:bad (")
+    assert message.endswith("ValueError('poison bad'))")
 
 
 def test_raised_failure_names_the_real_cause(make):
@@ -109,11 +107,12 @@ def test_retries_count_charged_failures_alike(make, tmp_path, k):
 def test_overrun_is_a_charged_timeout(make):
     """Inline execution cannot be interrupted; the pool watchdog and the
     fabric worker's heartbeat deadline both charge a TimeoutError."""
-    runner = make(failure_policy="quarantine", timeout_s=0.3)
-    assert runner.run([OkPoint(token="slow", delay_s=3.0)]) == [None]
-    (record,) = runner.quarantined
-    assert record["point"] == "ok:slow"
-    assert "TimeoutError('point exceeded timeout_s=0.3')" in record["error"]
+    runner = make(timeout_s=0.3)
+    with pytest.raises(RunnerError) as err:
+        runner.run([OkPoint(token="slow", delay_s=3.0)])
+    message = str(err.value)
+    assert message.startswith("point failed: ok:slow (")
+    assert "TimeoutError('point exceeded timeout_s=0.3')" in message
 
 
 def test_metric_names_and_meta_keys(make, tmp_path):

@@ -106,7 +106,7 @@ def test_shares_and_table():
     shares = report.shares()
     assert shares["compute"] == pytest.approx(1.0)
     assert sum(shares.values()) == pytest.approx(1.0)
-    text = report.table()
+    text = report.report()
     assert "unit" in text and "@ 4 GPUs" in text
     for bucket in BUCKETS:
         assert bucket in text

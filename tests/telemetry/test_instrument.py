@@ -36,7 +36,6 @@ def test_sample_instants_are_ordered(measured):
 
 def test_kernel_and_runtime_metrics_populated(measured):
     r = measured.trace.registry
-    assert r.get("sim_events_processed_total").default.value > 1000
     assert r.get("hvd_cycles_total").default.value == (
         measured.runtime_stats.cycles
     )
@@ -95,11 +94,3 @@ def test_existing_probe_can_be_passed_in():
                          trace=recorder)
     assert m.trace is recorder
     assert recorder.iteration_records()
-
-
-def test_queue_depth_track_is_downsampled(measured):
-    r = measured.trace.registry
-    track = r.get("sim_event_queue_depth_now").default.track
-    total = r.get("sim_events_processed_total").default.value
-    assert track  # sampled at least once
-    assert len(track) <= total / 32  # stride-64 downsampling

@@ -84,10 +84,10 @@ def test_measure_json_includes_attribution(capsys):
 
 def test_telemetry_command_prints_and_exports(tmp_path, capsys):
     out_dir = tmp_path / "export"
-    assert main(["telemetry", "--gpus", "2", "--iterations", "2",
-                 "--export", str(out_dir)]) == 0
+    assert main(["measure", "--gpus", "2", "--iterations", "2",
+                 "--out", str(out_dir)]) == 0
     out = capsys.readouterr().out
-    assert "attribution" in out and "fusion_wait" in out
+    assert "critical path" in out and "fusion_wait" in out
     prom = (out_dir / "metrics.prom").read_text()
     assert "# TYPE train_iterations_total counter" in prom
     assert (out_dir / "telemetry.jsonl").stat().st_size > 0
@@ -328,13 +328,14 @@ def test_measure_trace_text_mentions_critical_path(capsys):
     assert main(["measure", "--gpus", "2", "--iterations", "2",
                  "--trace"]) == 0
     out = capsys.readouterr().out
-    assert "critical path" in out and "allreduce share" in out
+    assert ("critical path" in out
+            and "exposed allreduce critical-path share" in out)
 
 
 def test_trace_run_exports_and_explain(tmp_path, capsys):
     out_dir = tmp_path / "trace_out"
-    assert main(["trace", "run", "--gpus", "6", "--iterations", "2",
-                 "--level", "links", "--out", str(out_dir)]) == 0
+    assert main(["measure", "--gpus", "6", "--iterations", "2",
+                 "--trace", "links", "--out", str(out_dir)]) == 0
     report = capsys.readouterr().out
     assert "critical path" in report and "top bottleneck spans" in report
     for name in ("spans.json", "trace.json", "critical_path.txt"):
@@ -362,14 +363,31 @@ def test_explain_span_file_matches_in_process_report(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [("--gpus", "0"),
                                         ("--iterations", "1")])
-@pytest.mark.parametrize("command", [["measure"], ["telemetry"],
-                                     ["trace", "run"]],
-                         ids=["measure", "telemetry", "trace-run"])
+@pytest.mark.parametrize("command", [["measure"]], ids=["measure"])
 def test_observation_commands_reject_bad_run_args(command, flag, value,
                                                   capsys):
     assert main([*command, flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
+
+
+def test_measure_out_writes_every_observation_file(tmp_path, capsys):
+    """One command writes what ``telemetry --export`` and ``trace run
+    --out`` wrote; the span file explains to the saved report exactly."""
+    out_dir = tmp_path / "obs"
+    assert main(["measure", "--gpus", "2", "--iterations", "2",
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    for name in ("metrics.prom", "telemetry.jsonl", "trace.json",
+                 "spans.json", "critical_path.txt"):
+        assert (out_dir / name).stat().st_size > 0, name
+    assert main(["explain", str(out_dir / "spans.json")]) == 0
+    assert (capsys.readouterr().out
+            == (out_dir / "critical_path.txt").read_text())
+    for gone in (["telemetry"], ["trace", "run"]):
+        with pytest.raises(SystemExit) as exc:
+            main(gone)
+        assert exc.value.code == 2, gone
 
 
 def test_explain_unknown_target_fails(capsys):

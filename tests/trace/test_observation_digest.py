@@ -19,11 +19,13 @@ compute jitter, both traced at ``level="links"``.
 
 The expected digests were recorded before the telemetry probe was
 folded into the span recorder.  The Prometheus, JSONL and Chrome-trace
-digests were re-recorded when per-tensor completion events left the
-Horovod runtime: they carry the kernel-event series
-(``sim_events_processed_total``, ``sim_event_queue_depth*``,
-``sim_schedule_delay_seconds``), and only those moved.  A mismatch
-means an observation output changed; only a deliberate change may re-record them (``--regen``
+digests were re-recorded twice, each time because only the kernel-event
+series (``sim_events_processed_total``, ``sim_event_queue_depth*``,
+``sim_schedule_delay_seconds``) moved: when per-tensor completion
+events left the Horovod runtime, and when the recorder stopped hooking
+the DES kernel and those series were deleted, which removed their
+records and nothing else.  A mismatch means an observation output
+changed; only a deliberate change may re-record them (``--regen``
 prints the current values)::
 
     PYTHONPATH=src python tests/trace/test_observation_digest.py --regen
@@ -50,11 +52,11 @@ OUTPUTS = ("prometheus", "jsonl", "chrome_trace", "spans", "report",
 EXPECTED = {
     "faulted_3": {
         "prometheus":
-            "a210c58997ffdf717c9ad238a6499bc032806e493b7bbc5f413783210e9895f9",
+            "24cae110886650c1ff1136299a420ee13ab5aebf959badcaf1a4ef1f8f3a78ea",
         "jsonl":
-            "efd7078d11e70dbe31956c397efb0010b1598cb3c1ce8de93addd2edaaaca319",
+            "e8aea27ee378d32b7edc15fc6e99b121509eb0686c7252d809a011072acf29d0",
         "chrome_trace":
-            "78205829a8c9c21b534f7771c74506af141bd35de87dcb7522c030de88629931",
+            "9443a7d5cbcd1fb922f3ec80bd3f1bafd2e7cad794fc4caf5788708fa85bbf11",
         "spans":
             "ae1ec5da89ec92cd24553969f785479e9e8437947d6b35ad91d3ba859004cba4",
         "report":
@@ -64,11 +66,11 @@ EXPECTED = {
     },
     "default_6": {
         "prometheus":
-            "ef0a3136cc3f88db97e1c4b2c5a404084c01119734fa97cecf4341ab1fa37fca",
+            "6ba9a5376e97e440e9d4697d26c2d9dc4fa031bc2fe47d0f40e50502a4f9267d",
         "jsonl":
-            "c950e396da16eda28b37172f647ace21046261a170956c8b6acbf2007de71e74",
+            "ff7ac3f773e23d07a770b98494f3bd99b4f1f70aea4c3095bb27b5bc58f6dc03",
         "chrome_trace":
-            "6796ce031cdb5ee0e41f067bf86c5e3ebcb1e74be7c2fa9e823d340b4c86e090",
+            "f27c7d2940ca66136ad3ec3bc4b95d297b9b82b9cf6ba2708645d2192002d911",
         "spans":
             "5013368a386979f800314a97019c39dbfeed1b94de31ed292ecbbe2e95a148c5",
         "report":

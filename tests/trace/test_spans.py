@@ -40,6 +40,20 @@ def test_link_detail_flag():
     assert SpanRecorder(level="links").link_detail
 
 
+def test_recorder_does_not_hook_the_kernel():
+    """Tracing observes the simulated system, not the simulator: the
+    recorder takes no per-event kernel callback and exports no
+    ``sim_*`` series."""
+    from repro.sim import Environment
+
+    env = Environment()
+    rec = SpanRecorder()
+    rec.attach(env=env)
+    assert env.monitor is None
+    names = [family.name for family in rec.registry.collect()]
+    assert names and not [n for n in names if n.startswith("sim_")]
+
+
 # -- persistence -----------------------------------------------------------
 
 def test_save_load_round_trip(tmp_path):
