@@ -839,7 +839,7 @@ def main(argv: list[str] | None = None) -> int:
                           help="service base URL")
     submit_p.add_argument("--token", default=None, help="bearer token")
     submit_p.add_argument("--wait", action="store_true",
-                          help="poll until the job reaches a terminal state")
+                          help="block until the job reaches a terminal state")
     submit_p.add_argument("--timeout", type=float, default=600.0,
                           help="--wait deadline in seconds (default 600)")
     submit_p.add_argument("--busy-retries", type=int, default=2,
@@ -866,7 +866,8 @@ def main(argv: list[str] | None = None) -> int:
                           help="fabric coordinator base URL")
     worker_p.add_argument("--token", default=None, help="bearer token")
     worker_p.add_argument("--poll-s", type=float, default=0.1,
-                          help="idle poll interval in seconds (default 0.1)")
+                          help="longest one lease request waits for work, "
+                               "in seconds (default 0.1)")
     worker_p.add_argument("--lease-s", type=float, default=30.0,
                           help="requested lease duration (default 30)")
     worker_p.add_argument("--timeout-s", type=float, default=None,

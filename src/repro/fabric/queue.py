@@ -39,6 +39,7 @@ only.
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
 from dataclasses import asdict, dataclass
@@ -67,6 +68,7 @@ class ItemState:
     FAILED = "FAILED"
 
     ALL = (PENDING, LEASED, DONE, FAILED)
+    TERMINAL = (DONE, FAILED)
 
 
 @dataclass
@@ -122,6 +124,17 @@ class PointQueue:
     ``fs`` injects the filesystem seam for the chaos harness; ``health``
     shares a :class:`~repro.fabric.health.Health` (one is created,
     tagged ``fabric``, when not supplied).
+
+    Hand-off: the queue's condition is notified when an item turns
+    PENDING (enqueue, requeue) or terminal (done, failed), and on
+    :meth:`drain`.  An idle :meth:`lease` with ``wait_s`` and a batch
+    driver in :meth:`wait_finished` block on it instead of polling.
+
+    Finished items stay in :meth:`items` (a late completion must still
+    read as a duplicate), but the hot path does not touch them:
+    leases, enqueue dedup, cancellation, gauges and expiry sweeps read
+    an index of PENDING items and of the one live (PENDING or LEASED)
+    item per point key.
     """
 
     def __init__(self, state_dir: str | Path, registry=None,
@@ -138,10 +151,25 @@ class PointQueue:
                                    max_recoveries=max_recoveries,
                                    clock=clock)
         self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
+        #: item id -> item, in enqueue order.
         self._items: dict[str, WorkItem] = {}
         self._points: dict[str, SimPoint] = {}
-        self._order: list[str] = []
+        #: item id -> enqueue position: the lease order, which a
+        #: requeued item keeps.
+        self._seq: dict[str, int] = {}
+        #: Heap of ``(enqueue position, item id)`` covering every
+        #: PENDING item; entries of items that have since left PENDING
+        #: are dropped when they reach the top.
+        self._ready: list[tuple[int, str]] = []
+        #: Ids of the PENDING items (the depth gauge).
+        self._pending: set[str] = set()
+        #: point key -> its live (PENDING or LEASED) item; enqueue
+        #: dedup keeps this to one item per key.
+        self._live: dict[str, WorkItem] = {}
         self._next_batch = 0
+        #: Set by :meth:`drain`: idle leases stop waiting for work.
+        self.draining = False
         #: point key -> enqueued references whose batch has not yet
         #: :meth:`release`-d them (how long a result is worth holding).
         self._waiting: dict[str, int] = {}
@@ -179,8 +207,7 @@ class PointQueue:
     # -- metric plumbing ---------------------------------------------------
     def _update_gauges(self) -> None:
         if self._m_depth is not None:
-            self._m_depth.set(sum(1 for i in self._items.values()
-                                  if i.state == ItemState.PENDING))
+            self._m_depth.set(len(self._pending))
         if self._m_workers is not None:
             horizon = self.leases.clock() - self.leases.lease_s
             self._m_workers.set(sum(1 for t in self.workers_seen.values()
@@ -188,6 +215,31 @@ class PointQueue:
 
     def _saw(self, worker: str) -> None:
         self.workers_seen[str(worker)] = self.leases.clock()
+
+    # -- state index -------------------------------------------------------
+    def _move(self, item: WorkItem, state: str) -> None:
+        """Set ``item.state`` and keep the indexes in step; waiters wake
+        when the item turns PENDING or terminal.  Call with the lock
+        held."""
+        item.state = state
+        if state == ItemState.PENDING:
+            self._pending.add(item.id)
+            heapq.heappush(self._ready, (self._seq[item.id], item.id))
+        else:
+            self._pending.discard(item.id)
+        if state in ItemState.TERMINAL:
+            self._live.pop(item.key, None)
+        if state != ItemState.LEASED:
+            self._cond.notify_all()
+
+    def _oldest_pending(self) -> WorkItem | None:
+        """The PENDING item first in enqueue order, or ``None``."""
+        while self._ready:
+            item = self._items[self._ready[0][1]]
+            if item.state == ItemState.PENDING:
+                return item
+            heapq.heappop(self._ready)
+        return None
 
     # -- journal plumbing --------------------------------------------------
     def _journal(self, event: str, **fields) -> bool:
@@ -230,10 +282,7 @@ class PointQueue:
             for index, point in enumerate(points):
                 key = point.key()
                 self._waiting[key] = self._waiting.get(key, 0) + 1
-                existing = next((i for i in self._items.values()
-                                 if i.key == key
-                                 and i.state in (ItemState.PENDING,
-                                                 ItemState.LEASED)), None)
+                existing = self._live.get(key)
                 if existing is not None:
                     ids.append(existing.id)
                     continue
@@ -245,7 +294,9 @@ class PointQueue:
                 item.ctx = current_context() or None
                 self._items[item.id] = item
                 self._points[item.id] = point
-                self._order.append(item.id)
+                self._seq[item.id] = len(self._seq)
+                self._live[key] = item
+                self._move(item, ItemState.PENDING)
                 self._journal("point_enqueued", id=item.id, key=key,
                               batch=batch, describe=item.describe)
                 obs_emit("point_enqueued", level="debug", item=item.id,
@@ -273,45 +324,60 @@ class PointQueue:
                 self._waiting[key] = left
                 return False
             self._waiting.pop(key, None)
-            for item in self._items.values():
-                if item.key == key and item.state == ItemState.PENDING:
-                    self._end(item, None, "cancelled: no batch waits for "
-                                          "this point", cancelled=True)
-                    self._update_gauges()
+            item = self._live.get(key)
+            if item is not None and item.state == ItemState.PENDING:
+                self._end(item, None, "cancelled: no batch waits for "
+                                      "this point", cancelled=True)
+                self._update_gauges()
             return True
 
     # -- worker protocol ---------------------------------------------------
-    def lease(self, worker: str,
-              lease_s: float | None = None) -> WorkItem | None:
-        """Oldest PENDING item, leased to ``worker`` (``None`` = drained)."""
-        with self._lock:
+    def lease(self, worker: str, lease_s: float | None = None,
+              wait_s: float = 0.0) -> WorkItem | None:
+        """Oldest PENDING item, leased to ``worker`` (``None`` = none).
+
+        With ``wait_s`` > 0 an idle call blocks up to that long for an
+        item to turn PENDING; :meth:`drain` ends the wait at once.
+        """
+        deadline = time.monotonic() + wait_s
+        with self._cond:
             self._saw(worker)
-            item = next((self._items[i] for i in self._order
-                         if self._items[i].state == ItemState.PENDING), None)
-            if item is None:
-                self._update_gauges()
-                return None
-            item.state = ItemState.LEASED
-            lease_until = self.leases.grant(item, worker, lease_s)
-            if not self._journal("point_leased", id=item.id, worker=worker,
-                                 lease_until=lease_until,
-                                 attempts=item.attempts):
-                # A lease the journal cannot witness must not stand:
-                # revert the grant (including its attempt charge) and
-                # refuse work until the disk recovers.
-                item.state = ItemState.PENDING
-                self.leases.release(item)
-                item.attempts -= 1
-                self._update_gauges()
-                return None
-            if self._m_leases is not None:
-                self._m_leases.inc()
-            with obs_bind(**(item.ctx or {}), point_key=item.key,
-                          worker_id=worker):
-                obs_emit("point_leased", item=item.id,
-                         attempts=item.attempts, lease_until=lease_until)
-            self._update_gauges()
-            return item
+            while True:
+                item = self._oldest_pending()
+                if item is not None and self._grant(item, worker, lease_s):
+                    return item
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or self.draining:
+                    self._update_gauges()
+                    return None
+                self._cond.wait(remaining)
+
+    def _grant(self, item: WorkItem, worker: str,
+               lease_s: float | None) -> bool:
+        """Lease ``item`` to ``worker``; ``False`` if the journal refused.
+
+        A lease the journal cannot witness must not stand: the grant
+        (including its attempt charge) is reverted, the item stays
+        PENDING without waking anyone, and the caller waits out its
+        ``wait_s`` before trying again — refusing work until the disk
+        recovers, without spinning on it.
+        """
+        lease_until = self.leases.grant(item, worker, lease_s)
+        if not self._journal("point_leased", id=item.id, worker=worker,
+                             lease_until=lease_until,
+                             attempts=item.attempts):
+            self.leases.release(item)
+            item.attempts -= 1
+            return False
+        self._move(item, ItemState.LEASED)
+        if self._m_leases is not None:
+            self._m_leases.inc()
+        with obs_bind(**(item.ctx or {}), point_key=item.key,
+                      worker_id=worker):
+            obs_emit("point_leased", item=item.id,
+                     attempts=item.attempts, lease_until=lease_until)
+        self._update_gauges()
+        return True
 
     def point(self, item_id: str) -> SimPoint:
         """The executable point behind one item."""
@@ -351,12 +417,12 @@ class PointQueue:
         with self._lock:
             self._saw(worker)
             item = self.get(item_id)
-            if item.state in (ItemState.DONE, ItemState.FAILED):
+            if item.state in ItemState.TERMINAL:
                 if self._m_completions is not None:
                     self._m_completions.labels(status="duplicate").inc()
                 return "duplicate"
             status = "done" if item.worker == worker else "late"
-            item.state = ItemState.DONE
+            self._move(item, ItemState.DONE)
             item.completed_by = str(worker)
             item.error = None
             self.leases.release(item)
@@ -404,7 +470,7 @@ class PointQueue:
              **detail) -> None:
         """Move ``item`` to FAILED with ``error`` and journal it."""
         holder = item.worker
-        item.state = ItemState.FAILED
+        self._move(item, ItemState.FAILED)
         item.error = error
         self.leases.release(item)
         self._journal("point_failed", id=item.id, worker=worker,
@@ -418,7 +484,7 @@ class PointQueue:
     def _requeue(self, item: WorkItem, error: str | None = None,
                  recovered: bool = False) -> None:
         holder = item.worker
-        item.state = ItemState.PENDING
+        self._move(item, ItemState.PENDING)
         self.leases.release(item)
         if error is not None:
             item.error = str(error)
@@ -453,7 +519,7 @@ class PointQueue:
                 self._m_requeues.inc()
 
         touched = self.leases.sweep_expired(
-            lambda: list(self._items.values()), lock=self._lock,
+            lambda: list(self._live.values()), lock=self._lock,
             reclaim=reclaim, skip_workers=skip_workers)
         with self._lock:
             self._update_gauges()
@@ -479,16 +545,26 @@ class PointQueue:
               state: str | None = None) -> list[WorkItem]:
         """Items in enqueue order, optionally filtered."""
         with self._lock:
-            return [self._items[i] for i in self._order
-                    if (batch is None or self._items[i].batch == batch)
-                    and (state is None or self._items[i].state == state)]
+            return [item for item in self._items.values()
+                    if (batch is None or item.batch == batch)
+                    and (state is None or item.state == state)]
 
-    def batch_done(self, ids: Sequence[str]) -> bool:
-        """Whether every named item is terminal (DONE or FAILED)."""
-        with self._lock:
-            return all(self._items[i].state in (ItemState.DONE,
-                                                ItemState.FAILED)
-                       for i in ids)
+    def wait_finished(self, ids: Sequence[str],
+                      timeout_s: float) -> list[str]:
+        """The named items that are terminal (DONE or FAILED), in the
+        given order, blocking up to ``timeout_s`` until one is."""
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: [i for i in ids
+                         if self._items[i].state in ItemState.TERMINAL],
+                timeout_s)
+
+    def drain(self) -> None:
+        """Start draining: waiting and later idle leases return at once
+        (the coordinator then answers them with its shutdown hint)."""
+        with self._cond:
+            self.draining = True
+            self._cond.notify_all()
 
     def snapshot(self) -> dict:
         """Counts + per-worker ages, for ``/status``.

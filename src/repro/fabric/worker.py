@@ -3,9 +3,12 @@
 A :class:`FabricWorker` is one executor process (spawnable on any host
 that can reach the coordinator's HTTP endpoint).  Its loop:
 
-1. **pull** — ``POST /v1/fabric/lease`` asks for work; the coordinator
-   answers with one leased item + its pickled point, or nothing (plus a
-   ``shutdown`` hint once the session is draining);
+1. **pull** — ``POST /v1/fabric/lease`` asks for work and, when there
+   is none, waits up to ``poll_s`` for some; the coordinator answers
+   with one leased item + its pickled point the moment one is
+   enqueued, or nothing (plus a ``shutdown`` hint, at once, when the
+   session drains).  An empty answer is followed by the next pull
+   straight away: the wait is in the request, not in the worker;
 2. **run** — the point executes directly (``point.execute()``); the
    worker does not retry, so the coordinator's per-item retry budget
    is the only retry layer a fabric point has;
@@ -16,9 +19,10 @@ that can reach the coordinator's HTTP endpoint).  Its loop:
    cannot be interrupted, so the point runs on; should it finish, its
    result still ships as a late completion;
 4. **report** — success ships the pickled result back
-   (``/v1/fabric/complete``); a failure reports the point and its real
-   exception (``/v1/fabric/fail``) and lets the coordinator's retry
-   policy decide.
+   (``/v1/fabric/complete``); a failure reports the point's real
+   exception as its ``repr`` (``/v1/fabric/fail``) and lets the
+   coordinator's retry policy decide.  The coordinator names the point
+   itself, so a fabric failure reads as it does on the other backends.
 
 Graceful drain: :meth:`FabricWorker.stop` (wired to SIGTERM by ``repro
 worker``) lets the in-flight point finish and report before the loop
@@ -134,12 +138,17 @@ class FabricClient:
         """Coordinator queue snapshot (``repro fabric status``)."""
         return self.transport.json("GET", "/v1/fabric/status")["fabric"]
 
-    def lease(self, worker: str, lease_s: float | None = None) -> dict:
-        """Ask for work.  Returns the response document:
-        ``{"item": {...}|None, "point": b64|None, "shutdown": bool}``."""
+    def lease(self, worker: str, lease_s: float | None = None,
+              wait_s: float | None = None) -> dict:
+        """Ask for work, waiting up to ``wait_s`` (capped by the
+        coordinator) while there is none.  Returns the response
+        document: ``{"item": {...}|None, "point": b64|None,
+        "shutdown": bool}``."""
         payload = {"worker": worker}
         if lease_s is not None:
             payload["lease_s"] = lease_s
+        if wait_s is not None:
+            payload["wait_s"] = wait_s
         return self.transport.json("POST", "/v1/fabric/lease", payload,
                                    idempotent=True)
 
@@ -177,12 +186,10 @@ class _Heartbeat:
     """
 
     def __init__(self, client: FabricClient, worker: str, item_id: str,
-                 describe: str, lease_s: float,
-                 deadline: float | None) -> None:
+                 lease_s: float, deadline: float | None) -> None:
         self.client = client
         self.worker = worker
         self.item_id = item_id
-        self.describe = describe
         self.interval = max(0.05, lease_s / 3.0)
         self.deadline = deadline
         self.lost = threading.Event()
@@ -214,7 +221,7 @@ class _Heartbeat:
                     f"point exceeded timeout_s={self.deadline:g}")
                 try:
                     self.client.fail(self.worker, self.item_id,
-                                     f"{self.describe}: {error!r}")
+                                     repr(error))
                 except ServiceError:
                     pass  # unreported, the lease lapses into recovery
                 return
@@ -238,7 +245,10 @@ class FabricWorker:
     worker:
         Identity reported on every protocol call (default ``host:pid``).
     poll_s:
-        Idle sleep between empty pulls while the queue is open.
+        The longest one lease request waits for work (sent as its
+        ``wait_s``).  The worker never sleeps between pulls: the
+        coordinator answers as soon as an item is enqueued, or with the
+        shutdown hint as soon as it drains.
     lease_s:
         Lease duration to request; heartbeats run at a third of it.
     timeout_s:
@@ -289,24 +299,25 @@ class FabricWorker:
         tolerated up to ``lease_error_limit`` consecutive times
         (transient flap, degraded node) and then treated as a drain —
         a vanished coordinator has reclaimed (or lost) our leases
-        either way.
+        either way.  A failed pull is retried at once: the HTTP
+        transport already backs off between its connection retries,
+        and the error limit bounds the streak.
         """
         lease_errors = 0
         while not self._stop.is_set():
             try:
-                doc = self.client.lease(self.worker, lease_s=self.lease_s)
+                doc = self.client.lease(self.worker, lease_s=self.lease_s,
+                                        wait_s=self.poll_s)
             except (TransportError, ApiError):
                 lease_errors += 1
                 if lease_errors >= self.lease_error_limit:
                     break
-                self._stop.wait(self.poll_s)
                 continue
             lease_errors = 0
             item = doc.get("item")
             if item is None:
                 if doc.get("shutdown"):
                     break
-                self._stop.wait(self.poll_s)
                 continue
             self._run_one(item, decode_payload(doc["point"],
                                                key=self.client.payload_key))
@@ -340,8 +351,7 @@ class FabricWorker:
             obs_emit("point_execute_start", item=item_id,
                      attempts=item.get("attempts"))
             with _Heartbeat(self.client, self.worker, item_id,
-                            point.describe(), self.lease_s,
-                            timeout_s) as beat:
+                            self.lease_s, timeout_s) as beat:
                 try:
                     value = point.execute()
                 except Exception as exc:
@@ -350,8 +360,7 @@ class FabricWorker:
                     obs_emit("point_execute_failed", level="error",
                              item=item_id, error=repr(exc))
                     self._report(lambda: self.client.fail(
-                        self.worker, item_id,
-                        f"{point.describe()}: {exc!r}"))
+                        self.worker, item_id, repr(exc)))
                     return
             if beat.lost.is_set():
                 # Our lease was reclaimed mid-run; the result is still

@@ -130,7 +130,7 @@ class ServiceClient:
             "GET", f"/v1/events?since={int(since)}&limit={int(limit)}")
 
     def follow(self, job_id: str, timeout_s: float = 300.0,
-               poll_s: float = 0.25, heartbeat_s: float | None = None):
+               heartbeat_s: float | None = None):
         """Yield job docs as the job progresses, until it is terminal.
 
         Over HTTP this streams ``GET /v1/jobs/{id}/events`` as SSE
@@ -206,20 +206,13 @@ class ServiceClient:
                 if job["state"] in terminal:
                     return
 
-    def wait(self, job_id: str, timeout_s: float = 120.0,
-             poll_s: float = 0.1) -> dict:
-        """Poll until the job reaches a terminal state; returns it.
+    def wait(self, job_id: str, timeout_s: float = 120.0) -> dict:
+        """Block until the job reaches a terminal state; returns its doc.
 
-        Raises :class:`TimeoutError` if it does not finish in time.
+        The doc is the last one :meth:`follow` yields, so the wait ends
+        on the job's own terminal transition.  Raises
+        :class:`TimeoutError` if the job outlives ``timeout_s``.
         """
-        from repro.service.jobs import TERMINAL_STATES
-
-        deadline = time.monotonic() + timeout_s
-        while True:
-            job = self.job(job_id)
-            if job["state"] in TERMINAL_STATES:
-                return job
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {job['state']} after {timeout_s}s")
-            time.sleep(poll_s)
+        for job in self.follow(job_id, timeout_s=timeout_s):
+            pass
+        return job

@@ -82,8 +82,9 @@ class JobQueue:
             active_states=(JobState.LEASED, JobState.RUNNING),
             lease_s=60.0, max_recoveries=max_recoveries, clock=clock)
         self._lock = threading.RLock()
-        #: Watcher wakeup: notified on every job-version bump, so SSE
-        #: streams and long-polls block here instead of spinning.
+        #: Notified on every job-version bump (submits and requeues
+        #: included), so SSE streams, long-polls and idle scheduler
+        #: leases block here instead of spinning.
         self._cond = threading.Condition(self._lock)
         self._jobs: dict[str, Job] = {}
         self._seq: dict[str, int] = {}  # submission order tiebreak
@@ -257,42 +258,61 @@ class JobQueue:
             return job
 
     # -- worker protocol ---------------------------------------------------
-    def lease(self, worker: str, lease_s: float = 60.0) -> Job | None:
+    def lease(self, worker: str, lease_s: float = 60.0, wait_s: float = 0.0,
+              stop: threading.Event | None = None) -> Job | None:
         """Highest-priority SUBMITTED job, leased to ``worker``.
 
         Priority descends; equal priorities serve in submission order.
-        Returns ``None`` when the queue is drained.
+        Returns ``None`` when no job is ready.  With ``wait_s`` > 0 an
+        idle call blocks up to that long for a job to be submitted or
+        requeued.  Once ``stop`` is set no job is leased, and a
+        :meth:`wake` after setting it ends the wait at once; ``stop``
+        is read under the queue lock, so that wake cannot be missed.
         """
-        with self._lock:
-            ready = [j for j in self._jobs.values()
-                     if j.state == JobState.SUBMITTED]
-            if not ready:
-                return None
-            job = min(ready, key=lambda j: (-j.priority, self._seq[j.id]))
-            job.state = JobState.LEASED
-            self.leases.grant(job, worker, lease_s)
-            now = self.clock()
-            try:
-                self._append("job_leased", id=job.id, worker=worker,
-                             lease_until=job.lease_until,
-                             leased_s=now, attempts=job.attempts)
-            except QueueWriteError:
-                # A lease that would vanish on replay must not be
-                # handed out: revert the grant (and its attempt
-                # charge) and refuse work until the disk recovers.
-                job.state = JobState.SUBMITTED
-                self.leases.release(job)
-                job.attempts -= 1
-                return None
-            job.leased_s = now
-            if self._m_leases is not None:
-                self._m_leases.inc()
-            self._observe_stage("submit_to_lease", job.created_s, now)
-            self._update_depth()
-            self._bump(job)
-            self._emit(job, "job_leased", worker=worker,
-                       attempts=job.attempts)
-            return job
+        deadline = time.monotonic() + wait_s
+        with self._cond:
+            while stop is None or not stop.is_set():
+                ready = [j for j in self._jobs.values()
+                         if j.state == JobState.SUBMITTED]
+                if ready:
+                    job = min(ready,
+                              key=lambda j: (-j.priority, self._seq[j.id]))
+                    if self._grant(job, worker, lease_s):
+                        return job
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._cond.wait(remaining)
+            return None
+
+    def _grant(self, job: Job, worker: str, lease_s: float) -> bool:
+        """Lease ``job`` to ``worker``; ``False`` if the journal refused.
+
+        A lease that would vanish on replay must not be handed out: the
+        grant (and its attempt charge) is reverted without waking
+        anyone, and the caller waits out its ``wait_s`` before asking
+        again, so an idle worker does not spin on a failing disk.
+        """
+        job.state = JobState.LEASED
+        self.leases.grant(job, worker, lease_s)
+        now = self.clock()
+        try:
+            self._append("job_leased", id=job.id, worker=worker,
+                         lease_until=job.lease_until,
+                         leased_s=now, attempts=job.attempts)
+        except QueueWriteError:
+            job.state = JobState.SUBMITTED
+            self.leases.release(job)
+            job.attempts -= 1
+            return False
+        job.leased_s = now
+        if self._m_leases is not None:
+            self._m_leases.inc()
+        self._observe_stage("submit_to_lease", job.created_s, now)
+        self._update_depth()
+        self._bump(job)
+        self._emit(job, "job_leased", worker=worker, attempts=job.attempts)
+        return True
 
     def mark_running(self, job_id: str) -> None:
         """LEASED -> RUNNING (the worker began executing)."""
@@ -339,6 +359,11 @@ class JobQueue:
                             "point": None if point is None else str(point),
                             "updated_s": self.clock()}
             self._bump(job)
+
+    def wake(self) -> None:
+        """Wake every blocked :meth:`lease` and watcher to re-check."""
+        with self._cond:
+            self._cond.notify_all()
 
     def wait_version(self, job_id: str, version: int,
                      timeout_s: float = 10.0) -> Job | None:

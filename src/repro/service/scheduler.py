@@ -111,7 +111,10 @@ class Scheduler:
         Telemetry registry shared with the queue and API; runner
         counters (``runner_*``) and ``service_*`` counters land here.
     workers / lease_s / poll_s:
-        Pool width, lease duration, idle poll interval.
+        Pool width, lease duration, and the longest one idle lease
+        waits for work.  An idle worker blocks on the queue's condition
+        and starts a job the moment it is submitted or requeued;
+        :meth:`stop` wakes it at once.
     point_retries / timeout_s:
         Every point's budget: how many charged failures it may retry,
         and its watchdog deadline.  A point that spends it quarantines
@@ -167,8 +170,9 @@ class Scheduler:
             self._threads.append(thread)
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Signal the workers and join them."""
+        """Signal the workers, wake the idle ones, and join them."""
         self._stop.set()
+        self.queue.wake()
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads = []
@@ -186,9 +190,9 @@ class Scheduler:
     def _worker_loop(self) -> None:
         worker = self._worker_id(threading.current_thread().name)
         while not self._stop.is_set():
-            job = self.queue.lease(worker, lease_s=self.lease_s)
+            job = self.queue.lease(worker, lease_s=self.lease_s,
+                                   wait_s=self.poll_s, stop=self._stop)
             if job is None:
-                self._stop.wait(self.poll_s)
                 continue
             try:
                 self._execute(job)
@@ -199,16 +203,6 @@ class Scheduler:
                     self.queue.fail(job.id, traceback.format_exc(limit=5))
                 except Exception:
                     pass
-
-    def drain(self, timeout: float = 60.0, poll: float = 0.02) -> bool:
-        """Block until no SUBMITTED/LEASED/RUNNING job remains."""
-        deadline = time.time() + timeout
-        while time.time() < deadline:
-            live = [j for j in self.queue.jobs() if not j.terminal]
-            if not live:
-                return True
-            time.sleep(poll)
-        return False
 
     def sweep_leases(self) -> list[Job]:
         """Reclaim expired leases not held by this process's threads."""

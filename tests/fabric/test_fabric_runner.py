@@ -36,6 +36,21 @@ def test_satisfies_execution_backend(tmp_path):
         runner.close()
 
 
+def test_batch_and_close_do_not_wait_for_poll_s(tmp_path):
+    """Workers and the batch driver block on the queue, not on a timer:
+    with poll_s=5 a one-point batch and close() each take well under
+    it."""
+    fabric = make_runner(tmp_path, poll_s=5.0)
+    fabric.start()
+    time.sleep(0.2)  # both workers idle, each in a waiting lease
+    start = time.monotonic()
+    assert fabric.run([OkPoint(token="a")]) == [{"token": "a", "squared": 1}]
+    assert time.monotonic() - start < 1.0
+    start = time.monotonic()
+    fabric.close()
+    assert time.monotonic() - start < 1.0
+
+
 def test_results_byte_identical_to_serial(tmp_path):
     points = [OkPoint(token=t) for t in ("a", "bb", "ccc", "dddd")]
     serial = Runner(workers=0).run(list(points))
@@ -80,8 +95,7 @@ def test_quarantine_policy_resolves_none(tmp_path):
     with make_runner(tmp_path) as fabric:
         with pytest.raises(RunnerError) as err:
             fabric.run([OkPoint(token="a"), FailPoint(token="bad")])
-    assert str(err.value) == (
-        "point failed: fail:bad (fail:bad: ValueError('poison bad'))")
+    assert str(err.value) == "point failed: fail:bad (ValueError('poison bad'))"
 
 
 def test_run_points_overrides_are_batch_scoped(tmp_path):

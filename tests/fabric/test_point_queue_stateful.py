@@ -12,7 +12,8 @@ order, the safety invariants must hold:
   or expiry sweep never resurrects a completed item);
 * FAILED is sticky too — a late completion of a failed item is a
   duplicate, not a second outcome;
-* a lease is held by at most the worker the queue says holds it.
+* a lease is held by at most the worker the queue says holds it;
+* a lease goes to the oldest PENDING item in enqueue order.
 """
 
 import json
@@ -55,7 +56,12 @@ class PointQueueMachine(RuleBasedStateMachine):
     # -- actions -----------------------------------------------------------
     @rule(worker=st.sampled_from(WORKERS))
     def lease(self, worker):
+        # Lease order: the oldest PENDING item in enqueue order, requeued
+        # items at their original place.
+        oldest = next((i.id for i in self.queue.items()
+                       if i.state == ItemState.PENDING), None)
         item = self.queue.lease(worker)
+        assert (item.id if item is not None else None) == oldest
         if item is not None:
             assert item.state == ItemState.LEASED
             assert item.worker == worker

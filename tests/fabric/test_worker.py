@@ -1,7 +1,9 @@
 """The pull worker against an in-process coordinator (no sockets)."""
 
 import base64
+import json
 import threading
+import time
 
 import pytest
 
@@ -112,13 +114,14 @@ def test_worker_reports_failures(tmp_path):
     assert (worker.done, worker.failed) == (0, 1)
     item = coordinator.queue.items()[0]
     assert item.state == ItemState.FAILED
-    assert "fail:bad" in item.error
+    # The coordinator names the point; the worker reports only its error.
+    assert item.error == "ValueError('poison bad')"
 
 
 def test_run_forever_drains_on_coordinator_shutdown(tmp_path):
     coordinator, client = make_fabric(tmp_path)
     coordinator.queue.enqueue([OkPoint(token=t) for t in ("a", "bb")])
-    coordinator.draining = True  # empty queue + draining => shutdown hint
+    coordinator.queue.drain()  # empty queue + draining => shutdown hint
     worker = FabricWorker(client, worker="w0", lease_s=5.0, poll_s=0.01)
     done = worker.run_forever()
     assert done == 2
@@ -141,8 +144,9 @@ def test_lost_lease_result_ships_as_late_completion(tmp_path):
     worker = FabricWorker(client, worker="w0", lease_s=5.0)
     doc = client.lease("w0", lease_s=5.0)
     # Simulate the coordinator reclaiming our lease mid-run.
-    coordinator.queue._requeue(coordinator.queue.get(item_id),
-                               recovered=True)
+    with coordinator.queue.lock:
+        coordinator.queue._requeue(coordinator.queue.get(item_id),
+                                   recovered=True)
     other = client.lease("w1", lease_s=5.0)
     assert other["item"]["id"] == item_id
     worker._run_one(doc["item"], decode_payload(doc["point"]))
@@ -150,3 +154,50 @@ def test_lost_lease_result_ships_as_late_completion(tmp_path):
     assert item.state == ItemState.DONE
     assert item.completed_by == "w0"  # late, but accepted and stored
     assert coordinator.value(OkPoint(token="abc").key()) is not None
+
+
+def _lease_body(**fields) -> bytes:
+    return json.dumps({"worker": "w0", **fields}).encode("utf-8")
+
+
+@pytest.mark.parametrize("wait_s", ("x", -1, True))
+def test_lease_route_rejects_a_bad_wait(tmp_path, wait_s):
+    coordinator, _ = make_fabric(tmp_path)
+    status, _, data = coordinator.app.handle(
+        "POST", "/v1/fabric/lease", {}, _lease_body(wait_s=wait_s))
+    assert status == 400
+    assert json.loads(data)["error"]["code"] == "bad_request"
+
+
+def test_lease_route_clamps_the_wait(tmp_path, monkeypatch):
+    import repro.fabric.runner as fabric_runner
+
+    monkeypatch.setattr(fabric_runner, "LEASE_WAIT_CAP_S", 0.2)
+    coordinator, _ = make_fabric(tmp_path)
+    start = time.monotonic()
+    status, _, data = coordinator.app.handle(
+        "POST", "/v1/fabric/lease", {}, _lease_body(wait_s=60))
+    assert status == 200 and json.loads(data)["item"] is None
+    assert 0.2 <= time.monotonic() - start < 1.0
+
+
+def test_waiting_lease_route_answers_shutdown_on_drain(tmp_path):
+    coordinator, _ = make_fabric(tmp_path)
+    got = {}
+
+    def lease():
+        got["response"] = coordinator.app.handle(
+            "POST", "/v1/fabric/lease", {}, _lease_body(wait_s=5))
+        got["at"] = time.monotonic()
+
+    thread = threading.Thread(target=lease, daemon=True)
+    thread.start()
+    time.sleep(0.1)
+    drained = time.monotonic()
+    coordinator.close()
+    thread.join(timeout=5.0)
+    status, _, data = got["response"]
+    assert status == 200
+    assert json.loads(data) == {"item": None, "point": None,
+                                "shutdown": True}
+    assert got["at"] - drained < 1.0

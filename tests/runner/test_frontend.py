@@ -79,9 +79,7 @@ def test_quarantine_record_carries_the_real_cause(make):
     or transport error standing in for it."""
     with pytest.raises(RunnerError) as err:
         make().run([OkPoint(token="a"), FailPoint(token="bad")])
-    message = str(err.value)
-    assert message.startswith("point failed: fail:bad (")
-    assert message.endswith("ValueError('poison bad'))")
+    assert str(err.value) == "point failed: fail:bad (ValueError('poison bad'))"
 
 
 def test_raised_failure_names_the_real_cause(make):
@@ -110,9 +108,8 @@ def test_overrun_is_a_charged_timeout(make):
     runner = make(timeout_s=0.3)
     with pytest.raises(RunnerError) as err:
         runner.run([OkPoint(token="slow", delay_s=3.0)])
-    message = str(err.value)
-    assert message.startswith("point failed: ok:slow (")
-    assert "TimeoutError('point exceeded timeout_s=0.3')" in message
+    assert str(err.value) == ("point failed: ok:slow "
+                              "(TimeoutError('point exceeded timeout_s=0.3'))")
 
 
 def test_metric_names_and_meta_keys(make, tmp_path):

@@ -1,6 +1,7 @@
 """End-to-end scheduling: byte-identity, cache hits, exactly-once."""
 
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -14,6 +15,9 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
 )
+from repro.service.jobs import parse_spec
+from repro.service.queue import JobQueue
+from repro.service.scheduler import Scheduler
 
 
 def make_service(tmp_path, **overrides):
@@ -89,6 +93,31 @@ def test_points_job_and_resubmission(tmp_path):
                 == client.result_bytes(again["id"]))
     finally:
         service.stop()
+
+
+def test_idle_workers_hand_off_on_submit_and_stop_at_once(tmp_path):
+    """An idle worker starts a job the moment it is submitted, and
+    stop() wakes it: with poll_s=5 neither waits for the timer."""
+    queue = JobQueue(tmp_path / "state")
+    scheduler = Scheduler(queue, tmp_path / "results", workers=2,
+                          poll_s=5.0)
+    scheduler.start()
+    try:
+        time.sleep(0.2)  # both workers idle, each in a waiting lease
+        start = time.monotonic()
+        job = queue.submit(parse_spec({"points": [
+            {"kind": "osu_allreduce", "gpus": 2, "nbytes": 64,
+             "iterations": 1}]}))
+        while not job.terminal and time.monotonic() - start < 5.0:
+            queue.wait_version(job.id, job.version, timeout_s=0.5)
+        assert job.state == JobState.DONE
+        assert time.monotonic() - start < 1.0
+    finally:
+        threads = list(scheduler._threads)
+        start = time.monotonic()
+        scheduler.stop()
+        assert time.monotonic() - start < 1.0
+    assert not any(thread.is_alive() for thread in threads)
 
 
 def test_transient_error_fails_without_requeue(tmp_path):
