@@ -256,8 +256,7 @@ def _service_client(url: str, token: str | None):
 
 
 def cmd_serve(host: str, port: int, state_dir: str, tokens: str | None,
-              workers: int, lease_s: float,
-              max_queue_depth: int = 128, backend: str = "local",
+              workers: int, max_queue_depth: int = 128, backend: str = "local",
               fabric_workers: int = 2, obs_dir: str | None = None) -> int:
     """``repro serve``: run the blocking simulation-service HTTP server."""
     from pathlib import Path
@@ -269,8 +268,7 @@ def cmd_serve(host: str, port: int, state_dir: str, tokens: str | None,
         config = ServiceConfig(
             host=host, port=port, state_dir=Path(state_dir),
             tokens_path=Path(tokens) if tokens else None,
-            workers=workers, lease_s=lease_s,
-            max_queue_depth=max_queue_depth, backend=backend,
+            workers=workers, max_queue_depth=max_queue_depth, backend=backend,
             fabric_workers=fabric_workers)
         # Structured events on by default, next to the queue journal;
         # configure() also exports REPRO_OBS_DIR so fabric worker
@@ -441,13 +439,13 @@ def cmd_jobs(action: str, job_id: str | None, url: str, token: str | None,
         return fail(str(err))
 
 
-def cmd_worker(url: str, token: str | None, poll_s: float, lease_s: float,
-               timeout_s: float | None) -> int:
+def cmd_worker(url: str, token: str | None, poll_s: float) -> int:
     """``repro worker``: join a fabric as a pull worker.
 
     Leases points off the coordinator at ``url``, executes each one
     directly and ships the result (or the point's exception) back
-    exactly-once; retrying a failed point is the coordinator's job.
+    exactly-once.  The coordinator owns the rest: each lease's length,
+    each point's deadline, and whether a failed point is retried.
     SIGTERM (and Ctrl-C) drain gracefully: the in-flight point finishes
     and is reported before the loop exits.
     """
@@ -465,8 +463,7 @@ def cmd_worker(url: str, token: str | None, poll_s: float, lease_s: float,
         client.status()
     except ServiceError as err:
         return fail(str(err))
-    worker = FabricWorker(client, poll_s=poll_s, lease_s=lease_s,
-                          timeout_s=timeout_s)
+    worker = FabricWorker(client, poll_s=poll_s)
     signal.signal(signal.SIGTERM, lambda signum, frame: worker.stop())
     print(f"[fabric worker {worker.worker} pulling from {url}]", flush=True)
     try:
@@ -812,8 +809,6 @@ def main(argv: list[str] | None = None) -> int:
                               "(omit for open, unauthenticated mode)")
     serve_p.add_argument("--workers", type=int, default=2,
                          help="scheduler worker threads (default 2)")
-    serve_p.add_argument("--lease-s", type=float, default=60.0,
-                         help="job lease duration in seconds (default 60)")
     serve_p.add_argument("--max-queue-depth", type=int, default=128,
                          help="shed submissions with 503 + Retry-After "
                               "past this many queued jobs (default 128)")
@@ -868,12 +863,6 @@ def main(argv: list[str] | None = None) -> int:
     worker_p.add_argument("--poll-s", type=float, default=0.1,
                           help="longest one lease request waits for work, "
                                "in seconds (default 0.1)")
-    worker_p.add_argument("--lease-s", type=float, default=30.0,
-                          help="requested lease duration (default 30)")
-    worker_p.add_argument("--timeout-s", type=float, default=None,
-                          help="per-point budget; past it the worker stops "
-                               "heartbeating so the lease lapses and the "
-                               "point is reassigned")
     fabric_p = sub.add_parser(
         "fabric", help="inspect a running fabric coordinator")
     fabric_sub = fabric_p.add_subparsers(dest="fabric_command", required=True)
@@ -960,7 +949,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_journal_compact(args.journal)
     if args.command == "serve":
         return cmd_serve(args.host, args.port, args.state_dir, args.tokens,
-                         args.workers, args.lease_s, args.max_queue_depth,
+                         args.workers, args.max_queue_depth,
                          backend=args.backend,
                          fabric_workers=args.fabric_workers,
                          obs_dir=args.obs_dir)
@@ -972,8 +961,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_jobs(args.jobs_command, args.job_id, args.url,
                         args.token, args.state, args.out)
     if args.command == "worker":
-        return cmd_worker(args.url, args.token, args.poll_s, args.lease_s,
-                          args.timeout_s)
+        return cmd_worker(args.url, args.token, args.poll_s)
     if args.command == "fabric":
         return cmd_fabric(args.fabric_command, args.url, args.token,
                           args.json)

@@ -7,8 +7,8 @@ exactly-once over the lease protocol; the coordinator's lease budget
 is the only retry layer.  The package also
 hosts the primitives the rest of the codebase shares:
 
-* :mod:`repro.fabric.lease` — lease/heartbeat/exactly-once mechanics
-  (consumed by :mod:`repro.service.queue` too);
+* :mod:`repro.fabric.lease` — the point queue's lease/heartbeat/expiry
+  engine;
 * :mod:`repro.fabric.transport` — the single HTTP client/server layer
   and the typed :class:`ServiceError` hierarchy;
 * :mod:`repro.fabric.health` — the healthy/degraded/draining state

@@ -1,17 +1,17 @@
-"""Shared lease/heartbeat/exactly-once primitives.
+"""Lease/heartbeat/expiry engine of the fabric's point queue.
 
-The lease idiom grew twice — once in the service job queue
-(:mod:`repro.service.queue`) and once, implicitly, in the runner's
-journal/watchdog machinery — and the distributed fabric would have been
-the third copy.  This module is the single home for the mechanics all of
-them share:
+:class:`~repro.fabric.queue.PointQueue` leases points to remote
+workers, which can die without a word, so its leases carry a deadline.
+The coordinator that grants a lease owns its length (``lease_s``) and
+deadline (``lease_until``); nothing a worker sends can change either.
+This module holds those mechanics:
 
 * **Lease bookkeeping** — granting a lease stamps the holder and an
   expiry (``lease_until``) onto the entry and charges an attempt;
   releasing clears both.
-* **Heartbeats** — a live holder refreshes ``lease_until`` *in memory
-  only*.  Heartbeats are liveness, not durable state: recovery after a
-  process crash never trusts them.
+* **Heartbeats** — a live holder refreshes ``lease_until`` by the same
+  ``lease_s``, *in memory only*.  Heartbeats are liveness, not durable
+  state.
 * **Expiry sweeps with the TOCTOU window closed** — reclaiming an
   expired lease involves a durable journal write (fsync), so a sweep
   over many entries is slow.  :meth:`LeaseManager.sweep_expired`
@@ -20,16 +20,18 @@ them share:
   clock immediately before reclaiming it — a heartbeat that arrives
   after the snapshot (even mid-sweep) rescues its entry instead of
   queueing behind the whole sweep and losing the race.
-* **Recovery counting** — an entry found mid-lease by a crash recovery
-  pass more than ``max_recoveries`` times is poison (it keeps taking
-  its executor down) and should be quarantined rather than requeued.
+* **Recovery counting** — an entry whose lease lapsed more than
+  ``max_recoveries`` times is poison (it keeps taking its executor
+  down) and should be quarantined rather than requeued.
 
-The result-before-journal half of the exactly-once contract is
-:func:`repro.runner.fsio.atomic_write`.
+The service's job queue needs none of this: a job lease is a journaled
+claim by a thread of the same process, reclaimed only by crash
+recovery at start.  The result-before-journal half of the exactly-once
+contract is :func:`repro.runner.fsio.atomic_write`.
 
 Entries are duck-typed: anything with ``state``, ``worker``,
-``lease_until``, ``attempts`` and ``recoveries`` attributes (the service
-``Job``, the fabric ``WorkItem``) plugs in directly.
+``lease_until``, ``attempts`` and ``recoveries`` attributes (the fabric
+``WorkItem``) plugs in directly.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ import time
 from typing import Callable, Iterable, Protocol, runtime_checkable
 
 __all__ = ["LeaseManager", "Leasable"]
+
+#: The one entry state that holds a lease.
+LEASED = "LEASED"
 
 
 @runtime_checkable
@@ -52,58 +57,48 @@ class Leasable(Protocol):
 
 
 class LeaseManager:
-    """Lease-state engine shared by the job queue and the point queue.
+    """Lease-state engine of the point queue.
 
     Parameters
     ----------
-    active_states:
-        Entry states that can hold a lease (e.g. ``("LEASED",
-        "RUNNING")``).  Everything else is ignored by heartbeats and
-        sweeps.
     lease_s:
-        Default lease duration; individual grants/refreshes may
-        override it.
+        The length of every lease, at grant and at each refresh.
     max_recoveries:
-        How many crash recoveries an entry survives before
+        How many lapsed leases an entry survives before
         :meth:`should_quarantine` says it is poison.
     clock:
         Injectable time source (tests freeze it).
     """
 
-    def __init__(self, active_states: tuple[str, ...],
-                 lease_s: float = 60.0, max_recoveries: int = 3,
+    def __init__(self, lease_s: float = 60.0, max_recoveries: int = 3,
                  clock: Callable[[], float] = time.time) -> None:
         if lease_s <= 0:
             raise ValueError("lease_s must be > 0")
         if max_recoveries < 0:
             raise ValueError("max_recoveries must be >= 0")
-        self.active_states = tuple(active_states)
         self.lease_s = float(lease_s)
         self.max_recoveries = int(max_recoveries)
         self.clock = clock
 
     # -- grant / refresh / release -----------------------------------------
-    def grant(self, entry: Leasable, worker: str,
-              lease_s: float | None = None) -> float:
+    def grant(self, entry: Leasable, worker: str) -> float:
         """Stamp ``worker`` and an expiry onto ``entry``; charge an
         attempt.  Returns the new ``lease_until``."""
         entry.worker = str(worker)
         entry.attempts += 1
-        entry.lease_until = self.clock() + (lease_s if lease_s is not None
-                                            else self.lease_s)
+        entry.lease_until = self.clock() + self.lease_s
         return entry.lease_until
 
-    def refresh(self, entry: Leasable, lease_s: float | None = None) -> bool:
+    def refresh(self, entry: Leasable) -> bool:
         """Heartbeat: extend a *live* holder's lease, in memory only.
 
         Returns ``False`` (and touches nothing) when the entry is not
         currently leased — a late heartbeat from a holder whose lease
         was already reclaimed must not resurrect it.
         """
-        if entry.state not in self.active_states or entry.worker is None:
+        if entry.state != LEASED or entry.worker is None:
             return False
-        entry.lease_until = self.clock() + (lease_s if lease_s is not None
-                                            else self.lease_s)
+        entry.lease_until = self.clock() + self.lease_s
         return True
 
     def release(self, entry: Leasable) -> None:
@@ -112,26 +107,15 @@ class LeaseManager:
         entry.lease_until = None
 
     # -- expiry ------------------------------------------------------------
-    def expired(self, entry: Leasable, now: float | None = None,
-                skip_workers: Iterable[str] = frozenset()) -> bool:
-        """Whether ``entry`` holds a lease that has lapsed.
-
-        ``skip_workers`` names holders known alive by other means (e.g.
-        live threads of this process) — their leases are never treated
-        as expired, because reclaiming a lease a live holder still
-        works under would double-run the work.
-        """
-        if entry.state not in self.active_states:
-            return False
-        if entry.worker is None or entry.worker in skip_workers:
-            return False
-        if entry.lease_until is None:
+    def expired(self, entry: Leasable, now: float | None = None) -> bool:
+        """Whether ``entry`` holds a lease that has lapsed."""
+        if (entry.state != LEASED or entry.worker is None
+                or entry.lease_until is None):
             return False
         return entry.lease_until < (now if now is not None else self.clock())
 
     def sweep_expired(self, entries: Callable[[], Iterable[Leasable]],
-                      lock, reclaim: Callable[[Leasable], None],
-                      skip_workers: Iterable[str] = frozenset()) -> list:
+                      lock, reclaim: Callable[[Leasable], None]) -> list:
         """Reclaim every lapsed lease, with the TOCTOU window closed.
 
         ``entries`` is called under ``lock`` to snapshot candidates;
@@ -145,14 +129,13 @@ class LeaseManager:
 
         Returns the entries actually reclaimed.
         """
-        skip = frozenset(skip_workers)
         with lock:
             now = self.clock()
-            candidates = [e for e in entries() if self.expired(e, now, skip)]
+            candidates = [e for e in entries() if self.expired(e, now)]
         touched = []
         for entry in candidates:
             with lock:
-                if not self.expired(entry, self.clock(), skip):
+                if not self.expired(entry, self.clock()):
                     continue  # heartbeat won the race; lease is live again
                 reclaim(entry)
                 touched.append(entry)
@@ -162,4 +145,3 @@ class LeaseManager:
     def should_quarantine(self, entry: Leasable) -> bool:
         """Whether one more recovery would exceed ``max_recoveries``."""
         return entry.recoveries + 1 > self.max_recoveries
-

@@ -3,11 +3,12 @@
 The coordinator-side state of one fabric session: batches of
 :class:`~repro.runner.simpoint.SimPoint` become :class:`WorkItem`
 entries that remote workers lease, heartbeat, and complete exactly
-once.  The mechanics mirror the service's
-:class:`~repro.service.queue.JobQueue` — deliberately: both consume the
-same :class:`~repro.fabric.lease.LeaseManager` primitives and the same
-fsynced-JSONL :class:`~repro.runner.journal.RunJournal` discipline, so
-the lease/heartbeat/exactly-once logic exists in the codebase once.
+once, journaled with the fsynced-JSONL
+:class:`~repro.runner.journal.RunJournal` discipline.  The queue's
+:class:`~repro.fabric.lease.LeaseManager` is the one owner of lease
+length and deadline: every grant and heartbeat runs for the queue's
+``lease_s``, and each item's deadline is the ``timeout_s`` its batch
+stamped on it.  Nothing a worker sends sets either.
 
 Exactly-once contract
 ---------------------
@@ -75,11 +76,12 @@ class ItemState:
 class WorkItem:
     """One leasable unit of work: a unique point within a batch.
 
-    ``retries`` and ``timeout_s`` are optional per-item overrides of
-    the queue/worker defaults, stamped at enqueue time so a batch's
-    ``run(..., retries=..., timeout_s=...)`` settings travel with its
-    items instead of mutating shared state that concurrent batches
-    would cross-wire.
+    ``retries`` and ``timeout_s`` are stamped at enqueue time so a
+    batch's ``run(..., retries=..., timeout_s=...)`` settings travel
+    with its items instead of mutating shared state that concurrent
+    batches would cross-wire.  ``retries`` overrides the queue's
+    default; ``timeout_s`` is the point's one deadline (``None``: no
+    deadline), which the leasing worker reads off the item.
 
     ``ctx`` is the correlation context bound when the item was
     enqueued (``job_id``/``request_id``); it travels to the leasing
@@ -146,8 +148,7 @@ class PointQueue:
         self.health = (health if health is not None
                        else Health(registry=registry, component="fabric"))
         self.retries = int(retries)
-        self.leases = LeaseManager(active_states=(ItemState.LEASED,),
-                                   lease_s=lease_s,
+        self.leases = LeaseManager(lease_s=lease_s,
                                    max_recoveries=max_recoveries,
                                    clock=clock)
         self._lock = threading.RLock()
@@ -332,9 +333,9 @@ class PointQueue:
             return True
 
     # -- worker protocol ---------------------------------------------------
-    def lease(self, worker: str, lease_s: float | None = None,
-              wait_s: float = 0.0) -> WorkItem | None:
-        """Oldest PENDING item, leased to ``worker`` (``None`` = none).
+    def lease(self, worker: str, wait_s: float = 0.0) -> WorkItem | None:
+        """Oldest PENDING item, leased to ``worker`` for ``lease_s``
+        (``None`` = none).
 
         With ``wait_s`` > 0 an idle call blocks up to that long for an
         item to turn PENDING; :meth:`drain` ends the wait at once.
@@ -344,7 +345,7 @@ class PointQueue:
             self._saw(worker)
             while True:
                 item = self._oldest_pending()
-                if item is not None and self._grant(item, worker, lease_s):
+                if item is not None and self._grant(item, worker):
                     return item
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or self.draining:
@@ -352,8 +353,7 @@ class PointQueue:
                     return None
                 self._cond.wait(remaining)
 
-    def _grant(self, item: WorkItem, worker: str,
-               lease_s: float | None) -> bool:
+    def _grant(self, item: WorkItem, worker: str) -> bool:
         """Lease ``item`` to ``worker``; ``False`` if the journal refused.
 
         A lease the journal cannot witness must not stand: the grant
@@ -362,7 +362,7 @@ class PointQueue:
         ``wait_s`` before trying again — refusing work until the disk
         recovers, without spinning on it.
         """
-        lease_until = self.leases.grant(item, worker, lease_s)
+        lease_until = self.leases.grant(item, worker)
         if not self._journal("point_leased", id=item.id, worker=worker,
                              lease_until=lease_until,
                              attempts=item.attempts):
@@ -386,16 +386,16 @@ class PointQueue:
                 raise PointQueueError(f"unknown item {item_id!r}")
             return self._points[item_id]
 
-    def heartbeat(self, worker: str, item_id: str,
-                  lease_s: float | None = None) -> bool:
-        """Refresh a live lease (in-memory only).  Returns ``False``
-        when the lease is no longer this worker's to refresh."""
+    def heartbeat(self, worker: str, item_id: str) -> bool:
+        """Extend a live lease by ``lease_s`` (in-memory only).
+        Returns ``False`` when the lease is no longer this worker's to
+        refresh."""
         with self._lock:
             self._saw(worker)
             item = self._items.get(item_id)
             if item is None or item.worker != worker:
                 return False
-            ok = self.leases.refresh(item, lease_s)
+            ok = self.leases.refresh(item)
             if ok:
                 self.heartbeats_seen[str(worker)] = self.leases.clock()
                 if self._m_heartbeats is not None:
@@ -500,12 +500,11 @@ class PointQueue:
                      recovered=recovered, recoveries=item.recoveries,
                      **({"error": str(error)} if error is not None else {}))
 
-    def requeue_expired(self,
-                        skip_workers: frozenset[str] = frozenset()) -> list:
+    def requeue_expired(self) -> list:
         """Reclaim leases whose holder stopped heartbeating.
 
-        Uses the shared TOCTOU-closed sweep: a heartbeat arriving
-        mid-sweep rescues its item.  An item that has cycled through
+        Uses the TOCTOU-closed sweep: a heartbeat arriving mid-sweep
+        rescues its item.  An item that has cycled through
         too many dead workers is FAILED as poison instead of requeued
         forever.
         """
@@ -520,7 +519,7 @@ class PointQueue:
 
         touched = self.leases.sweep_expired(
             lambda: list(self._live.values()), lock=self._lock,
-            reclaim=reclaim, skip_workers=skip_workers)
+            reclaim=reclaim)
         with self._lock:
             self._update_gauges()
         return touched

@@ -23,12 +23,13 @@ Protocol routes (all JSON)::
 
     GET  /v1/fabric/healthz    liveness + health state (unauth)
     GET  /v1/fabric/status     queue snapshot + drain flag (unauth)
-    POST /v1/fabric/lease      {"worker", "lease_s"?, "wait_s"?} -> one
-                               leased item + its pickled point, or
-                               nothing (plus a "shutdown" hint when
-                               draining); "wait_s" holds an idle
-                               request open until an item turns
-                               PENDING, the coordinator drains, or
+    POST /v1/fabric/lease      {"worker", "wait_s"?} -> one leased item
+                               + its pickled point + the coordinator's
+                               "lease_s", or nothing (plus a
+                               "shutdown" hint when draining);
+                               "wait_s" holds an idle request open
+                               until an item turns PENDING, the
+                               coordinator drains, or
                                min(wait_s, LEASE_WAIT_CAP_S) passes
     POST /v1/fabric/heartbeat  {"worker", "id"} -> {"ok": bool}
     POST /v1/fabric/complete   {"worker", "id", "result"} -> {"status"}
@@ -169,23 +170,21 @@ class FabricApp:
         return self._json(200, {"state": state})
 
     def _lease(self, worker: str, payload: dict):
-        lease_s = payload.get("lease_s")
         wait_s = payload.get("wait_s", 0.0)
         if (isinstance(wait_s, bool) or not isinstance(wait_s, (int, float))
                 or not wait_s >= 0):
             return self._error(400, "bad_request",
                                '"wait_s" must be a number >= 0')
-        item = self.coordinator.queue.lease(
-            worker, lease_s=float(lease_s) if lease_s is not None else None,
-            wait_s=min(float(wait_s), LEASE_WAIT_CAP_S))
+        queue = self.coordinator.queue
+        item = queue.lease(worker,
+                           wait_s=min(float(wait_s), LEASE_WAIT_CAP_S))
         if item is None:
             return self._json(200, {
-                "item": None, "point": None,
-                "shutdown": self.coordinator.queue.draining})
-        point = self.coordinator.queue.point(item.id)
+                "item": None, "point": None, "shutdown": queue.draining})
         return self._json(200, {
             "item": item.to_dict(),
-            "point": encode_payload(point, key=self.token),
+            "point": encode_payload(queue.point(item.id), key=self.token),
+            "lease_s": queue.leases.lease_s,
             "shutdown": False,
         })
 
@@ -326,11 +325,16 @@ class FabricRunner(Runner):
         worker reports a failure is re-leased up to that many times
         (workers do not retry), while a dead worker's lapsed lease
         charges ``max_recoveries`` instead, as the pool replays crash
-        victims uncharged.  ``timeout_s`` is each worker's heartbeat
-        deadline: a point running past it is reported failed with a
+        victims uncharged.  ``timeout_s`` is stamped on each item as
+        its deadline, which the leasing worker's heartbeat thread
+        enforces: a point running past it is reported failed with a
         ``TimeoutError`` and charged like any failure.  Its worker
         stays busy until the point returns, the honest remote analogue
         of the pool watchdog's kill.
+    lease_s:
+        The length of every lease the coordinator grants or refreshes.
+        Workers learn it from the lease response and heartbeat at a
+        third of it.
     state_dir:
         Where the fabric lease journal lives
         (default ``bench_results/fabric``).
@@ -373,7 +377,6 @@ class FabricRunner(Runner):
         super().__init__(workers=workers, cache=cache, registry=registry,
                          progress=progress, retries=retries,
                          timeout_s=timeout_s, trace_dir=trace_dir)
-        self.lease_s = float(lease_s)
         self.poll_s = float(poll_s)
         self.host = host
         self.port = port
@@ -413,10 +416,7 @@ class FabricRunner(Runner):
     def _worker_argv(self) -> list[str]:
         argv = [sys.executable, "-m", "repro", "worker",
                 "--url", self.coordinator.url,
-                "--lease-s", str(self.lease_s),
                 "--poll-s", str(max(self.poll_s, 0.02))]
-        if self.timeout_s is not None:
-            argv += ["--timeout-s", str(self.timeout_s)]
         if self.token is not None:
             argv += ["--token", self.token]
         return argv
@@ -449,8 +449,7 @@ class FabricRunner(Runner):
                 fabric_worker = FabricWorker(
                     FabricClient(transport),
                     worker=f"thread:{os.getpid()}:{index}",
-                    poll_s=self.poll_s, lease_s=self.lease_s,
-                    timeout_s=self.timeout_s)
+                    poll_s=self.poll_s)
                 thread = threading.Thread(
                     target=fabric_worker.run_forever,
                     name=f"fabric-worker-{index}", daemon=True)

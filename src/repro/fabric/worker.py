@@ -5,21 +5,26 @@ that can reach the coordinator's HTTP endpoint).  Its loop:
 
 1. **pull** — ``POST /v1/fabric/lease`` asks for work and, when there
    is none, waits up to ``poll_s`` for some; the coordinator answers
-   with one leased item + its pickled point the moment one is
-   enqueued, or nothing (plus a ``shutdown`` hint, at once, when the
-   session drains).  An empty answer is followed by the next pull
-   straight away: the wait is in the request, not in the worker;
-2. **run** — the point executes directly (``point.execute()``); the
-   worker does not retry, so the coordinator's per-item retry budget
-   is the only retry layer a fabric point has;
-3. **heartbeat** — a background thread refreshes the lease while the
-   point runs.  With ``timeout_s`` set it wakes at the deadline and
-   reports ``TimeoutError`` through ``/v1/fabric/fail``: a charged
-   failure, exactly as the pool watchdog charges one.  Inline execution
-   cannot be interrupted, so the point runs on; should it finish, its
-   result still ships as a late completion;
+   with one leased item + its pickled point + its ``lease_s`` the
+   moment one is enqueued, or nothing (plus a ``shutdown`` hint, at
+   once, when the session drains).  An empty answer is followed by the
+   next pull straight away: the wait is in the request, not in the
+   worker;
+2. **run** — the point is decoded and executes directly
+   (``point.execute()``); the worker does not retry, so the
+   coordinator's per-item retry budget is the only retry layer a
+   fabric point has;
+3. **heartbeat** — a background thread refreshes the lease at a third
+   of the coordinator's ``lease_s`` while the point runs.  When the
+   item carries a ``timeout_s`` it wakes at that deadline and reports
+   ``TimeoutError`` through ``/v1/fabric/fail``: a charged failure,
+   exactly as the pool watchdog charges one.  Inline execution cannot
+   be interrupted, so the point runs on; should it finish, its result
+   still ships as a late completion.  Lease length and deadline are
+   the coordinator's alone: the worker has no setting for either;
 4. **report** — success ships the pickled result back
-   (``/v1/fabric/complete``); a failure reports the point's real
+   (``/v1/fabric/complete``); a failure — the point raised, or its
+   payload could not be verified or unpickled — reports the real
    exception as its ``repr`` (``/v1/fabric/fail``) and lets the
    coordinator's retry policy decide.  The coordinator names the point
    itself, so a fabric failure reads as it does on the other backends.
@@ -138,15 +143,13 @@ class FabricClient:
         """Coordinator queue snapshot (``repro fabric status``)."""
         return self.transport.json("GET", "/v1/fabric/status")["fabric"]
 
-    def lease(self, worker: str, lease_s: float | None = None,
-              wait_s: float | None = None) -> dict:
+    def lease(self, worker: str, wait_s: float | None = None) -> dict:
         """Ask for work, waiting up to ``wait_s`` (capped by the
         coordinator) while there is none.  Returns the response
         document: ``{"item": {...}|None, "point": b64|None,
-        "shutdown": bool}``."""
+        "shutdown": bool}``, plus the coordinator's ``"lease_s"``
+        when an item was leased."""
         payload = {"worker": worker}
-        if lease_s is not None:
-            payload["lease_s"] = lease_s
         if wait_s is not None:
             payload["wait_s"] = wait_s
         return self.transport.json("POST", "/v1/fabric/lease", payload,
@@ -180,9 +183,10 @@ class FabricClient:
 class _Heartbeat:
     """Background lease refresher for one in-flight item.
 
-    Refreshes every ``lease_s / 3``.  At ``deadline`` seconds (the
-    point's ``timeout_s``) it stops refreshing and reports the overrun
-    as the point's failure, charged against its retry budget.
+    Refreshes every ``lease_s / 3`` (the coordinator's ``lease_s``).
+    At ``deadline`` seconds (the item's ``timeout_s``) it stops
+    refreshing and reports the overrun as the point's failure, charged
+    against its retry budget.
     """
 
     def __init__(self, client: FabricClient, worker: str, item_id: str,
@@ -249,11 +253,6 @@ class FabricWorker:
         ``wait_s``).  The worker never sleeps between pulls: the
         coordinator answers as soon as an item is enqueued, or with the
         shutdown hint as soon as it drains.
-    lease_s:
-        Lease duration to request; heartbeats run at a third of it.
-    timeout_s:
-        The heartbeat deadline (see module docstring for the timeout
-        semantics).
     lease_error_limit:
         Consecutive failed pulls tolerated before the coordinator is
         presumed gone and the loop drains.  Transient flaps (a dropped
@@ -265,15 +264,11 @@ class FabricWorker:
     """
 
     def __init__(self, client: FabricClient, worker: str | None = None,
-                 poll_s: float = 0.1, lease_s: float = 30.0,
-                 timeout_s: float | None = None,
-                 lease_error_limit: int = 3,
+                 poll_s: float = 0.1, lease_error_limit: int = 3,
                  registry: MetricRegistry | None = None) -> None:
         self.client = client
         self.worker = worker if worker is not None else worker_id()
         self.poll_s = float(poll_s)
-        self.lease_s = float(lease_s)
-        self.timeout_s = timeout_s
         self.lease_error_limit = int(lease_error_limit)
         self.registry = registry if registry is not None else MetricRegistry()
         self._stop = threading.Event()
@@ -306,40 +301,39 @@ class FabricWorker:
         lease_errors = 0
         while not self._stop.is_set():
             try:
-                doc = self.client.lease(self.worker, lease_s=self.lease_s,
-                                        wait_s=self.poll_s)
+                doc = self.client.lease(self.worker, wait_s=self.poll_s)
             except (TransportError, ApiError):
                 lease_errors += 1
                 if lease_errors >= self.lease_error_limit:
                     break
                 continue
             lease_errors = 0
-            item = doc.get("item")
-            if item is None:
+            if doc.get("item") is None:
                 if doc.get("shutdown"):
                     break
                 continue
-            self._run_one(item, decode_payload(doc["point"],
-                                               key=self.client.payload_key))
+            self._run_one(doc)
         return self.done
 
     def run_one(self) -> bool:
         """Pull and run a single point (tests); ``True`` if one ran."""
-        doc = self.client.lease(self.worker, lease_s=self.lease_s)
-        item = doc.get("item")
-        if item is None:
+        doc = self.client.lease(self.worker)
+        if doc.get("item") is None:
             return False
-        self._run_one(item, decode_payload(doc["point"],
-                                           key=self.client.payload_key))
+        self._run_one(doc)
         return True
 
-    def _run_one(self, item: dict, point) -> None:
+    def _run_one(self, doc: dict) -> None:
+        """Run the point of one lease response and report it.
+
+        The coordinator's ``lease_s`` paces the heartbeats and the
+        item's own ``timeout_s`` is the deadline, so both apply no
+        matter which worker the point lands on.  A point that cannot be
+        verified or unpickled fails like one that raises: reported and
+        charged, while the worker pulls on.
+        """
+        item = doc["item"]
         item_id = item["id"]
-        # A batch-scoped timeout override rides on the item itself, so
-        # it applies no matter which worker the point lands on.
-        timeout_s = item.get("timeout_s")
-        if timeout_s is None:
-            timeout_s = self.timeout_s
         # Re-bind the enqueuer's context (it rode here inside the lease
         # response): every event this worker emits for the point — and
         # every protocol call it makes about it, via the transport's
@@ -351,8 +345,10 @@ class FabricWorker:
             obs_emit("point_execute_start", item=item_id,
                      attempts=item.get("attempts"))
             with _Heartbeat(self.client, self.worker, item_id,
-                            self.lease_s, timeout_s) as beat:
+                            doc["lease_s"], item.get("timeout_s")) as beat:
                 try:
+                    point = decode_payload(doc["point"],
+                                           key=self.client.payload_key)
                     value = point.execute()
                 except Exception as exc:
                     self.failed += 1
@@ -362,11 +358,9 @@ class FabricWorker:
                     self._report(lambda: self.client.fail(
                         self.worker, item_id, repr(exc)))
                     return
-            if beat.lost.is_set():
-                # Our lease was reclaimed mid-run; the result is still
-                # deterministic and worth shipping (the coordinator
-                # counts it as a late completion).
-                pass
+            # A lost lease (reclaimed mid-run) still ships its result:
+            # it is deterministic, and the coordinator counts it as a
+            # late completion.
             self.done += 1
             self._m_done.labels(status="done").inc()
             obs_emit("point_execute_done", item=item_id,

@@ -11,8 +11,8 @@ cache instead of re-simulating:
   (registered experiment or raw point batch), the
   SUBMITTED→LEASED→RUNNING→DONE/FAILED/QUARANTINED state machine;
 * :mod:`repro.service.queue` — :class:`JobQueue`, a persistent
-  priority queue over the fsynced-JSONL journal idiom, with leases,
-  heartbeats, exactly-once crash recovery and compaction;
+  priority queue over the fsynced-JSONL journal idiom, with journaled
+  leases, exactly-once crash recovery and compaction;
 * :mod:`repro.service.scheduler` — :class:`Scheduler`, the worker pool
   draining the queue through one cached runner per job (atomic result
   writes, poison quarantine once a point's retry budget is spent);

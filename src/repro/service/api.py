@@ -93,7 +93,7 @@ class Service:
         self.scheduler = Scheduler(
             self.queue, results_dir=self.config.results_dir,
             cache=self.cache, registry=self.registry,
-            workers=self.config.workers, lease_s=self.config.lease_s,
+            workers=self.config.workers,
             point_retries=self.config.point_retries,
             backend=self.fabric)
         self.auth = TokenAuth.load(self.config.tokens_path,

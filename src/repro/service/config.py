@@ -48,7 +48,6 @@ class ServiceConfig:
     state_dir: Path = Path("bench_results") / "service"
     tokens_path: Path | None = None
     workers: int = 2
-    lease_s: float = 60.0
     #: Charged failures each point may retry, the only retry a job
     #: gets: a point that spends them quarantines its job.
     point_retries: int = 1

@@ -22,8 +22,8 @@ State machine::
                                                    retries, or the job
                                                    crashed the scheduler
                                                    repeatedly)
-              <- LEASED/RUNNING    (holder died: crash recovery or lease
-                                    expiry, counted in ``recoveries``)
+              <- LEASED/RUNNING    (the scheduler died: crash recovery,
+                                    counted in ``recoveries``)
     SUBMITTED -> CANCELLED
 
 Jobs are plain dataclasses serialized to/from JSON dicts; the queue
@@ -237,13 +237,12 @@ class Job:
     leased_s: float | None = None
     #: Live progress (``{"done", "total", "cached", "point",
     #: "updated_s"}``).  Liveness, not durable state: refreshed in
-    #: memory while the job runs, like heartbeats.
+    #: memory while the job runs, never journaled.
     progress: dict = field(default_factory=dict)
     #: Monotonic change counter for watchers (SSE / long-poll): bumped
     #: on every visible mutation, never journaled.
     version: int = 0
     worker: str | None = None
-    lease_until: float | None = None
     error: str | None = None
     result_path: str | None = None
     #: Runner accounting for the completed attempt (cache hits etc.);

@@ -1,4 +1,5 @@
-"""Persistent priority job queue with leases and exactly-once recovery.
+"""Persistent priority job queue with journaled claims and exactly-once
+recovery.
 
 State lives in two places with one source of truth:
 
@@ -18,19 +19,14 @@ completion, and result files are written atomically *before* the
 job, whose points then resolve from the ResultCache and atomically
 overwrite the same file, leaving a single result entry.
 
-On :meth:`recover` (scheduler restart), LEASED/RUNNING jobs revert to
-SUBMITTED — the workers holding those leases died with the old process.
+A job lease is a journaled claim by one scheduler thread of this
+process, with no deadline: a thread cannot go silent while its process
+lives, so nothing in a live process ever reclaims a lease.  On
+:meth:`recover` (scheduler restart), the one requeue, LEASED/RUNNING
+jobs revert to SUBMITTED — their threads died with the old process.
 Each revert increments ``recoveries``; a job that keeps taking the
 scheduler down with it is quarantined after ``max_recoveries`` rather
-than crash-looping forever.  Within a live scheduler,
-:meth:`requeue_expired` reclaims leases whose holder stopped
-heartbeating (heartbeats refresh ``lease_until`` in memory only — they
-are liveness, not durable state).
-
-The lease mechanics themselves (grant/refresh/release, expiry sweeps
-with the heartbeat-vs-sweep TOCTOU window closed, recovery counting)
-live in :class:`repro.fabric.lease.LeaseManager`, shared with the
-distributed fabric's point queue — one implementation, two consumers.
+than crash-looping forever.
 
 Compaction (:meth:`compact`) rewrites the journal atomically, keeping
 one ``job_snapshot`` record per terminal job and the raw event tail for
@@ -43,7 +39,6 @@ import threading
 import time
 from pathlib import Path
 
-from repro.fabric.lease import LeaseManager
 from repro.obs import bind as obs_bind, emit as obs_emit, emitter
 from repro.runner.journal import RunJournal
 from repro.service.jobs import ACTIVE_STATES, Job, JobState
@@ -78,9 +73,6 @@ class JobQueue:
         self.health = health
         self.max_recoveries = int(max_recoveries)
         self.clock = clock
-        self.leases = LeaseManager(
-            active_states=(JobState.LEASED, JobState.RUNNING),
-            lease_s=60.0, max_recoveries=max_recoveries, clock=clock)
         self._lock = threading.RLock()
         #: Notified on every job-version bump (submits and requeues
         #: included), so SSE streams, long-polls and idle scheduler
@@ -102,7 +94,7 @@ class JobQueue:
                 "service_leases_total", "job leases granted")
             self._m_recovered = registry.counter(
                 "service_leases_recovered_total",
-                "leases reclaimed from dead or silent workers")
+                "leases reclaimed from a dead scheduler's threads")
             self._m_depth = registry.gauge(
                 "service_queue_depth", "SUBMITTED jobs awaiting a worker")
             self._m_stage = registry.histogram(
@@ -119,8 +111,6 @@ class JobQueue:
             if event in ("job_submitted", "job_snapshot"):
                 job = Job.from_dict(record.get("job", {}))
                 self._install(job)
-            elif event == "job_heartbeat":
-                continue
             else:
                 job = self._jobs.get(record.get("id", ""))
                 if job is None:
@@ -140,7 +130,6 @@ class JobQueue:
         if event == "job_leased":
             job.state = JobState.LEASED
             job.worker = record.get("worker")
-            job.lease_until = record.get("lease_until")
             job.leased_s = record.get("leased_s", job.leased_s)
             job.attempts = record.get("attempts", job.attempts)
         elif event == "job_running":
@@ -149,7 +138,6 @@ class JobQueue:
         elif event == "job_requeued":
             job.state = JobState.SUBMITTED
             job.worker = None
-            job.lease_until = None
             job.recoveries = record.get("recoveries", job.recoveries)
         elif event == "job_done":
             job.state = JobState.DONE
@@ -158,14 +146,12 @@ class JobQueue:
             job.elapsed_s = record.get("elapsed_s")
             job.runner = record.get("runner", {})
             job.worker = None
-            job.lease_until = None
         elif event in ("job_failed", "job_quarantined"):
             job.state = (JobState.FAILED if event == "job_failed"
                          else JobState.QUARANTINED)
             job.error = record.get("error")
             job.finished_s = record.get("finished_s")
             job.worker = None
-            job.lease_until = None
         elif event == "job_cancelled":
             job.state = JobState.CANCELLED
             job.finished_s = record.get("finished_s")
@@ -258,7 +244,7 @@ class JobQueue:
             return job
 
     # -- worker protocol ---------------------------------------------------
-    def lease(self, worker: str, lease_s: float = 60.0, wait_s: float = 0.0,
+    def lease(self, worker: str, wait_s: float = 0.0,
               stop: threading.Event | None = None) -> Job | None:
         """Highest-priority SUBMITTED job, leased to ``worker``.
 
@@ -277,7 +263,7 @@ class JobQueue:
                 if ready:
                     job = min(ready,
                               key=lambda j: (-j.priority, self._seq[j.id]))
-                    if self._grant(job, worker, lease_s):
+                    if self._grant(job, worker):
                         return job
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -285,26 +271,23 @@ class JobQueue:
                 self._cond.wait(remaining)
             return None
 
-    def _grant(self, job: Job, worker: str, lease_s: float) -> bool:
+    def _grant(self, job: Job, worker: str) -> bool:
         """Lease ``job`` to ``worker``; ``False`` if the journal refused.
 
         A lease that would vanish on replay must not be handed out: the
-        grant (and its attempt charge) is reverted without waking
-        anyone, and the caller waits out its ``wait_s`` before asking
-        again, so an idle worker does not spin on a failing disk.
+        grant is not applied and wakes nobody, and the caller waits out
+        its ``wait_s`` before asking again, so an idle worker does not
+        spin on a failing disk.
         """
-        job.state = JobState.LEASED
-        self.leases.grant(job, worker, lease_s)
         now = self.clock()
         try:
             self._append("job_leased", id=job.id, worker=worker,
-                         lease_until=job.lease_until,
-                         leased_s=now, attempts=job.attempts)
+                         leased_s=now, attempts=job.attempts + 1)
         except QueueWriteError:
-            job.state = JobState.SUBMITTED
-            self.leases.release(job)
-            job.attempts -= 1
             return False
+        job.state = JobState.LEASED
+        job.worker = worker
+        job.attempts += 1
         job.leased_s = now
         if self._m_leases is not None:
             self._m_leases.inc()
@@ -328,22 +311,14 @@ class JobQueue:
             self._bump(job)
             self._emit(job, "job_running")
 
-    def heartbeat(self, job_id: str, lease_s: float = 60.0) -> None:
-        """Refresh a live worker's lease (in-memory only — liveness,
-        not durable state; recovery after a crash never trusts it)."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is not None:
-                self.leases.refresh(job, lease_s)
-
     def set_progress(self, job_id: str, done: int, total: int,
                      point: str | None = None,
                      cached: bool = False) -> None:
         """Record live point-level progress on the job document.
 
-        Like heartbeats this is liveness, not durable state: it only
-        mutates memory (never the journal) and vanishes on restart —
-        which is correct, because a restarted job re-runs from zero.
+        This is liveness, not durable state: it only mutates memory
+        (never the journal) and vanishes on restart — which is correct,
+        because a restarted job re-runs from zero.
         Each call bumps the job version so SSE/long-poll watchers wake
         immediately.  Unknown or already-terminal jobs are ignored (a
         straggler callback must not resurrect a finished doc).
@@ -409,7 +384,7 @@ class JobQueue:
             job.finished_s = now
             job.elapsed_s = elapsed
             job.runner = dict(runner or {})
-            self.leases.release(job)
+            job.worker = None
             self._finish_metric(JobState.DONE)
             self._observe_stage("start_to_complete", job.started_s, now)
             self._update_depth()
@@ -434,7 +409,7 @@ class JobQueue:
                          else JobState.FAILED)
             job.error = str(error)
             job.finished_s = now
-            self.leases.release(job)
+            job.worker = None
             self._finish_metric(job.state)
             self._update_depth()
             self._bump(job)
@@ -449,10 +424,10 @@ class JobQueue:
             return job
 
     def requeue(self, job_id: str) -> Job:
-        """Send a job whose holder died back to SUBMITTED.
+        """Send a job whose scheduler died back to SUBMITTED.
 
-        Crash recovery and lease expiry are the only requeues (a failed
-        job is terminal), so each one charges a recovery.
+        Crash recovery is the only requeue (a failed job is terminal),
+        so each one charges a recovery.
         """
         with self._lock:
             job = self.get(job_id)
@@ -462,7 +437,7 @@ class JobQueue:
             recoveries = job.recoveries + 1
             self._append("job_requeued", id=job.id, recoveries=recoveries)
             job.state = JobState.SUBMITTED
-            self.leases.release(job)
+            job.worker = None
             job.recoveries = recoveries
             if self._m_recovered is not None:
                 self._m_recovered.inc()
@@ -486,7 +461,7 @@ class JobQueue:
             for job in self._jobs.values():
                 if job.state not in (JobState.LEASED, JobState.RUNNING):
                     continue
-                if self.leases.should_quarantine(job):
+                if job.recoveries + 1 > self.max_recoveries:
                     self.fail(job.id,
                               f"quarantined after {job.recoveries + 1} "
                               f"scheduler crashes mid-job",
@@ -495,24 +470,6 @@ class JobQueue:
                     self.requeue(job.id)
                 touched.append(job)
             return touched
-
-    def requeue_expired(self, skip_workers: set[str] = frozenset()) -> list[Job]:
-        """Reclaim leases whose holder stopped heartbeating.
-
-        ``skip_workers`` names workers known to be alive in this
-        process (their threads cannot silently vanish) — reclaiming a
-        lease a live thread still holds would double-run the job.
-
-        The shared sweep re-checks each job against a fresh clock right
-        before its requeue write, with the lock released between jobs:
-        a heartbeat that arrives after the sweep's snapshot (the
-        journal fsyncs of earlier requeues make that window real)
-        rescues its job instead of losing the race.
-        """
-        return self.leases.sweep_expired(
-            lambda: list(self._jobs.values()), lock=self._lock,
-            reclaim=lambda job: self.requeue(job.id),
-            skip_workers=skip_workers)
 
     # -- inspection --------------------------------------------------------
     def get(self, job_id: str) -> Job:
@@ -561,7 +518,7 @@ class JobQueue:
         Terminal jobs collapse to one ``job_snapshot`` record each;
         live jobs keep their raw event tail (their snapshots are
         re-emitted as ``job_snapshot`` too, since in-memory state *is*
-        the replay of those events).  Heartbeats never persist.
+        the replay of those events).
         """
         with self._lock:
             before = len(self.journal.events())

@@ -14,20 +14,19 @@ front-end, wired to the service's shared
 * **points jobs** resolve their batch and persist a deterministic
   summary envelope (:func:`points_envelope`).
 
-The per-job runner counts only its own job's points and heartbeats the
-job's lease on every resolved point.  Its cache misses run inline, or
-on an injected backend's ``_drive`` (a
+The per-job runner counts only its own job's points and publishes
+each resolved point as the job's live progress.  Its cache misses run
+inline, or on an injected backend's ``_drive`` (a
 :class:`~repro.fabric.FabricRunner` fans them out to pulled workers).
 
-A point's own budget (``point_retries``, ``timeout_s``) is the one
-retry layer a job has: a point that spends it raises
-:class:`~repro.runner.RunnerError` and the job ends QUARANTINED; any
-other error ends it FAILED.  No failure is requeued.  Only a dead
-holder's lease comes back — through the queue's crash recovery, or the
-maintenance sweep (:meth:`Scheduler.sweep_leases`) that reclaims leases
-from workers that are *not* threads of this process.  Result files are
-written atomically before the DONE event is journaled, which is what
-makes completion exactly-once across scheduler crashes.
+A point's own budget (``point_retries``) is the one retry layer a job
+has: a point that spends it raises :class:`~repro.runner.RunnerError`
+and the job ends QUARANTINED; any other error ends it FAILED.  No
+failure is requeued.  A job lease is a journaled claim by one of this
+process's threads and has no deadline; only a dead scheduler's leases
+come back, through the queue's crash recovery at start.  Result files
+are written atomically before the DONE event is journaled, which is
+what makes completion exactly-once across scheduler crashes.
 """
 
 from __future__ import annotations
@@ -110,29 +109,27 @@ class Scheduler:
     registry:
         Telemetry registry shared with the queue and API; runner
         counters (``runner_*``) and ``service_*`` counters land here.
-    workers / lease_s / poll_s:
-        Pool width, lease duration, and the longest one idle lease
-        waits for work.  An idle worker blocks on the queue's condition
-        and starts a job the moment it is submitted or requeued;
-        :meth:`stop` wakes it at once.
-    point_retries / timeout_s:
-        Every point's budget: how many charged failures it may retry,
-        and its watchdog deadline.  A point that spends it quarantines
-        its job.
+    workers / poll_s:
+        Pool width, and the longest one idle lease waits for work.  An
+        idle worker blocks on the queue's condition and starts a job
+        the moment it is submitted or requeued; :meth:`stop` wakes it
+        at once.
+    point_retries:
+        Every point's budget: how many charged failures it may retry.
+        A point that spends it quarantines its job.
     backend:
         Optional :class:`Runner` whose ``_drive`` executes every job's
         cache misses instead of the per-job runner's inline loop — pass
         a :class:`~repro.fabric.FabricRunner` (default ``raise`` policy,
         same ``cache``) to fan jobs out to pulled workers.  Job
-        accounting, lease heartbeats and result-envelope bytes are
-        unchanged either way.
+        accounting, progress and result-envelope bytes are unchanged
+        either way.
     """
 
     def __init__(self, queue: JobQueue, results_dir: str | Path,
                  cache: ResultCache | None = None, registry=None,
-                 workers: int = 2, lease_s: float = 60.0,
-                 poll_s: float = 0.05, point_retries: int = 1,
-                 timeout_s: float | None = None,
+                 workers: int = 2, poll_s: float = 0.05,
+                 point_retries: int = 1,
                  backend: Runner | None = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -142,10 +139,8 @@ class Scheduler:
         self.cache = cache
         self.registry = registry
         self.workers = int(workers)
-        self.lease_s = float(lease_s)
         self.poll_s = float(poll_s)
         self.point_retries = int(point_retries)
-        self.timeout_s = timeout_s
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._m_seconds = None
@@ -177,21 +172,12 @@ class Scheduler:
             thread.join(timeout=timeout)
         self._threads = []
 
-    def worker_ids(self) -> set[str]:
-        """Lease-holder names of this process's live workers."""
-        return {self._worker_id(t.name) for t in self._threads
-                if t.is_alive()}
-
-    @staticmethod
-    def _worker_id(thread_name: str) -> str:
-        return f"{os.getpid()}:{thread_name}"
-
     # -- the loop ----------------------------------------------------------
     def _worker_loop(self) -> None:
-        worker = self._worker_id(threading.current_thread().name)
+        worker = f"{os.getpid()}:{threading.current_thread().name}"
         while not self._stop.is_set():
-            job = self.queue.lease(worker, lease_s=self.lease_s,
-                                   wait_s=self.poll_s, stop=self._stop)
+            job = self.queue.lease(worker, wait_s=self.poll_s,
+                                   stop=self._stop)
             if job is None:
                 continue
             try:
@@ -204,29 +190,23 @@ class Scheduler:
                 except Exception:
                     pass
 
-    def sweep_leases(self) -> list[Job]:
-        """Reclaim expired leases not held by this process's threads."""
-        return self.queue.requeue_expired(skip_workers=self.worker_ids())
-
     # -- execution ---------------------------------------------------------
     def _runner(self, job: Job) -> Runner:
         """This job's Runner front-end.
 
         It shares the service cache and registry but counts only this
-        job's points, and every resolved point heartbeats the job's
-        lease.  With an injected backend its cache misses run on that
-        backend's ``_drive``; otherwise inline.
+        job's points, and every resolved point updates the job's live
+        progress.  With an injected backend its cache misses run on
+        that backend's ``_drive``; otherwise inline.
         """
         def progress(done, total, point, cached) -> None:
-            self.queue.heartbeat(job.id, lease_s=self.lease_s)
             self.queue.set_progress(job.id, done, total,
                                     point=point.describe(), cached=cached)
 
         backend = self.backend
         runner = Runner(workers=0 if backend is None else backend.workers,
                         cache=self.cache, registry=self.registry,
-                        progress=progress, retries=self.point_retries,
-                        timeout_s=self.timeout_s)
+                        progress=progress, retries=self.point_retries)
         if backend is not None:
             runner._drive = backend._drive
         return runner

@@ -63,7 +63,7 @@ def _worker_main(url: str, name: str, schedule_json: str) -> None:
     transport = ChaosTransport(
         HttpTransport(url, timeout_s=10.0, retries=2), schedule)
     FabricWorker(FabricClient(transport), worker=name, poll_s=0.02,
-                 lease_s=1.0, lease_error_limit=10).run_forever()
+                 lease_error_limit=10).run_forever()
 
 
 @pytest.fixture(autouse=True)

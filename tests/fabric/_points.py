@@ -44,6 +44,27 @@ class FailPoint(SimPoint):
         return f"fail:{self.token}"
 
 
+def _refuse_unpickling(token: str):
+    raise ValueError(f"cannot unpickle {token}")
+
+
+@dataclass(frozen=True)
+class UnpicklablePoint(SimPoint):
+    """Pickles fine, but raises when a worker unpickles it."""
+
+    kind: ClassVar[str] = "fabric_unpicklable"
+    token: str
+
+    def __reduce__(self):
+        return _refuse_unpickling, (self.token,)
+
+    def execute(self):
+        return {"token": self.token}
+
+    def describe(self):
+        return f"unpicklable:{self.token}"
+
+
 @dataclass(frozen=True)
 class FlakyPoint(SimPoint):
     """Raises on its first ``fails`` executions, then succeeds.

@@ -29,8 +29,7 @@ def _worker_main(url: str, name: str) -> None:
     from repro.fabric import FabricClient, FabricWorker, HttpTransport
 
     client = FabricClient(HttpTransport(url, timeout_s=10.0, retries=2))
-    FabricWorker(client, worker=name, poll_s=0.02,
-                 lease_s=1.0).run_forever()
+    FabricWorker(client, worker=name, poll_s=0.02).run_forever()
 
 
 @pytest.mark.chaos

@@ -19,7 +19,6 @@ class Entry:
 
 
 def make_manager(clock, **kwargs):
-    kwargs.setdefault("active_states", ("LEASED",))
     kwargs.setdefault("lease_s", 10.0)
     return LeaseManager(clock=lambda: clock[0], **kwargs)
 
@@ -35,7 +34,8 @@ def test_grant_stamps_holder_expiry_and_attempt():
     until = leases.grant(entry, "w0")
     assert (entry.worker, entry.attempts) == ("w0", 1)
     assert until == entry.lease_until == 110.0
-    assert leases.grant(entry, "w1", lease_s=5.0) == 105.0
+    clock[0] = 105.0
+    assert leases.grant(entry, "w1") == 115.0
     assert entry.attempts == 2
 
 
@@ -63,7 +63,6 @@ def test_expired_respects_state_skip_and_clock():
     leases.grant(entry, "w0")
     assert not leases.expired(entry, now=5.0)
     assert leases.expired(entry, now=11.0)
-    assert not leases.expired(entry, now=11.0, skip_workers={"w0"})
     entry.state = "DONE"
     assert not leases.expired(entry, now=11.0)
 
@@ -107,18 +106,6 @@ def test_sweep_recheck_rescues_mid_sweep_heartbeat():
     assert second.lease_until == 30.0  # still leased, lease refreshed
 
 
-def test_sweep_skip_workers_never_reclaimed():
-    clock = [0.0]
-    leases = make_manager(clock)
-    mine = Entry()
-    leases.grant(mine, "local-thread")
-    clock[0] = 50.0
-    touched = leases.sweep_expired(lambda: [mine], lock=threading.Lock(),
-                                   reclaim=lambda e: None,
-                                   skip_workers={"local-thread"})
-    assert touched == []
-
-
 def test_should_quarantine_counts_recoveries():
     leases = make_manager([0.0], max_recoveries=2)
     entry = Entry(recoveries=1)
@@ -129,9 +116,9 @@ def test_should_quarantine_counts_recoveries():
 
 def test_validation():
     with pytest.raises(ValueError, match="lease_s"):
-        LeaseManager(active_states=("LEASED",), lease_s=0.0)
+        LeaseManager(lease_s=0.0)
     with pytest.raises(ValueError, match="max_recoveries"):
-        LeaseManager(active_states=("LEASED",), max_recoveries=-1)
+        LeaseManager(max_recoveries=-1)
 
 
 def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):

@@ -178,15 +178,6 @@ def test_requeue_expired_recovers_then_quarantines(tmp_path):
     assert "dead-worker recoveries" in item.error
 
 
-def test_requeue_expired_skip_workers(tmp_path):
-    queue, clock = make_queue(tmp_path)
-    _, (item_id,) = queue.enqueue(points("a"))
-    queue.lease("local")
-    clock[0] = 50.0
-    assert queue.requeue_expired(skip_workers=frozenset({"local"})) == []
-    assert queue.get(item_id).state == ItemState.LEASED
-
-
 def test_mid_sweep_heartbeat_rescues_item(tmp_path):
     """Fabric-side TOCTOU regression: a heartbeat that lands while the
     sweep is reclaiming an *earlier* item rescues the later one."""

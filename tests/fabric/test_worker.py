@@ -20,10 +20,11 @@ from repro.fabric.worker import (
     encode_payload,
     worker_id,
 )
+from repro.obs import ManualClock
 from repro.telemetry import to_prometheus
 from repro.telemetry.metrics import MetricRegistry
 
-from tests.fabric._points import FailPoint, OkPoint
+from tests.fabric._points import FailPoint, OkPoint, UnpicklablePoint
 
 
 def make_fabric(tmp_path, **kwargs):
@@ -65,7 +66,7 @@ def test_token_secured_fabric_round_trips(tmp_path):
     coordinator.queue.enqueue([OkPoint(token="abc")])
     client = FabricClient(InProcessTransport(coordinator.app,
                                              token="sekrit"))
-    worker = FabricWorker(client, worker="w0", lease_s=5.0)
+    worker = FabricWorker(client, worker="w0")
     assert worker.run_one() is True
     assert coordinator.queue.items()[0].state == ItemState.DONE
     assert coordinator.value(OkPoint(token="abc").key())["squared"] == 9
@@ -94,8 +95,7 @@ def test_run_one_executes_and_completes(tmp_path):
     coordinator, client = make_fabric(tmp_path)
     coordinator.queue.enqueue([OkPoint(token="abc")])
     registry = MetricRegistry()
-    worker = FabricWorker(client, worker="w0", lease_s=5.0,
-                          registry=registry)
+    worker = FabricWorker(client, worker="w0", registry=registry)
     assert worker.run_one() is True
     assert worker.done == 1
     item = coordinator.queue.items()[0]
@@ -109,7 +109,7 @@ def test_run_one_executes_and_completes(tmp_path):
 def test_worker_reports_failures(tmp_path):
     coordinator, client = make_fabric(tmp_path, retries=0)
     coordinator.queue.enqueue([FailPoint(token="bad")])
-    worker = FabricWorker(client, worker="w0", lease_s=5.0)
+    worker = FabricWorker(client, worker="w0")
     assert worker.run_one() is True
     assert (worker.done, worker.failed) == (0, 1)
     item = coordinator.queue.items()[0]
@@ -118,11 +118,51 @@ def test_worker_reports_failures(tmp_path):
     assert item.error == "ValueError('poison bad')"
 
 
+class _TamperingClient(FabricClient):
+    """Flips one bit of the first leased point's signed payload."""
+
+    tampered = False
+
+    def lease(self, worker, **kwargs):
+        doc = super().lease(worker, **kwargs)
+        if doc["item"] is not None and not self.tampered:
+            self.tampered = True
+            raw = bytearray(base64.b64decode(doc["point"]))
+            raw[-1] ^= 0x01
+            doc["point"] = base64.b64encode(bytes(raw)).decode("ascii")
+        return doc
+
+
+@pytest.mark.parametrize("token, client_type, point, error", (
+    (None, FabricClient, UnpicklablePoint(token="u"),
+     "ValueError('cannot unpickle u')"),
+    ("sekrit", _TamperingClient, OkPoint(token="t"),
+     "PayloadError('payload signature mismatch')"),
+), ids=("unpicklable", "badly-signed"))
+def test_undecodable_point_is_reported_and_the_worker_pulls_on(
+        tmp_path, token, client_type, point, error):
+    coordinator = FabricCoordinator(tmp_path / "fab", retries=0, token=token)
+    _, (bad, good) = coordinator.queue.enqueue([point, OkPoint(token="ok")])
+    coordinator.queue.drain()
+    worker = FabricWorker(
+        client_type(InProcessTransport(coordinator.app, token=token)),
+        worker="w0", poll_s=0.01)
+    thread = threading.Thread(target=worker.run_forever, daemon=True)
+    thread.start()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    item = coordinator.queue.get(bad)
+    assert (item.state, item.error, item.recoveries) == (
+        ItemState.FAILED, error, 0)
+    assert coordinator.queue.get(good).state == ItemState.DONE
+    assert (worker.done, worker.failed) == (1, 1)
+
+
 def test_run_forever_drains_on_coordinator_shutdown(tmp_path):
     coordinator, client = make_fabric(tmp_path)
     coordinator.queue.enqueue([OkPoint(token=t) for t in ("a", "bb")])
     coordinator.queue.drain()  # empty queue + draining => shutdown hint
-    worker = FabricWorker(client, worker="w0", lease_s=5.0, poll_s=0.01)
+    worker = FabricWorker(client, worker="w0", poll_s=0.01)
     done = worker.run_forever()
     assert done == 2
     assert all(i.state == ItemState.DONE for i in coordinator.queue.items())
@@ -141,15 +181,15 @@ def test_stop_is_a_graceful_drain(tmp_path):
 def test_lost_lease_result_ships_as_late_completion(tmp_path):
     coordinator, client = make_fabric(tmp_path)
     _, (item_id,) = coordinator.queue.enqueue([OkPoint(token="abc")])
-    worker = FabricWorker(client, worker="w0", lease_s=5.0)
-    doc = client.lease("w0", lease_s=5.0)
+    worker = FabricWorker(client, worker="w0")
+    doc = client.lease("w0")
     # Simulate the coordinator reclaiming our lease mid-run.
     with coordinator.queue.lock:
         coordinator.queue._requeue(coordinator.queue.get(item_id),
                                    recovered=True)
-    other = client.lease("w1", lease_s=5.0)
+    other = client.lease("w1")
     assert other["item"]["id"] == item_id
-    worker._run_one(doc["item"], decode_payload(doc["point"]))
+    worker._run_one(doc)
     item = coordinator.queue.get(item_id)
     assert item.state == ItemState.DONE
     assert item.completed_by == "w0"  # late, but accepted and stored
@@ -167,6 +207,27 @@ def test_lease_route_rejects_a_bad_wait(tmp_path, wait_s):
         "POST", "/v1/fabric/lease", {}, _lease_body(wait_s=wait_s))
     assert status == 400
     assert json.loads(data)["error"]["code"] == "bad_request"
+
+
+@pytest.mark.parametrize("asked", (300, "x", -5))
+def test_lease_length_is_the_coordinators(tmp_path, asked):
+    """Whatever a worker asks for, a lease and each of its heartbeats
+    run for the coordinator's ``lease_s``."""
+    clock = ManualClock(wall_s=1000.0)
+    coordinator, _ = make_fabric(tmp_path, lease_s=30.0, clock=clock)
+    _, (item_id,) = coordinator.queue.enqueue([OkPoint(token="a")])
+    status, _, data = coordinator.app.handle(
+        "POST", "/v1/fabric/lease", {}, _lease_body(lease_s=asked))
+    doc = json.loads(data)
+    assert status == 200 and doc["item"]["id"] == item_id
+    assert doc["lease_s"] == 30.0
+    assert doc["item"]["lease_until"] - clock.wall() == 30.0
+    clock.advance(20.0)
+    status, _, data = coordinator.app.handle(
+        "POST", "/v1/fabric/heartbeat", {},
+        _lease_body(id=item_id, lease_s=asked))
+    assert status == 200 and json.loads(data) == {"ok": True}
+    assert coordinator.queue.get(item_id).lease_until - clock.wall() == 30.0
 
 
 def test_lease_route_clamps_the_wait(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """The persistent job queue: priorities, leases, recovery, compaction."""
 
+import json
+
 import pytest
 
 from repro.service import JobQueue, JobState, QueueError, parse_spec
@@ -35,7 +37,7 @@ def test_full_lifecycle_and_accounting(tmp_path):
     registry = MetricRegistry()
     queue = make_queue(tmp_path, registry=registry)
     job = queue.submit(SPEC, tenant="alice")
-    leased = queue.lease("w0", lease_s=30.0)
+    leased = queue.lease("w0")
     assert leased.state == JobState.LEASED and leased.attempts == 1
     queue.mark_running(job.id)
     done = queue.complete(job.id, "results/x.json",
@@ -119,65 +121,56 @@ def test_recover_quarantines_poison_jobs(tmp_path):
     assert "crashes" in queue.get(job.id).error
 
 
-def test_requeue_expired_skips_live_workers(tmp_path):
-    clock = [100.0]
-    queue = make_queue(tmp_path, clock=lambda: clock[0])
-    expired = queue.submit(SPEC)
-    live = queue.submit(SPEC)
-    queue.lease("silent-worker", lease_s=10.0)   # takes `expired`
-    queue.lease("live-worker", lease_s=10.0)     # takes `live`
-    clock[0] = 200.0
-    touched = queue.requeue_expired(skip_workers={"live-worker"})
-    assert [j.id for j in touched] == [expired.id]
-    assert queue.get(expired.id).state == JobState.SUBMITTED
-    assert queue.get(live.id).state == JobState.LEASED
+def _job_doc(job_id, **fields):
+    """A job doc as the journal held it when leases had a deadline."""
+    doc = {"id": job_id, "tenant": "anonymous", "spec": SPEC,
+           "spec_key": "k-" + job_id, "priority": 0, "state": "SUBMITTED",
+           "created_s": 1.0, "started_s": None, "finished_s": None,
+           "elapsed_s": None, "attempts": 0, "recoveries": 0,
+           "leased_s": None, "progress": {}, "version": 0, "worker": None,
+           "lease_until": None, "error": None, "result_path": None,
+           "runner": {}}
+    doc.update(fields)
+    return doc
 
 
-def test_mid_sweep_heartbeat_rescues_later_job(tmp_path):
-    """TOCTOU regression: a heartbeat that arrives *during* the sweep —
-    after its snapshot, while an earlier job's requeue is journaling —
-    must rescue its job instead of losing the race to a stale snapshot.
+def test_state_dir_with_lease_deadlines_still_replays(tmp_path):
+    """A journal whose job docs and ``job_leased`` records carry
+    ``lease_until`` replays to the same states, and crash recovery
+    requeues the leased job."""
+    records = [
+        {"event": "job_snapshot",
+         "job": _job_doc("done", state="DONE", attempts=1, leased_s=2.0,
+                         started_s=2.5, finished_s=3.0, elapsed_s=0.5,
+                         result_path="r.json", version=4)},
+        {"event": "job_submitted", "job": _job_doc("leased")},
+        {"event": "job_leased", "id": "leased", "worker": "1:w-0",
+         "lease_until": 62.0, "leased_s": 2.0, "attempts": 1},
+        {"event": "job_running", "id": "leased", "started_s": 2.5},
+        {"event": "job_submitted", "job": _job_doc("queued")},
+        {"event": "job_submitted", "job": _job_doc("failed")},
+        {"event": "job_leased", "id": "failed", "worker": "1:w-1",
+         "lease_until": 63.0, "leased_s": 3.0, "attempts": 1},
+        {"event": "job_failed", "id": "failed", "error": "boom",
+         "finished_s": 4.0},
+    ]
+    path = tmp_path / "state" / "queue.jsonl"
+    path.parent.mkdir()
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
-    The journal append is monkeypatched to act as a deliberately slow
-    sweep: the first reclaim's fsync window is exactly when the second
-    worker's heartbeat lands (the RLock admits the reentry a request
-    thread would otherwise block on until after the full sweep).
-    """
-    clock = [0.0]
-    queue = make_queue(tmp_path, clock=lambda: clock[0])
-    first = queue.submit(SPEC)
-    second = queue.submit(SPEC)
-    queue.lease("w-first", lease_s=10.0)
-    queue.lease("w-second", lease_s=10.0)
-    clock[0] = 50.0  # both lapsed; both land in the sweep's snapshot
+    queue = make_queue(tmp_path)
+    assert {job.id: job.state for job in queue.jobs()} == {
+        "done": JobState.DONE, "leased": JobState.RUNNING,
+        "queued": JobState.SUBMITTED, "failed": JobState.FAILED}
+    assert queue.get("leased").worker == "1:w-0"
+    assert queue.get("done").result_path == "r.json"
+    assert queue.get("failed").error == "boom"
 
-    original_append = queue.journal.append
-    state = {"fired": False}
-
-    def slow_append(event, **fields):
-        original_append(event, **fields)
-        if event == "job_requeued" and not state["fired"]:
-            state["fired"] = True
-            queue.heartbeat(second.id, lease_s=10.0)
-
-    queue.journal.append = slow_append
-    touched = queue.requeue_expired()
-    assert [j.id for j in touched] == [first.id]
-    assert queue.get(first.id).state == JobState.SUBMITTED
-    assert queue.get(second.id).state == JobState.LEASED
-    assert queue.get(second.id).worker == "w-second"
-
-
-def test_heartbeat_extends_lease_in_memory(tmp_path):
-    clock = [0.0]
-    queue = make_queue(tmp_path, clock=lambda: clock[0])
-    job = queue.submit(SPEC)
-    queue.lease("w0", lease_s=10.0)
-    clock[0] = 8.0
-    queue.heartbeat(job.id, lease_s=10.0)
-    clock[0] = 15.0  # past the original lease, inside the refreshed one
-    assert queue.requeue_expired() == []
-    assert queue.get(job.id).state == JobState.LEASED
+    assert [job.id for job in queue.recover()] == ["leased"]
+    leased = queue.get("leased")
+    assert (leased.state, leased.recoveries) == (JobState.SUBMITTED, 1)
+    assert leased.worker is None
+    assert not any("lease_until" in job.to_dict() for job in queue.jobs())
 
 
 def test_compact_collapses_terminal_jobs(tmp_path):
