@@ -7,7 +7,8 @@ Three layers, mirroring the service's app/composition split:
   without sockets through
   :class:`~repro.fabric.transport.InProcessTransport`;
 * :class:`FabricCoordinator` — composition root owning the journaled
-  :class:`~repro.fabric.queue.PointQueue`, the shared
+  :class:`~repro.fabric.queue.PointQueue` (the one owner of an item's
+  lease, claims and held value), the shared
   :class:`~repro.runner.cache.ResultCache` and the HTTP server.  Its
   :meth:`~FabricCoordinator.complete` enforces the exactly-once order:
   result bytes land in the cache *before* ``point_done`` is journaled;
@@ -17,7 +18,8 @@ Three layers, mirroring the service's app/composition split:
   ``RunnerError``, ``stats``, ``meta``, ``trace_dir``) is the
   Runner's own batch front-end, so ``repro run --backend fabric``
   targets it transparently, and the service scheduler runs each job's
-  misses on its ``_drive``.
+  misses on its ``_drive``.  Each batch releases its items by id as
+  they finish, so a coordinator at rest holds none.
 
 Protocol routes (all JSON)::
 
@@ -34,6 +36,11 @@ Protocol routes (all JSON)::
     POST /v1/fabric/heartbeat  {"worker", "id"} -> {"ok": bool}
     POST /v1/fabric/complete   {"worker", "id", "result"} -> {"status"}
     POST /v1/fabric/fail       {"worker", "id", "error"} -> {"state"}
+
+A report about an item that has left the queue (finished, and released
+by every batch) is answered 404 ``unknown_item`` by ``/complete`` and
+``/fail`` and ``{"ok": false}`` by ``/heartbeat``; nothing is journaled
+or cached for it.
 
 Determinism contract: the fabric merges results **in input order**
 through the local runner's own front-end, so a sweep executed by two
@@ -54,7 +61,7 @@ from typing import Callable
 
 from repro.fabric.queue import ItemState, PointQueue, PointQueueError
 from repro.fabric.transport import is_loopback, serve_app_in_thread
-from repro.fabric.worker import decode_payload, encode_payload
+from repro.fabric.worker import decode_payload, encode_payload, worker_id
 from repro.obs import (SYSTEM_CLOCK, CONTEXT_HEADER, bind as obs_bind,
                        decode_context, new_request_id)
 from repro.runner.cache import ResultCache
@@ -184,7 +191,7 @@ class FabricApp:
         return self._json(200, {
             "item": item.to_dict(),
             "point": encode_payload(queue.point(item.id), key=self.token),
-            "lease_s": queue.leases.lease_s,
+            "lease_s": queue.lease_s,
             "shutdown": False,
         })
 
@@ -214,10 +221,6 @@ class FabricCoordinator:
                                 max_recoveries=max_recoveries, fs=fs,
                                 clock=clock.wall)
         self.cache = cache
-        #: key -> completed value, held only while an enqueued batch
-        #: still waits to :meth:`take` it (the merge source; the shared
-        #: cache, when attached, is the durable copy).
-        self.results: dict = {}
         self.app = FabricApp(self, token=token)
         self._serve_lock = threading.Lock()
         self._server = None
@@ -233,36 +236,16 @@ class FabricCoordinator:
         worker's bytes must not replace a result the journal already
         vouches for, even if that worker is buggy or nondeterministic.
         A FAILED item skips them too: a point charged a timeout leaves
-        no cached value, as on the local pool.
+        no cached value, as on the local pool.  An item that has left
+        the queue raises :class:`~repro.fabric.queue.PointQueueError`
+        before anything is stored.  The queue holds the value for the
+        batches that claim the item.
         """
         with self.queue.lock:
             item = self.queue.get(item_id)
-            if item.state not in ItemState.TERMINAL:
-                if self.cache is not None:
-                    self.cache.put(item.key, value)
-                if self.queue.waiting(item.key):
-                    self.results[item.key] = value
-            return self.queue.complete(worker, item_id)
-
-    def take(self, key: str):
-        """Release one enqueued batch's claim on ``key``; returns the
-        held value (``None`` if the point failed or never completed).
-
-        The value is dropped once the last batch waiting on ``key`` has
-        taken it, so a long-lived coordinator holds no finished work.
-        """
-        with self.queue.lock:
-            if self.queue.release(key):
-                return self.results.pop(key, None)
-            return self.results.get(key)
-
-    def value(self, key: str):
-        """A completed point's value (held for a waiting batch, then cache)."""
-        if key in self.results:
-            return self.results[key]
-        if self.cache is not None:
-            return self.cache.get(key)
-        return None
+            if item.state not in ItemState.TERMINAL and self.cache is not None:
+                self.cache.put(item.key, value)
+            return self.queue.complete(worker, item_id, value)
 
     def status(self) -> dict:
         """Snapshot for ``/v1/fabric/status``."""
@@ -463,6 +446,8 @@ class FabricRunner(Runner):
             else:
                 self.stats.pool_respawns += 1
                 self._m_respawns.inc()
+                # A dead worker's lease comes back now, not a lease_s later.
+                self.coordinator.queue.reclaim(worker_id(proc.pid))
         self._procs = live
         while len(self._procs) < self.workers:
             self._procs.append(subprocess.Popen(
@@ -480,9 +465,10 @@ class FabricRunner(Runner):
 
         Each wait ends when one of this batch's items turns terminal,
         or after ``poll_s``; every wake also sweeps expired leases and
-        respawns dead workers.  ``retries`` and ``timeout_s`` are
-        stamped onto this batch's queue items, so they apply wherever
-        the points land, and only to them.
+        respawns dead workers (reclaiming their leases).  ``retries``
+        and ``timeout_s`` are stamped onto this batch's queue items, so
+        they apply wherever the points land, and only to them.  Each
+        item is released by id as it resolves.
         """
         self.start()
         queue = self.coordinator.queue
@@ -494,23 +480,20 @@ class FabricRunner(Runner):
                 for item_id in queue.wait_finished(pending, self.poll_s):
                     key = pending.pop(item_id)
                     item = queue.get(item_id)
-                    if item.state == ItemState.DONE:
-                        resolve(key, self.coordinator.take(key),
-                                cached=False)
-                    else:
-                        self.coordinator.take(key)
+                    value = queue.release(item_id)
+                    if item.state != ItemState.DONE:
                         raise self._terminal(points[groups[key][0]],
                                              item.error)
+                    resolve(key, value, cached=False)
                 if pending:
                     queue.requeue_expired()
                     self._ensure_workers()
         finally:
-            # An aborted batch (raise policy, interrupt) drops its claims,
-            # so later completions of its points are not held for it and
-            # the points nobody else claims and no worker has started
-            # are cancelled.
-            for key in pending.values():
-                self.coordinator.take(key)
+            # An aborted batch (raise policy, interrupt) drops its claims:
+            # the points nobody else claims and no worker has started are
+            # cancelled, and the rest leave the queue once they finish.
+            for item_id in pending:
+                queue.release(item_id)
 
     def meta(self) -> dict:
         """The Runner's metadata, tagged with the backend."""

@@ -53,6 +53,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import hmac
+import os
 import pickle
 import socket
 import threading
@@ -111,10 +112,10 @@ def decode_payload(blob: str, key: str | None = None):
     return pickle.loads(raw)
 
 
-def worker_id() -> str:
-    """Default identity: ``host:pid`` (unique across a cluster)."""
-    import os
-    return f"{socket.gethostname()}:{os.getpid()}"
+def worker_id(pid: int | None = None) -> str:
+    """Default identity, ``host:pid`` (unique across a cluster): this
+    process's, or that of the local process ``pid``."""
+    return f"{socket.gethostname()}:{os.getpid() if pid is None else pid}"
 
 
 class FabricClient:

@@ -30,7 +30,6 @@ staged tuner and ``repro run --parallel`` all execute through here;
 serial, parallel and warm-cache runs return bit-identical results.
 """
 
-from repro.runner.backend import ExecutionBackend, ProgressFn
 from repro.runner.cache import (
     DEFAULT_CACHE_DIR,
     DEFAULT_MAX_BYTES,
@@ -46,9 +45,7 @@ __all__ = [
     "DEFAULT_JOURNAL_PATH",
     "DEFAULT_MAX_BYTES",
     "CacheStats",
-    "ExecutionBackend",
     "OSUPoint",
-    "ProgressFn",
     "ResultCache",
     "RunJournal",
     "Runner",

@@ -149,10 +149,13 @@ def test_three_plane_chaos_sweep_is_byte_identical(tmp_path):
         daemon=True)
     driver.start()
 
+    # Finished items leave the queue, so completions are counted off
+    # the coordinator's counter, duplicate reports excluded.
+    completions = fabric.registry.get("fabric_completions_total")
     deadline = time.monotonic() + 120.0
     while driver.is_alive() and time.monotonic() < deadline:
-        done = sum(1 for item in fabric.coordinator.queue.items()
-                   if item.state == ItemState.DONE)
+        done = sum(child.value for status, child in completions.child_items()
+                   if status != ("duplicate",))
         process_chaos.poll(done, pick=pick_leased_worker)
         time.sleep(0.02)
     driver.join(timeout=1.0)

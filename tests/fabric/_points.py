@@ -91,3 +91,23 @@ class FlakyPoint(SimPoint):
 
     def describe(self):
         return f"flaky:{self.token}"
+
+
+@dataclass(frozen=True)
+class CrashPoint(SimPoint):
+    """Kills the process that runs it: a worker-crashing poison point.
+
+    Run it on process workers only; inline or on a thread worker it
+    would end the test process.
+    """
+
+    kind: ClassVar[str] = "fabric_crash"
+    token: str
+
+    def execute(self):
+        import os
+
+        os._exit(1)
+
+    def describe(self):
+        return f"crash:{self.token}"

@@ -19,9 +19,9 @@ import time
 import pytest
 
 from repro.fabric import FabricRunner, ItemState
-from repro.runner import Runner
+from repro.runner import Runner, RunnerError
 
-from tests.fabric._points import OkPoint
+from tests.fabric._points import CrashPoint, OkPoint
 
 
 def _worker_main(url: str, name: str) -> None:
@@ -108,3 +108,48 @@ def test_process_fleet_respawns_dead_worker(tmp_path):
         values = fabric.run(list(points))
     assert all(v["token"] == f"r{i}" for i, v in enumerate(values))
     assert fabric.stats.pool_respawns >= 1
+
+
+@pytest.mark.chaos
+def test_dead_idle_worker_gives_its_lease_back_at_once(tmp_path):
+    """A worker SIGKILLed while its lease request is held open at the
+    coordinator must not cost the next batch a lapsed lease: the runner
+    sees the process gone and reclaims at once, so a one-point batch
+    ends in seconds under a 30 s lease."""
+    fabric = FabricRunner(workers=1, spawn="process",
+                          state_dir=tmp_path / "fab",
+                          lease_s=30.0, poll_s=2.0)
+    with fabric:
+        queue = fabric.coordinator.queue
+        # Kill the worker just after it opens a fresh 2 s lease request,
+        # so the request is still waiting when the batch is enqueued.
+        (pid,) = fabric.worker_pids()
+        deadline = time.monotonic() + 30.0
+        while not queue.workers_seen and time.monotonic() < deadline:
+            time.sleep(0.01)
+        (seen,) = queue.workers_seen.values()
+        while (list(queue.workers_seen.values()) == [seen]
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        os.kill(pid, signal.SIGKILL)
+        start = time.monotonic()
+        values = fabric.run([OkPoint(token="next")])
+        elapsed = time.monotonic() - start
+    assert values == [{"token": "next", "squared": 16}]
+    assert elapsed < 10.0, elapsed
+    assert fabric.stats.pool_respawns >= 1
+
+
+@pytest.mark.chaos
+def test_worker_crashing_point_fails_without_waiting_for_leases(tmp_path):
+    """A point that kills every worker that runs it is FAILED as poison
+    after ``max_recoveries`` respawns, at the default 30 s lease, as
+    soon as the pool would report the crash — not four lapsed leases
+    later."""
+    start = time.monotonic()
+    with FabricRunner(workers=2, spawn="process",
+                      state_dir=tmp_path / "fab") as fabric:
+        with pytest.raises(RunnerError,
+                           match="failed after 4 dead-worker recoveries"):
+            fabric.run([CrashPoint(token="boom")])
+    assert time.monotonic() - start < 20.0

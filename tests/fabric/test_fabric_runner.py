@@ -13,7 +13,7 @@ import pytest
 
 from repro.fabric import FabricCoordinator, FabricRunner
 from repro.fabric.queue import ItemState
-from repro.runner import ExecutionBackend, ResultCache, Runner, RunnerError
+from repro.runner import ResultCache, Runner, RunnerError
 from repro.telemetry import to_prometheus
 
 from tests.fabric._points import FailPoint, OkPoint
@@ -26,14 +26,6 @@ def make_runner(tmp_path, **kwargs):
     kwargs.setdefault("lease_s", 5.0)
     kwargs.setdefault("state_dir", tmp_path / "fab")
     return FabricRunner(**kwargs)
-
-
-def test_satisfies_execution_backend(tmp_path):
-    runner = make_runner(tmp_path)
-    try:
-        assert isinstance(runner, ExecutionBackend)
-    finally:
-        runner.close()
 
 
 def test_batch_and_close_do_not_wait_for_poll_s(tmp_path):
@@ -151,20 +143,21 @@ def test_duplicate_completion_cannot_overwrite_stored_result(tmp_path):
     coordinator.queue.lease("w0")
     assert coordinator.complete("w0", item_id, {"v": 1}) == "done"
     assert coordinator.complete("w1", item_id, {"v": 2}) == "duplicate"
-    assert coordinator.value(key) == {"v": 1}
     assert cache.get(key) == {"v": 1}
+    assert coordinator.queue.release(item_id) == {"v": 1}
 
 
 def test_coordinator_holds_no_values_after_batches(tmp_path):
-    """A value is held only until the batch that enqueued it takes it
-    (regression: the coordinator kept every value it ever produced)."""
+    """An item and its value are held only until the batch that
+    enqueued it releases it (regression: the coordinator kept every
+    item and value it ever produced)."""
     cache = ResultCache(directory=tmp_path / "cache")
     with make_runner(tmp_path, cache=cache) as fabric:
         for batch in range(5):
             tokens = [f"b{batch}p{i}" for i in range(4)]
             values = fabric.run([OkPoint(token=t) for t in tokens])
             assert [v["token"] for v in values] == tokens
-            assert fabric.coordinator.results == {}
+            assert fabric.coordinator.queue.items() == []
 
 
 def test_concurrent_batches_sharing_points_both_get_values(tmp_path):
@@ -182,40 +175,35 @@ def test_concurrent_batches_sharing_points_both_get_values(tmp_path):
         for t in threads:
             t.join(timeout=30.0)
         assert not any(t.is_alive() for t in threads)
-        assert fabric.coordinator.results == {}
+        assert fabric.coordinator.queue.items() == []
     assert out["a"] == out["b"] == expected
 
 
 def test_aborted_batch_cancels_its_pending_items(tmp_path):
     """A batch that raises ends its PENDING items, so workers stop
-    executing points of a job that is over; its LEASED items run on."""
+    executing points of a job that is over; its LEASED items run on
+    and leave the queue when they finish."""
     points = [FailPoint(token="bad")] + [
         OkPoint(token=f"ok{i}", delay_s=0.2) for i in range(10)]
     with make_runner(tmp_path, retries=0) as fabric:
         queue = fabric.coordinator.queue
         with pytest.raises(RunnerError, match="fail:bad"):
             fabric.run(points)
-        with queue.lock:
-            states = [item.state for item in queue.items()]
-        assert ItemState.PENDING not in states
-        started = states.count(ItemState.DONE) + states.count(ItemState.LEASED)
-        cancelled = [item for item in queue.items()
-                     if item.state == ItemState.FAILED
-                     and item.describe != "fail:bad"]
-        assert cancelled and all("cancelled" in item.error
-                                 for item in cancelled)
+        assert {item.state for item in queue.items()} <= {ItemState.LEASED}
         deadline = time.monotonic() + 5.0
-        while ItemState.LEASED in states and time.monotonic() < deadline:
+        while queue.items() and time.monotonic() < deadline:
             time.sleep(0.05)
-            with queue.lock:
-                states = [item.state for item in queue.items()]
-            assert states.count(ItemState.DONE) <= started
-        assert ItemState.LEASED not in states
-        failed = [record["id"] for record in queue.journal.events()
-                  if record["event"] == "point_failed"]
-        assert sorted(failed) == sorted(
-            item.id for item in queue.items()
-            if item.state == ItemState.FAILED)
+        assert queue.items() == []
+        records = list(queue.journal.events())
+    ids = {r["id"] for r in records if r["event"] == "point_enqueued"}
+    leased = {r["id"] for r in records if r["event"] == "point_leased"}
+    done = [r["id"] for r in records if r["event"] == "point_done"]
+    failed = [r for r in records if r["event"] == "point_failed"]
+    cancelled = {r["id"] for r in failed if r["error"].startswith("cancelled")}
+    assert len(ids) == len(points) and cancelled
+    # Each point ends once; a cancelled point never reaches a worker.
+    assert sorted(done + [r["id"] for r in failed]) == sorted(ids)
+    assert cancelled.isdisjoint(leased)
 
 
 def test_late_completion_leaves_a_failed_item_failed(tmp_path):
@@ -230,12 +218,11 @@ def test_late_completion_leaves_a_failed_item_failed(tmp_path):
             fabric.run([point])
         time.sleep(2.5)
         queue = fabric.coordinator.queue
-        (item,) = queue.items()
-        assert item.state == ItemState.FAILED
+        assert queue.items() == []
         events = [record["event"] for record in queue.journal.events()]
+        assert events.count("point_failed") == 1
         assert "point_done" not in events
         assert cache.get(point.key()) is None
-        assert fabric.coordinator.results == {}
 
 
 def test_serve_refuses_non_loopback_bind_without_token(tmp_path):

@@ -300,12 +300,11 @@ def _idle_lease_us(tmp_path, batches):
     queue = PointQueue(tmp_path / f"fab-{batches}", registry=MetricRegistry(),
                        fs=_NoSyncFS())
     for b in range(batches):
-        batch = points(*(f"{b}-{k}" for k in range(4)))
-        queue.enqueue(batch)
-        for _ in batch:
+        _, ids = queue.enqueue(points(*(f"{b}-{k}" for k in range(4))))
+        for _ in ids:
             queue.complete("w0", queue.lease("w0").id)
-        for point in batch:
-            queue.release(point.key())
+        for item_id in ids:
+            queue.release(item_id)
     best = float("inf")
     for _ in range(300):
         start = time.perf_counter()
@@ -320,3 +319,96 @@ def test_idle_lease_cost_does_not_grow_with_finished_items(tmp_path):
     few = _idle_lease_us(tmp_path, 10)
     many = _idle_lease_us(tmp_path, 500)
     assert many <= 2.0 * few + 5.0, (few, many)
+
+
+def test_held_state_is_bounded_by_claims(tmp_path):
+    """Released finished items leave the queue: after 500 four-point
+    batches it holds nothing, and the journal still holds one
+    ``point_done`` per enqueued id."""
+    queue = PointQueue(tmp_path / "fab", registry=MetricRegistry(),
+                       fs=_NoSyncFS())
+    enqueued = []
+    for b in range(500):
+        _, ids = queue.enqueue(points(*(f"{b}-{k}" for k in range(4))))
+        enqueued += ids
+        for _ in ids:
+            item = queue.lease("w0")
+            queue.complete("w0", item.id, {"token": item.describe})
+        for item_id in ids:
+            assert queue.release(item_id) is not None
+    assert queue.items() == []
+    assert queue.snapshot()["items"] == 0
+    assert queue._points == {} and queue._seq == {}
+    done = [record["id"] for record in journal_events(queue, "point_done")]
+    assert sorted(done) == sorted(enqueued)
+    assert len(set(enqueued)) == 2000
+
+
+def test_release_hands_over_the_held_value_then_lets_go(tmp_path):
+    queue, _ = make_queue(tmp_path)
+    _, (item_id,) = queue.enqueue(points("a"))
+    _, (again,) = queue.enqueue(points("a"))  # dedup: a second claim
+    assert again == item_id and queue.get(item_id).claims == 2
+    queue.complete("w0", queue.lease("w0").id, {"v": 1})
+    assert queue.get(item_id).to_dict().keys().isdisjoint({"value", "point"})
+    assert queue.release(item_id) == {"v": 1}
+    assert queue.get(item_id).state == ItemState.DONE  # still claimed
+    assert queue.release(item_id) == {"v": 1}
+    assert queue.items() == []
+    with pytest.raises(PointQueueError, match="unknown item"):
+        queue.release(item_id)
+
+
+def test_release_cancels_a_pending_item_nobody_claims(tmp_path):
+    queue, _ = make_queue(tmp_path)
+    _, (a, b) = queue.enqueue(points("a", "b"))
+    assert queue.release(a) is None
+    (failed,) = journal_events(queue, "point_failed")
+    assert failed["id"] == a and failed["error"].startswith("cancelled")
+    assert [item.id for item in queue.items()] == [b]
+    assert queue.lease("w0").id == b  # the stale heap entry is skipped
+
+
+def test_unclaimed_leased_item_runs_on_then_leaves(tmp_path):
+    queue, _ = make_queue(tmp_path)
+    _, (item_id,) = queue.enqueue(points("a"))
+    queue.lease("w0")
+    assert queue.release(item_id) is None
+    assert queue.get(item_id).state == ItemState.LEASED
+    with pytest.raises(PointQueueError, match="no claim"):
+        queue.release(item_id)
+    assert queue.heartbeat("w0", item_id) is True
+    assert queue.complete("w0", item_id, {"v": 1}) == "done"
+    assert queue.items() == []
+    assert len(journal_events(queue, "point_done")) == 1
+
+
+@pytest.mark.parametrize("how", ("failure", "lapse"))
+def test_unclaimed_requeue_is_cancelled(tmp_path, how):
+    """Nobody waits for a LEASED item whose claims are gone, so a retry
+    or a recovery cancels it instead of putting it back in line."""
+    queue, clock = make_queue(tmp_path, retries=1)
+    _, (item_id,) = queue.enqueue(points("a"))
+    queue.lease("w0")
+    queue.release(item_id)
+    if how == "failure":
+        assert queue.fail("w0", item_id, "boom") == ItemState.FAILED
+    else:
+        clock[0] = 50.0
+        queue.requeue_expired()
+    assert queue.items() == []
+    assert journal_events(queue, "point_requeued") == []
+    (failed,) = journal_events(queue, "point_failed")
+    assert failed["error"].startswith("cancelled")
+
+
+def test_lease_order_survives_dropped_items(tmp_path):
+    """Enqueue positions come from a counter: once finished items have
+    left, a new item still queues behind an older PENDING one."""
+    queue, _ = make_queue(tmp_path)
+    _, (a, b, c) = queue.enqueue(points("a", "b", "c"))
+    for item_id in (a, b):
+        queue.complete("w0", queue.lease("w0").id)
+        queue.release(item_id)
+    _, (d,) = queue.enqueue(points("d"))
+    assert [queue.lease("w0").id for _ in range(2)] == [c, d]

@@ -63,13 +63,13 @@ def test_keyed_decode_rejects_tampering_before_unpickling():
 def test_token_secured_fabric_round_trips(tmp_path):
     """With a token both directions sign payloads and auth is enforced."""
     coordinator = FabricCoordinator(tmp_path / "fab", token="sekrit")
-    coordinator.queue.enqueue([OkPoint(token="abc")])
+    _, (item_id,) = coordinator.queue.enqueue([OkPoint(token="abc")])
     client = FabricClient(InProcessTransport(coordinator.app,
                                              token="sekrit"))
     worker = FabricWorker(client, worker="w0")
     assert worker.run_one() is True
-    assert coordinator.queue.items()[0].state == ItemState.DONE
-    assert coordinator.value(OkPoint(token="abc").key())["squared"] == 9
+    assert coordinator.queue.get(item_id).state == ItemState.DONE
+    assert coordinator.queue.release(item_id)["squared"] == 9
 
 
 def test_wrong_token_is_rejected_with_constant_time_compare(tmp_path):
@@ -93,14 +93,14 @@ def test_worker_id_names_host_and_pid():
 
 def test_run_one_executes_and_completes(tmp_path):
     coordinator, client = make_fabric(tmp_path)
-    coordinator.queue.enqueue([OkPoint(token="abc")])
+    _, (item_id,) = coordinator.queue.enqueue([OkPoint(token="abc")])
     registry = MetricRegistry()
     worker = FabricWorker(client, worker="w0", registry=registry)
     assert worker.run_one() is True
     assert worker.done == 1
-    item = coordinator.queue.items()[0]
+    item = coordinator.queue.get(item_id)
     assert item.state == ItemState.DONE and item.completed_by == "w0"
-    assert coordinator.value(OkPoint(token="abc").key())["squared"] == 9
+    assert coordinator.queue.release(item_id)["squared"] == 9
     assert 'fabric_worker_points_total{status="done"} 1' \
         in to_prometheus(registry)
     assert worker.run_one() is False  # drained
@@ -193,11 +193,42 @@ def test_lost_lease_result_ships_as_late_completion(tmp_path):
     item = coordinator.queue.get(item_id)
     assert item.state == ItemState.DONE
     assert item.completed_by == "w0"  # late, but accepted and stored
-    assert coordinator.value(OkPoint(token="abc").key()) is not None
+    assert coordinator.queue.release(item_id)["squared"] == 9
 
 
 def _lease_body(**fields) -> bytes:
     return json.dumps({"worker": "w0", **fields}).encode("utf-8")
+
+
+def test_reports_about_an_item_that_left_are_refused(tmp_path):
+    """Once a finished item is released it is gone: a late report gets
+    404 ``unknown_item`` (``/heartbeat``: not ok), and nothing is
+    journaled or cached for it."""
+    from repro.runner.cache import ResultCache
+
+    cache = ResultCache(directory=tmp_path / "cache")
+    coordinator, _ = make_fabric(tmp_path, cache=cache)
+    point = OkPoint(token="abc")
+    _, (item_id,) = coordinator.queue.enqueue([point])
+    coordinator.queue.lease("w0")
+    coordinator.queue.fail("w0", item_id, "boom")  # retries=1: requeued
+    coordinator.queue.lease("w0")
+    coordinator.queue.fail("w0", item_id, "boom")  # FAILED
+    coordinator.queue.release(item_id)
+    records = coordinator.queue.journal.path.read_text()
+    for verb, fields in (
+            ("complete", {"result": encode_payload({"v": 1})}),
+            ("fail", {"error": "late boom"})):
+        status, _, data = coordinator.app.handle(
+            "POST", f"/v1/fabric/{verb}", {},
+            _lease_body(id=item_id, **fields))
+        assert status == 404
+        assert json.loads(data)["error"]["code"] == "unknown_item"
+    status, _, data = coordinator.app.handle(
+        "POST", "/v1/fabric/heartbeat", {}, _lease_body(id=item_id))
+    assert (status, json.loads(data)) == (200, {"ok": False})
+    assert coordinator.queue.journal.path.read_text() == records
+    assert cache.get(point.key()) is None
 
 
 @pytest.mark.parametrize("wait_s", ("x", -1, True))

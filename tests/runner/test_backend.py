@@ -1,9 +1,9 @@
-"""The unified ExecutionBackend surface."""
+"""Batch-scoped overrides and backends injected into the scheduler."""
 
 from dataclasses import dataclass
 from typing import ClassVar
 
-from repro.runner import ExecutionBackend, Runner
+from repro.runner import Runner
 from repro.runner.simpoint import SimPoint
 
 
@@ -17,10 +17,6 @@ class TokenPoint(SimPoint):
 
     def describe(self):
         return f"token:{self.token}"
-
-
-def test_runner_satisfies_protocol():
-    assert isinstance(Runner(workers=0), ExecutionBackend)
 
 
 def test_scheduler_accepts_any_backend(tmp_path):

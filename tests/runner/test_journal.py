@@ -3,6 +3,7 @@
 import json
 
 from repro.runner import RunJournal
+from repro.runner.fsio import atomic_write
 
 
 def test_append_and_events_roundtrip(tmp_path):
@@ -136,3 +137,11 @@ def test_rewrite_is_atomic_and_leaves_no_tmp(tmp_path):
     assert written == 1
     assert journal.completed("quick") == {"E9"}
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
+    target = tmp_path / "deep" / "result.json"
+    assert atomic_write(target, "first") == target
+    atomic_write(target, b"second")
+    assert target.read_bytes() == b"second"
+    assert list(target.parent.glob("*.tmp")) == []
