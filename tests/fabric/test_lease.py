@@ -80,6 +80,33 @@ def test_sweep_reclaims_expired_and_returns_them(tmp_path):
     assert queue.get(live).worker == "alive"
 
 
+def test_sweep_recheck_rescues_mid_sweep_heartbeat(tmp_path):
+    """The TOCTOU window: a heartbeat landing between the snapshot and
+    an item's reclaim turn must rescue that item."""
+    clock = [0.0]
+    queue = make_queue(tmp_path, clock)
+    first, second = enqueue(queue, "a", "b")
+    queue.lease("w-first")
+    queue.lease("w-second")
+    clock[0] = 20.0  # both lapsed; both land in the snapshot
+
+    append = queue.journal.append
+
+    def slow_append(event, **fields):
+        append(event, **fields)
+        if event == "point_requeued" and fields.get("id") == first:
+            # While `first` is being reclaimed (a slow journal write in
+            # real life), `second`'s holder heartbeats.
+            queue.heartbeat("w-second", second)
+
+    queue.journal.append = slow_append
+    touched = queue.requeue_expired()
+    assert [item.id for item in touched] == [first]
+    item = queue.get(second)
+    assert (item.state, item.worker) == (ItemState.LEASED, "w-second")
+    assert item.lease_until == 30.0  # still leased, lease refreshed
+
+
 def test_should_quarantine_counts_recoveries(tmp_path):
     """An item survives ``max_recoveries`` lapsed leases; the next one
     FAILs it as poison."""
