@@ -10,11 +10,14 @@ API conventions:
 * parameters are keyword-only; fixed-scale drivers take ``gpus``,
   scaling-curve drivers take ``gpu_counts``, and every driver that
   simulates training takes ``seed``;
-* sweep-shaped drivers (E3–E6, E8–E12, E14, E16) accept ``runner``
-  — a :class:`~repro.runner.Runner` — and resolve their independent
-  simulation points through it, so they parallelize and memoize for
-  free; ``runner=None`` is an inline serial runner with no cache, which
-  produces **bit-identical** results to the pre-runner serial code.
+* every driver that simulates independent points (all but E2, E7,
+  E7b and E15) accepts ``runner`` — a :class:`~repro.runner.Runner` —
+  and resolves those points through it, so they parallelize and
+  memoize for free; ``runner=None`` is an inline serial runner with no
+  cache, which produces **bit-identical** results to the pre-runner
+  serial code.  E10's autotuner objective and E15's interrupted runs
+  still call ``measure_training`` directly (DESIGN.md §7, "What stays
+  serial", says why).
 """
 
 from __future__ import annotations
@@ -78,18 +81,20 @@ def _resolve(points, runner: Runner | None) -> list:
 
 
 # ---------------------------------------------------------------- E1 ----
-def e1_single_gpu_throughput(*, iterations: int = 3,
-                             seed: int = 0) -> ExperimentResult:
+def e1_single_gpu_throughput(*, iterations: int = 3, seed: int = 0,
+                             runner: Runner | None = None) -> ExperimentResult:
     """E1 — single-V100 throughput: DLv3+ 6.7 vs ResNet-50 300 img/s."""
     rows = []
     measured = {}
     paper_numbers = {"deeplab": 6.7, "resnet50": 300.0}
-    for model, paper_ips in paper_numbers.items():
+    results = _resolve(
+        [TrainPoint(gpus=1, config=paper_default_config(), model=model,
+                    iterations=iterations, jitter_std=0.0, seed=seed)
+         for model in paper_numbers],
+        runner,
+    )
+    for (model, paper_ips), m in zip(paper_numbers.items(), results):
         profile = model_profile(model)
-        m = measure_training(
-            1, paper_default_config(), model=model, iterations=iterations,
-            jitter_std=0.0, seed=seed,
-        )
         rows.append({
             "model": model,
             "batch": profile.batch_size,
@@ -785,7 +790,8 @@ def e12_strong_vs_weak_scaling(*,
 # ---------------------------------------------------------------- E13 ----
 def e13_degraded_rail(*, gpus: int = 132, iterations: int = 3,
                       factors: tuple[float, ...] = (1.0, 0.25, 0.05, 0.01),
-                      seed: int = 0) -> ExperimentResult:
+                      seed: int = 0,
+                      runner: Runner | None = None) -> ExperimentResult:
     """E13 (extension) — fault injection: one slow InfiniBand rail.
 
     Synchronous data parallelism is gated by its slowest participant.
@@ -793,20 +799,32 @@ def e13_degraded_rail(*, gpus: int = 132, iterations: int = 3,
     slows every allreduce that crosses it; this measures how gracefully
     the tuned configuration absorbs partial-bandwidth faults.
     """
-    from repro.cluster.topology import Device
+    from repro.faults import DegradedRail, FaultSchedule
 
     cfg = paper_tuned_config()
-    rows = []
-    for factor in factors:
-        def fault(topo, factor=factor):
-            if factor < 1.0:
-                # Node 0's rail 0: NIC to leaf switch.
-                topo.degrade_link(Device.nic(0, 0), Device.switch(1), factor)
 
-        # Arbitrary fault callables have no canonical form, so this
-        # driver stays serial/uncached (see TrainPoint's docstring).
-        m = measure_training(gpus, cfg, iterations=iterations,
-                             jitter_std=0.0, seed=seed, fault=fault)
+    def rail(factor: float) -> FaultSchedule | None:
+        if factor >= 1.0:
+            return None
+        # Node 0's rail 0 (NIC to leaf switch), degraded from t=0 for
+        # the whole run: the window must outlast the slowest degraded
+        # run, or the rail would heal mid-run and the row would measure
+        # a partial fault.  The slowest full-tier run (1% rail at 132
+        # GPUs, ~3.2 s per iteration) ends about 10 s into simulated
+        # time, so a 1e6 s window never closes inside a measurement.
+        return FaultSchedule.of(DegradedRail(
+            link=("nic:0:0", "switch:-1:1"), start_s=0.0,
+            duration_s=1e6, factor=factor,
+        ))
+
+    results = _resolve(
+        [TrainPoint(gpus=gpus, config=cfg, iterations=iterations,
+                    jitter_std=0.0, seed=seed, schedule=rail(factor))
+         for factor in factors],
+        runner,
+    )
+    rows = []
+    for factor, m in zip(factors, results):
         rows.append({
             "rail bandwidth": f"{factor * 100:g}%",
             "img/s": round(m.images_per_second, 1),
@@ -834,7 +852,8 @@ def e13_fault_injection(*, gpus: int = 48, iterations: int = 6,
                         slowdowns: tuple[float, ...] = (1.5, 3.0),
                         flap_fractions: tuple[float, ...] = (0.1, 0.3),
                         crash_at_fraction: float = 0.4,
-                        seed: int = 0) -> ExperimentResult:
+                        seed: int = 0,
+                        runner: Runner | None = None) -> ExperimentResult:
     """E13 (extension) — scheduled fault injection & resilience sweep.
 
     Runs the tuned configuration through declarative fault schedules
@@ -854,8 +873,13 @@ def e13_fault_injection(*, gpus: int = 48, iterations: int = 6,
     )
 
     cfg = paper_tuned_config()
-    baseline = measure_training(gpus, cfg, iterations=iterations,
-                                jitter_std=0.0, seed=seed)
+    # The fault windows are scaled to the baseline's iteration time, so
+    # the baseline is a batch of its own ahead of the scenarios.
+    (baseline,) = _resolve(
+        [TrainPoint(gpus=gpus, config=cfg, iterations=iterations,
+                    jitter_std=0.0, seed=seed)],
+        runner,
+    )
     t_iter = baseline.stats.mean_iteration_seconds
     span = t_iter * iterations
     rail = ("nic:0:0", "switch:-1:1")
@@ -905,15 +929,16 @@ def e13_fault_injection(*, gpus: int = 48, iterations: int = 6,
         detector,
     ))
 
+    faulted = iter(_resolve(
+        [TrainPoint(gpus=gpus, config=scen_cfg, iterations=iterations,
+                    jitter_std=0.0, seed=seed, schedule=schedule)
+         for _label, schedule, scen_cfg in scenarios if schedule is not None],
+        runner,
+    ))
     rows = []
     measured: dict[str, float] = {}
-    for label, schedule, scen_cfg in scenarios:
-        if schedule is None:
-            m = baseline
-        else:
-            m = measure_training(gpus, scen_cfg, iterations=iterations,
-                                 jitter_std=0.0, seed=seed,
-                                 schedule=schedule)
+    for label, schedule, _scen_cfg in scenarios:
+        m = baseline if schedule is None else next(faulted)
         report = m.fault_report or {}
         survivors = report.get("surviving_ranks", gpus)
         retained = m.images_per_second / baseline.images_per_second

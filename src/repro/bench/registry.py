@@ -30,11 +30,11 @@ __all__ = ["REGISTRY", "ExperimentSpec", "get", "ids"]
 class ExperimentSpec:
     """Everything needed to run one experiment at either scale.
 
-    ``parallelizable`` marks drivers that accept ``runner=`` — sweeps of
-    independent simulation points.  E1/E2/E7 are single measurements or
-    pure analysis; E13/E13b build sequential, baseline-dependent fault
-    scenarios (and arbitrary ``fault`` callables are uncacheable), so
-    they stay serial.
+    ``parallelizable`` marks drivers that accept ``runner=`` — every
+    driver whose simulations are independent training points.  E2 and
+    E7 run no simulation, E7b trains the npnn model rather than
+    simulating a point, and E15's checkpointed and interrupted runs are
+    not points, so those four stay serial.
     """
 
     id: str
@@ -74,6 +74,7 @@ _SPECS = (
         E.e1_single_gpu_throughput,
         quick_kwargs={"iterations": 2},
         tags=("paper", "compute"),
+        parallelizable=True,
     ),
     ExperimentSpec(
         "E2", "DLv3+ gradient tensor size distribution",
@@ -173,6 +174,7 @@ _SPECS = (
         quick_kwargs={"gpus": 12, "iterations": 4,
                       "slowdowns": (3.0,), "flap_fractions": (0.3,)},
         tags=("extension", "faults"),
+        parallelizable=True,
     ),
     ExperimentSpec(
         "E13b", "fault injection: degraded rail (extension)",
@@ -180,6 +182,7 @@ _SPECS = (
         full_kwargs={"gpus": 132, "iterations": 2},
         quick_kwargs={"gpus": 48, "iterations": 2, "factors": (1.0, 0.05)},
         tags=("extension", "faults"),
+        parallelizable=True,
     ),
     ExperimentSpec(
         "E14", "efficiency attribution: where the time goes (extension)",

@@ -32,7 +32,6 @@ from repro.core.knobs import (
 from repro.core.sweep import (
     Measurement,
     clear_profile_cache,
-    measure_many,
     measure_training,
 )
 from repro.core.tuner import StagedTuner, StageResult, TuneOutcome
@@ -48,7 +47,6 @@ __all__ = [
     "SystemConfig",
     "TuneOutcome",
     "clear_profile_cache",
-    "measure_many",
     "measure_training",
     "paper_default_config",
     "paper_tuned_config",

@@ -37,7 +37,6 @@ __all__ = [
     "Measurement",
     "build_fault_report",
     "clear_profile_cache",
-    "measure_many",
     "measure_training",
     "model_profile",
 ]
@@ -161,7 +160,6 @@ def measure_training(
     jitter_std: float = 0.03,
     seed: int = 0,
     negotiation: str = "analytic",
-    fault=None,
     schedule=None,
     checkpoint=None,
     trace=None,
@@ -173,11 +171,9 @@ def measure_training(
     given :class:`~repro.core.knobs.SystemConfig`, and reports throughput
     against the calibrated single-GPU compute baseline.
 
-    ``fault`` is an optional fault-injection hook ``fault(topology)``
-    applied after the cluster is built (e.g. degrade a rail with
-    :meth:`~repro.cluster.topology.Topology.degrade_link`).
-
-    ``schedule`` is an optional :class:`~repro.faults.FaultSchedule`; a
+    ``schedule`` is an optional :class:`~repro.faults.FaultSchedule`,
+    the one way to inject faults (a rail degraded for the whole run is
+    a :class:`~repro.faults.DegradedRail` from ``start_s=0``); a
     :class:`~repro.faults.FaultInjector` is wired across topology,
     runtime and trainer, and the Measurement gains a ``fault_report``.
 
@@ -210,18 +206,10 @@ def measure_training(
             if isinstance(checkpoint, CheckpointPlan)
             else CheckpointPlan(every=int(checkpoint))
         )
-        if fault is not None:
-            raise ValueError(
-                "checkpoint= cannot be combined with the fault= callable "
-                "(its topology mutation has no resumable representation); "
-                "use a FaultSchedule instead"
-            )
     profile = model_profile(model, per_gpu_batch)
     env = Environment()
     nodes = max(1, math.ceil(gpus / GPUS_PER_NODE))
     topo = build_summit(env, nodes=nodes)
-    if fault is not None:
-        fault(topo)
     comm = Comm(Fabric(topo), topo.gpus()[:gpus], config.library)
     timeline = Timeline()
     runtime = HorovodRuntime(
@@ -301,21 +289,3 @@ def measure_training(
         checkpoint=train_checkpoint,
         interrupted=trainer.job_killed,
     )
-
-
-def measure_many(calls, runner=None) -> list[Measurement]:
-    """Batch form of :func:`measure_training` for independent points.
-
-    ``calls`` is a sequence of keyword dicts, each a valid argument set
-    for :func:`measure_training` (``gpus`` and ``config`` required; the
-    ``fault`` callable is not supported — it has no canonical cacheable
-    form).  Results come back in input order.  With ``runner=None`` an
-    inline serial :class:`~repro.runner.Runner` is used, which replicates
-    calling :func:`measure_training` in a loop exactly; pass a configured
-    runner to fan the batch across worker processes and/or the result
-    cache.
-    """
-    from repro.runner import Runner, TrainPoint
-
-    points = [TrainPoint(**kwargs) for kwargs in calls]
-    return (runner if runner is not None else Runner()).run(points)

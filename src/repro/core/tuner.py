@@ -4,8 +4,9 @@ The methodological claim of the paper is that near-linear scaling is
 reachable *without touching Horovod, MPI or the model* — by tuning, in
 order: (1) the MPI library, (2) the fusion threshold, (3) the cycle time,
 (4) hierarchical allreduce.  :class:`StagedTuner` executes exactly that
-procedure against the simulated system, measuring each candidate with
-:func:`~repro.core.sweep.measure_training` at a probe scale.
+procedure against the simulated system, measuring each stage's
+candidates as one batch of :class:`~repro.runner.TrainPoint` at a probe
+scale.
 
 Candidates are compared primarily on throughput and secondarily on
 serialized allreduce seconds — the tiebreak matters because at probe
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.knobs import KNOBS, SystemConfig, paper_default_config
-from repro.core.sweep import Measurement, measure_training
+from repro.core.sweep import Measurement
 from repro.mpi.libraries import MPI_LIBRARIES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -103,34 +104,22 @@ class StagedTuner:
 
     # -- machinery ---------------------------------------------------------
     def _measure_all(self, configs: Sequence[SystemConfig]) -> list[Measurement]:
-        """Measure every candidate of a stage — via the runner if one was
-        given (candidates within a stage are independent), serially
-        otherwise."""
-        if self.runner is not None:
-            from repro.runner import TrainPoint
+        """Measure every candidate of a stage as one batch (candidates
+        within a stage are independent); with no runner given, an inline
+        one runs them in order, as a serial loop would."""
+        from repro.runner import Runner, TrainPoint
 
-            return self.runner.run([
-                TrainPoint(
-                    gpus=self.probe_gpus,
-                    config=cfg,
-                    model=self.model,
-                    iterations=self.iterations,
-                    jitter_std=self.jitter_std,
-                    seed=self.seed,
-                )
-                for cfg in configs
-            ])
-        return [
-            measure_training(
-                self.probe_gpus,
-                cfg,
+        return (self.runner or Runner()).run([
+            TrainPoint(
+                gpus=self.probe_gpus,
+                config=cfg,
                 model=self.model,
                 iterations=self.iterations,
                 jitter_std=self.jitter_std,
                 seed=self.seed,
             )
             for cfg in configs
-        ]
+        ])
 
     #: Throughputs within this relative band count as tied.  At probe
     #: scales where communication still hides under backward, raw

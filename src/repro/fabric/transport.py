@@ -342,8 +342,14 @@ class _AppHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(payload)))
             for name, value in extra.items():
                 self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(payload)
+            try:
+                self.end_headers()  # the first write to the socket
+                self.wfile.write(payload)
+            except (BrokenPipeError, ConnectionResetError):
+                # The client hung up while its request was held open
+                # (e.g. a worker died mid long-poll): its lease is the
+                # queue's business, the dead socket only needs closing.
+                self.close_connection = True
             return
         self._stream(status, ctype, payload, extra)
 

@@ -114,11 +114,9 @@ class TrainPoint(SimPoint):
     Field names and defaults match
     :func:`~repro.core.sweep.measure_training` exactly, so
     ``TrainPoint(**kwargs).execute()`` is interchangeable with
-    ``measure_training(**kwargs)`` for every hashable argument.  The
-    ``fault`` callback hook is deliberately absent: arbitrary callables
-    have no canonical form, so fault-callback runs (E13b) stay on the
-    serial path; *scheduled* faults (:class:`~repro.faults.FaultSchedule`)
-    are declarative and cache fine.
+    ``measure_training(**kwargs)`` for every hashable argument.
+    Faults are declarative (:class:`~repro.faults.FaultSchedule`), so
+    faulted runs hash and cache like any other point.
     """
 
     kind: ClassVar[str] = "train"

@@ -43,10 +43,10 @@ def test_parallelizable_specs_accept_runner():
 
 
 def test_sweep_experiments_are_parallelizable():
-    for exp_id in ("E3", "E4", "E5", "E6", "E8", "E9", "E10", "E11",
-                   "E12", "E14"):
+    for exp_id in ("E1", "E3", "E4", "E5", "E6", "E8", "E9", "E10", "E11",
+                   "E12", "E13", "E13b", "E14"):
         assert get(exp_id).parallelizable, exp_id
-    for exp_id in ("E1", "E2", "E7", "E7b", "E13", "E13b"):
+    for exp_id in ("E2", "E7", "E7b", "E15"):
         assert not get(exp_id).parallelizable, exp_id
 
 

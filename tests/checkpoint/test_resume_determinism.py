@@ -191,10 +191,3 @@ def test_checkpoint_plan_validation():
         CheckpointPlan(every=1, stop_at=0)
     with pytest.raises(ValueError):
         CheckpointPlan(every=0)  # no cadence and no stop: never captures
-
-
-def test_checkpoint_rejects_fault_callable():
-    cfg = paper_tuned_config()
-    with pytest.raises(ValueError, match="fault="):
-        measure_training(2, cfg, iterations=2, checkpoint=1,
-                         fault=lambda topo: None)

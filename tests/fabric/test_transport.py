@@ -144,3 +144,52 @@ def test_service_error_catches_both():
     transport = InProcessTransport(EchoApp())
     with pytest.raises(ServiceError):
         transport.json("GET", "/boom")
+
+
+def test_client_hanging_up_on_a_held_request_leaves_no_traceback(capfd):
+    """A client that disconnects while the app holds its request open
+    (a worker killed during a long-polled lease request) costs the
+    server a closed connection, not a traceback, and the next request
+    is answered."""
+    import socket
+    import struct
+    import threading
+    import time
+
+    release = threading.Event()
+    held = []
+
+    class HoldingApp(EchoApp):
+        def handle(self, method, path, headers=None, body=None):
+            if path == "/hold":
+                held.append(threading.current_thread())
+                release.wait(10)
+            return super().handle(method, path, headers, body)
+
+    server, thread, url = serve_app_in_thread(HoldingApp().handle)
+    try:
+        client = socket.create_connection(server.server_address[:2],
+                                          timeout=5)
+        client.sendall(b"GET /hold HTTP/1.1\r\nHost: test\r\n\r\n")
+        deadline = time.monotonic() + 5
+        while not held and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert held, "the app never saw the held request"
+        # Linger 0: close() resets the connection at once, so the
+        # server's reply meets a socket the client has given up.
+        client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                          struct.pack("ii", 1, 0))
+        client.close()
+        time.sleep(0.1)
+        release.set()
+        held[0].join(5)
+        assert not held[0].is_alive()
+        doc = HttpTransport(url, timeout_s=5.0).json("GET", "/v1/ping")
+        assert doc["path"] == "/v1/ping"
+    finally:
+        release.set()
+        server.shutdown()
+        server.server_close()
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    assert "Exception occurred" not in err

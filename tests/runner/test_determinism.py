@@ -4,8 +4,8 @@ Every runner-ported experiment must produce the same
 ``ExperimentResult.payload()`` — byte-for-byte as JSON — whether its
 points run inline, fan out across worker processes, or come back from
 the on-disk result cache.  The fast tier checks tiny variants of the
-three gate experiments (E4, E6, E14); the full quick-tier variants run
-under the ``slow`` marker.
+gate experiments (E1, E4, E6, E13, E13b, E14); the full quick-tier
+variants run under the ``slow`` marker.
 """
 
 import json
@@ -17,10 +17,16 @@ from repro.runner import ResultCache, Runner
 
 #: (driver, tiny kwargs) per gate experiment.
 TINY = {
+    "E1": (E.e1_single_gpu_throughput, dict(iterations=2)),
     "E4": (E.e4_fusion_sweep,
            dict(gpus=6, iterations=2, thresholds=(0, 1 << 25))),
     "E6": (E.e6_scaling_comparison,
            dict(gpu_counts=(1, 6), iterations=2)),
+    "E13": (E.e13_fault_injection,
+            dict(gpus=12, iterations=3, slowdowns=(3.0,),
+                 flap_fractions=(0.3,))),
+    "E13b": (E.e13_degraded_rail,
+             dict(gpus=12, iterations=2, factors=(1.0, 0.01))),
     "E14": (E.e14_efficiency_attribution,
             dict(gpu_counts=(6,), iterations=2)),
 }
@@ -54,7 +60,8 @@ def test_cache_only_runner_identical(tmp_path):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("exp_id", ["E4", "E6", "E14"])
+@pytest.mark.parametrize("exp_id", ["E1", "E4", "E6", "E13", "E13b",
+                                    "E14"])
 def test_quick_variant_gate(exp_id, tmp_path):
     from repro.bench.registry import get
 
