@@ -6,9 +6,10 @@ flight — so the whole mutable simulation state (clock, per-rank RNG
 streams and pipeline clocks, runtime membership and caches, fabric and
 communicator counters, timeline, fault-injector progress, span
 recorder) reduces to a flat picklable dict.  The
-:class:`~repro.train.trainer.DistributedTrainer` produces that dict; this
-module wraps it with the run's knob spec into a :class:`TrainCheckpoint`
-and rebuilds a live simulation from it.
+:class:`~repro.train.trainer.DistributedTrainer` writes that dict and is
+the one reader of it (``restore``); this module wraps it with the run's
+knob spec into a :class:`TrainCheckpoint` and hands both back to
+:func:`repro.core.sweep.simulate`, the path a fresh run takes.
 
 The resume contract is **bit-identical continuation**: a run interrupted
 at boundary *k* and resumed via :func:`resume_training` yields the same
@@ -23,9 +24,6 @@ replaying it would just kill the resumed run again.
 
 from __future__ import annotations
 
-import dataclasses
-import math
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -107,27 +105,17 @@ class TrainCheckpoint:
 
 def resume_training(checkpoint: "TrainCheckpoint | str | Path", *,
                     allow_version_mismatch: bool = False):
-    """Rebuild the simulation from ``checkpoint`` and run it to completion.
+    """Continue the run ``checkpoint`` captured and run it to completion.
 
     ``checkpoint`` is a :class:`TrainCheckpoint` or a path to a file
-    written by :func:`~repro.checkpoint.format.write_checkpoint`.
-    Returns the completed run's :class:`~repro.core.sweep.Measurement`,
-    bit-identical (stats, timeline, attribution) to the uninterrupted
-    run of the same spec.
+    written by :func:`~repro.checkpoint.format.write_checkpoint`.  The
+    run takes a fresh run's path, :func:`repro.core.sweep.simulate`,
+    given the captured state.  Returns the completed run's
+    :class:`~repro.core.sweep.Measurement`, bit-identical (stats,
+    timeline, attribution) to the uninterrupted run of the same spec.
     """
-    from repro.cluster import Fabric, build_summit
-    from repro.core.sweep import (
-        GPUS_PER_NODE,
-        Measurement,
-        build_fault_report,
-        model_profile,
-    )
-    from repro.faults import FaultInjector, FaultSchedule, ProcessKill
-    from repro.horovod.runtime import HorovodRuntime
-    from repro.horovod.timeline import Timeline
-    from repro.mpi.communicator import Comm
-    from repro.sim import Environment
-    from repro.train import DistributedTrainer, TrainJob
+    from repro.core.sweep import simulate
+    from repro.faults import FaultSchedule, ProcessKill
 
     if isinstance(checkpoint, (str, Path)):
         checkpoint = read_checkpoint(checkpoint)
@@ -143,95 +131,8 @@ def resume_training(checkpoint: "TrainCheckpoint | str | Path", *,
             "override)"
         )
     spec = dict(checkpoint.spec)
-    state = checkpoint.state
-    gpus = spec["gpus"]
-    config = spec["config"]
-    profile = model_profile(spec["model"], spec["per_gpu_batch"])
-
-    # Rebuild the stack at the captured instant.  Construction order
-    # mirrors measure_training (coordinator process first, injector
-    # drivers next, rank processes last) so same-timestamp event
-    # tie-breaking matches the uninterrupted run.
-    env = Environment(initial_time=state["clock"])
-    topo = build_summit(env, nodes=max(1, math.ceil(gpus / GPUS_PER_NODE)))
-    comm = Comm(Fabric(topo), topo.gpus()[:gpus], config.library)
-    comm.messages_sent = state["comm"]["messages_sent"]
-    comm.transfer_retries = state["comm"]["transfer_retries"]
-    comm.transfer_timeouts = state["comm"]["transfer_timeouts"]
-    timeline = Timeline(events=list(state["timeline"]))
-    runtime = HorovodRuntime(
-        comm, config.horovod, timeline=timeline,
-        negotiation=spec["negotiation"],
-    )
-    r = state["runtime"]
-    runtime.stats = dataclasses.replace(r["stats"])
-    runtime._response_cache = set(r["response_cache"])
-    runtime.active = set(r["active"])
-    runtime._removed = set(r["removed"])
-    runtime._crash_reports = set(r["crash_reports"])
-    runtime._suspects = {
-        rank: dataclasses.replace(s) for rank, s in r["suspects"].items()
-    }
-    fabric = comm.fabric
-    f = state["fabric"]
-    fabric.stats = dataclasses.replace(
-        f["stats"], bytes_by_link_type=dict(f["stats"].bytes_by_link_type)
-    )
-    for link, (carried, busy) in zip(topo.links(), f["links"]):
-        link.bytes_carried = carried
-        link.busy_seconds = busy
-
-    trace_blob = state.get("trace")
-    tracer = pickle.loads(trace_blob) if trace_blob is not None else None
-    job = TrainJob(
-        iterations=spec["iterations"],
-        per_gpu_batch=profile.batch_size,
-        warmup_iterations=spec["warmup_iterations"],
-        jitter_std=spec["jitter_std"],
-        seed=spec["seed"],
-    )
-    schedule = spec.get("schedule")
-    injector = None
-    if schedule is not None:
-        replayable = FaultSchedule.of(
-            *[s for s in schedule if not isinstance(s, ProcessKill)]
+    if spec["schedule"] is not None:
+        spec["schedule"] = FaultSchedule.of(
+            *[s for s in spec["schedule"] if not isinstance(s, ProcessKill)]
         )
-        injector = FaultInjector(env, replayable, topology=topo,
-                                 timeline=timeline)
-        if state["injector"] is not None:
-            injector.stats = dataclasses.replace(state["injector"])
-        trainer = DistributedTrainer(
-            runtime, profile, job, faults=injector, resume_state=state,
-        )
-        injector.bind(runtime=runtime, trainer=trainer)
-        injector.start_resumed()
-    else:
-        trainer = DistributedTrainer(runtime, profile, job,
-                                     resume_state=state)
-    if tracer is not None:
-        tracer.attach(env=env, comm=comm, runtime=runtime, trainer=trainer,
-                      fabric=fabric)
-        tracer.registry.counter(
-            "checkpoint_resumes_total", "runs resumed from a checkpoint"
-        ).inc()
-    stats = trainer.run()
-    if tracer is not None:
-        tracer.finalize()
-    fault_report = None
-    if injector is not None:
-        fault_report = build_fault_report(
-            injector, timeline, comm, runtime, trainer
-        )
-    return Measurement(
-        gpus=gpus,
-        config=config,
-        model=spec["model"],
-        stats=stats,
-        runtime_stats=runtime.stats,
-        timeline=timeline,
-        single_gpu_images_per_second=profile.images_per_second,
-        link_utilization=fabric.utilization_report(),
-        fault_report=fault_report,
-        trace=tracer,
-        interrupted=trainer.job_killed,
-    )
+    return simulate(spec, state=checkpoint.state)

@@ -63,8 +63,8 @@ class Link:
         self.env = env
         self.spec = spec
         #: The pristine datasheet spec this link was built with.  Fault
-        #: injection (degrade/restore) always recomputes ``spec`` from
-        #: this, so repeated degradations compose instead of accreting.
+        #: injection always recomputes ``spec`` from this, so repeated
+        #: degradations never accrete.
         self.base_spec = spec
         #: Current bandwidth factor relative to ``base_spec`` (1.0 = healthy).
         self.degrade_factor = 1.0

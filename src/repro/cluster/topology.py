@@ -266,49 +266,21 @@ class Topology:
             self._route_cache[(src, dst)] = cached
         return cached
 
-    def degrade_link(self, a: Device, b: Device, factor: float,
-                     duplex: bool = True) -> None:
-        """Multiply the a→b link's bandwidth factor by ``factor``.
-
-        Models a failing/contended component (flapping rail, mis-seated
-        cable, PCIe downtraining) for fault-injection studies.  Repeated
-        degradations *compose*: the effective bandwidth is always
-        ``base × Π factors``, rebuilt from the pristine spec, so the name
-        carries exactly one ``-degraded`` suffix.  With ``duplex`` the
-        reverse direction degrades too.  Route caches are invalidated;
-        accumulated traffic counters are preserved.
-        """
-        if not 0 < factor <= 1:
-            raise ValueError(f"factor must be in (0, 1], got {factor}")
-        for src, dst in self._directions(a, b, duplex):
-            link = self.link(src, dst)
-            link.set_factor(link.degrade_factor * factor)
-        self._invalidate_routes()
-
     def set_link_factor(self, a: Device, b: Device, factor: float,
                         duplex: bool = True) -> None:
         """Set the a→b bandwidth factor *absolutely* (1.0 = pristine).
 
-        Unlike :meth:`degrade_link` this does not compose — it is the
-        primitive fault revert uses to restore a link to exactly the
-        factor it had before a fault was applied.
+        Models a failing or contended component (flapping rail,
+        mis-seated cable, PCIe downtraining) for fault injection.  The
+        factor does not compose: the spec is rebuilt from the pristine
+        one, so its name carries a single ``-degraded`` suffix, and fault
+        revert restores a link to exactly the factor it had before a
+        fault was applied.  With ``duplex`` the reverse direction
+        changes too.  Route caches are invalidated; accumulated traffic
+        counters are preserved.
         """
         for src, dst in self._directions(a, b, duplex):
             self.link(src, dst).set_factor(factor)
-        self._invalidate_routes()
-
-    def restore_link(self, a: Device, b: Device, duplex: bool = True) -> None:
-        """Undo all degradation and down state on the a→b link.
-
-        The inverse of :meth:`degrade_link` / :meth:`set_link_up` needed
-        by flapping-link fault injection: the spec returns to the pristine
-        datasheet values (original name, latency, bandwidth) and the link
-        is brought back up.
-        """
-        for src, dst in self._directions(a, b, duplex):
-            link = self.link(src, dst)
-            link.set_factor(1.0)
-            link.up = True
         self._invalidate_routes()
 
     def set_link_up(self, a: Device, b: Device, up: bool,

@@ -1,10 +1,11 @@
 """The measurement driver: one call = one simulated training run.
 
 :func:`measure_training` is the single entry point every benchmark,
-example and the staged tuner uses.  It assembles the whole stack — Summit
-slice of the requested size, MPI library, Horovod runtime, model profile,
-trainer — runs a short measured job, and returns a
-:class:`Measurement`.
+example and the staged tuner uses.  :func:`simulate` assembles the whole
+stack — Summit slice of the requested size, MPI library, Horovod
+runtime, model profile, trainer — runs a short measured job, and returns
+a :class:`Measurement`; a run resumed from a checkpoint takes the same
+path (:func:`repro.checkpoint.resume_training`).
 
 Model iteration profiles are cached per (model, batch) because building
 the DLv3+ layer graph is pure overhead across the hundreds of
@@ -35,10 +36,10 @@ from repro.train.stats import TrainStats
 
 __all__ = [
     "Measurement",
-    "build_fault_report",
     "clear_profile_cache",
     "measure_training",
     "model_profile",
+    "simulate",
 ]
 
 #: Summit has 6 GPUs per node; GPU counts that are not multiples of 6
@@ -118,38 +119,6 @@ class Measurement:
         return self.config.label
 
 
-def build_fault_report(injector, timeline, comm, runtime, trainer) -> dict:
-    """Assemble the resilience counters dict for a faulted run.
-
-    Shared between :func:`measure_training` and
-    :func:`repro.checkpoint.resume_training` so both produce the same
-    payload shape (a resumed run must compare equal to an uninterrupted
-    one field for field).
-    """
-    totals = timeline.total_by_phase()
-    return {
-        "faults_applied": injector.stats.applied,
-        "faults_reverted": injector.stats.reverted,
-        "flap_cycles": injector.stats.flap_cycles,
-        "crashes": injector.stats.crashes,
-        "restarts": injector.stats.restarts,
-        "job_kills": getattr(injector.stats, "kills", 0),
-        "transfer_retries": comm.transfer_retries,
-        "transfer_timeouts": comm.transfer_timeouts,
-        "suspects": runtime.stats.suspects,
-        "suspects_cleared": runtime.stats.suspects_cleared,
-        "rank_crashes": runtime.stats.rank_crashes,
-        "rank_restarts": runtime.stats.rank_restarts,
-        "suspect_seconds": runtime.stats.suspect_seconds,
-        "fault_phase_seconds": {
-            phase: totals.get(phase, 0.0)
-            for phase in ("FAULT", "SUSPECT", "RECOVER")
-        },
-        "surviving_ranks": len(runtime.active),
-        "completed_iterations": dict(trainer.completed_iterations),
-    }
-
-
 def measure_training(
     gpus: int,
     config: SystemConfig,
@@ -166,16 +135,22 @@ def measure_training(
 ) -> Measurement:
     """Simulate a measured training job and return its statistics.
 
-    Builds a fresh Summit slice with ``ceil(gpus / 6)`` nodes, runs
+    Validates the arguments and hands their spec to :func:`simulate`,
+    which builds a fresh Summit slice with ``ceil(gpus / 6)`` nodes, runs
     ``iterations`` synchronous data-parallel steps of ``model`` under the
     given :class:`~repro.core.knobs.SystemConfig`, and reports throughput
-    against the calibrated single-GPU compute baseline.
+    against the calibrated single-GPU compute baseline.  The run ends
+    when its Horovod coordinator exits, after the last iteration: the
+    clock, the link utilization and the fault report stop there.
 
     ``schedule`` is an optional :class:`~repro.faults.FaultSchedule`,
     the one way to inject faults (a rail degraded for the whole run is
     a :class:`~repro.faults.DegradedRail` from ``start_s=0``); a
     :class:`~repro.faults.FaultInjector` is wired across topology,
     runtime and trainer, and the Measurement gains a ``fault_report``.
+    A fault window still open when the run ends closes then (reverted,
+    counted and its FAULT span ended at that instant); a fault due later
+    never fires.
 
     ``checkpoint`` captures resumable state at iteration boundaries: an
     int is shorthand for ``CheckpointPlan(every=n)``, or pass a full
@@ -206,34 +181,6 @@ def measure_training(
             if isinstance(checkpoint, CheckpointPlan)
             else CheckpointPlan(every=int(checkpoint))
         )
-    profile = model_profile(model, per_gpu_batch)
-    env = Environment()
-    nodes = max(1, math.ceil(gpus / GPUS_PER_NODE))
-    topo = build_summit(env, nodes=nodes)
-    comm = Comm(Fabric(topo), topo.gpus()[:gpus], config.library)
-    timeline = Timeline()
-    runtime = HorovodRuntime(
-        comm, config.horovod, timeline=timeline, negotiation=negotiation
-    )
-    job = TrainJob(
-        iterations=iterations,
-        per_gpu_batch=profile.batch_size,
-        warmup_iterations=warmup_iterations,
-        jitter_std=jitter_std,
-        seed=seed,
-    )
-    fabric = comm.fabric
-    injector = None
-    if schedule is not None:
-        from repro.faults import FaultInjector
-
-        injector = FaultInjector(env, schedule, topology=topo, timeline=timeline)
-        trainer = DistributedTrainer(
-            runtime, profile, job, faults=injector, checkpoint=plan
-        )
-        injector.bind(runtime=runtime, trainer=trainer).start()
-    else:
-        trainer = DistributedTrainer(runtime, profile, job, checkpoint=plan)
     tracer = None
     if trace:
         from repro.trace import SpanRecorder
@@ -242,34 +189,113 @@ def measure_training(
                   else SpanRecorder(level="spans" if trace is True else trace))
         tracer.run = {"gpus": gpus, "label": config.label,
                       "warmup_iterations": warmup_iterations}
+    spec = {
+        "gpus": gpus,
+        "config": config,
+        "model": model,
+        "per_gpu_batch": per_gpu_batch,
+        "iterations": iterations,
+        "warmup_iterations": warmup_iterations,
+        "jitter_std": jitter_std,
+        "seed": seed,
+        "negotiation": negotiation,
+        "schedule": schedule,
+        "trace": tracer.level if tracer is not None else None,
+    }
+    return simulate(spec, plan=plan, tracer=tracer)
+
+
+def simulate(spec: dict, *, plan=None, tracer=None,
+             state: dict | None = None) -> Measurement:
+    """Build the stack ``spec`` describes, run it, and measure it.
+
+    The one path of every training run, fresh or resumed.  ``spec`` is
+    :func:`measure_training`'s keyword set, the dict a
+    :class:`~repro.checkpoint.TrainCheckpoint` carries.  ``plan`` and
+    ``tracer`` are the run's checkpoint plan and observer.  ``state`` is
+    a trainer snapshot: the run then starts at its captured clock and
+    :meth:`~repro.train.DistributedTrainer.restore` puts everything else
+    back, the captured observer included.  Construction order (the
+    coordinator process first, injector drivers next, rank processes
+    last) is the same either way, so same-instant events tie-break as
+    in the uninterrupted run.
+    """
+    gpus = spec["gpus"]
+    config = spec["config"]
+    profile = model_profile(spec["model"], spec["per_gpu_batch"])
+    env = (Environment() if state is None
+           else Environment(initial_time=state["clock"]))
+    topo = build_summit(env, nodes=max(1, math.ceil(gpus / GPUS_PER_NODE)))
+    comm = Comm(Fabric(topo), topo.gpus()[:gpus], config.library)
+    fabric = comm.fabric
+    timeline = Timeline()
+    runtime = HorovodRuntime(
+        comm, config.horovod, timeline=timeline,
+        negotiation=spec["negotiation"],
+    )
+    job = TrainJob(
+        iterations=spec["iterations"],
+        per_gpu_batch=profile.batch_size,
+        warmup_iterations=spec["warmup_iterations"],
+        jitter_std=spec["jitter_std"],
+        seed=spec["seed"],
+    )
+    injector = None
+    if spec["schedule"] is not None:
+        from repro.faults import FaultInjector
+
+        injector = FaultInjector(env, spec["schedule"], topology=topo,
+                                 timeline=timeline)
+    trainer = DistributedTrainer(runtime, profile, job, faults=injector,
+                                 checkpoint=plan)
+    if state is not None:
+        trainer.restore(state)
+        tracer = trainer.tracer
+    if injector is not None:
+        injector.bind(runtime=runtime, trainer=trainer)
+        if state is None:
+            injector.start()
+        else:
+            injector.start_resumed()
+    if tracer is not None:
         tracer.attach(
             env=env, comm=comm, runtime=runtime, trainer=trainer, fabric=fabric
         )
+        if state is not None:
+            tracer.registry.counter(
+                "checkpoint_resumes_total", "runs resumed from a checkpoint"
+            ).inc()
     stats = trainer.run()
     if tracer is not None:
         tracer.finalize()
     fault_report = None
     if injector is not None:
-        fault_report = build_fault_report(
-            injector, timeline, comm, runtime, trainer
-        )
+        totals = timeline.total_by_phase()
+        fault_report = {
+            "faults_applied": injector.stats.applied,
+            "faults_reverted": injector.stats.reverted,
+            "flap_cycles": injector.stats.flap_cycles,
+            "crashes": injector.stats.crashes,
+            "restarts": injector.stats.restarts,
+            "job_kills": injector.stats.kills,
+            "transfer_retries": comm.transfer_retries,
+            "transfer_timeouts": comm.transfer_timeouts,
+            "suspects": runtime.stats.suspects,
+            "suspects_cleared": runtime.stats.suspects_cleared,
+            "rank_crashes": runtime.stats.rank_crashes,
+            "rank_restarts": runtime.stats.rank_restarts,
+            "suspect_seconds": runtime.stats.suspect_seconds,
+            "fault_phase_seconds": {
+                phase: totals.get(phase, 0.0)
+                for phase in ("FAULT", "SUSPECT", "RECOVER")
+            },
+            "surviving_ranks": len(runtime.active),
+            "completed_iterations": dict(trainer.completed_iterations),
+        }
     train_checkpoint = None
     if plan is not None and trainer.last_checkpoint_state is not None:
         from repro.checkpoint import TrainCheckpoint, write_checkpoint
 
-        spec = {
-            "gpus": gpus,
-            "config": config,
-            "model": model,
-            "per_gpu_batch": per_gpu_batch,
-            "iterations": iterations,
-            "warmup_iterations": warmup_iterations,
-            "jitter_std": jitter_std,
-            "seed": seed,
-            "negotiation": negotiation,
-            "schedule": schedule,
-            "trace": tracer.level if tracer is not None else None,
-        }
         train_checkpoint = TrainCheckpoint(
             spec=spec, state=trainer.last_checkpoint_state
         )
@@ -278,7 +304,7 @@ def measure_training(
     return Measurement(
         gpus=gpus,
         config=config,
-        model=model,
+        model=spec["model"],
         stats=stats,
         runtime_stats=runtime.stats,
         timeline=timeline,

@@ -4,14 +4,16 @@
 into discrete-event processes — one per fault — that mutate the live
 topology / runtime / trainer at each fault's virtual start time and
 revert the mutation when the window expires (restoring route caches and
-link specs exactly).  Crash/restart faults drive the trainer's process
-lifecycle and the runtime's membership reports instead.
+link specs exactly), or when the run ends first (:meth:`FaultInjector.close`).
+Crash/restart faults drive the trainer's process lifecycle and the
+runtime's membership reports instead.
 
 Wiring order for a full training run::
 
     injector = FaultInjector(env, schedule, topology=topo, timeline=runtime.timeline)
     injector.bind(runtime=runtime, trainer=trainer)
     injector.start()          # before env.run() / trainer.run()
+    injector.close()          # when the run ends (the trainer calls it)
 
 The injector is deliberately duck-typed towards the trainer: anything
 with ``kill_rank`` / ``restart_rank`` works, and
@@ -66,6 +68,9 @@ class FaultInjector:
         self.trainer: Any | None = None
         self.stats = InjectorStats()
         self._straggler_mult: dict[int, list[float]] = {}
+        #: Applied windows not yet reverted, keyed ``(start, index)``
+        #: (application order): the spec and the link factor it restores.
+        self._windows: dict[tuple[float, int], tuple[Any, float]] = {}
         self._started = False
 
     def bind(self, runtime: Any | None = None, trainer: Any | None = None) -> "FaultInjector":
@@ -81,9 +86,21 @@ class FaultInjector:
         if self._started:
             return self
         self._started = True
-        for spec in self.schedule:
-            self.env.process(self._drive(spec))
+        for index, spec in enumerate(self.schedule):
+            self.env.process(self._drive(index, spec))
         return self
+
+    def close(self) -> None:
+        """End every fault window still open: the run is over.
+
+        Called once, when the run's coordinator exits.  Each open window
+        is reverted (its link back to the factor it found, up), counted
+        in ``reverted`` and its FAULT span ends at this instant; the
+        latest-applied window goes first, so windows stacked on one link
+        unwind to its base factor.
+        """
+        for key in sorted(self._windows, reverse=True):
+            self._end(key, closing=True)
 
     # -- trainer hook ----------------------------------------------------------
     def compute_multiplier(self, rank: int) -> float:
@@ -94,17 +111,17 @@ class FaultInjector:
         return mult
 
     # -- per-fault processes ---------------------------------------------------
-    def _drive(self, spec):
+    def _drive(self, index: int, spec):
         yield self.env.timeout(spec.start_s)
-        yield from self._fire(spec)
+        yield from self._fire(index, spec)
 
-    def _fire(self, spec):
+    def _fire(self, index: int, spec):
         if isinstance(spec, StragglerGPU):
-            yield from self._drive_straggler(spec)
+            yield from self._drive_straggler(index, spec)
         elif isinstance(spec, DegradedRail):
-            yield from self._drive_degraded_rail(spec)
+            yield from self._drive_degraded_rail(index, spec)
         elif isinstance(spec, LinkFlap):
-            yield from self._drive_link_flap(spec)
+            yield from self._drive_link_flap(index, spec)
         elif isinstance(spec, RankCrash):
             self._apply_crash(spec)
         elif isinstance(spec, RankRestart):
@@ -112,31 +129,28 @@ class FaultInjector:
         elif isinstance(spec, ProcessKill):
             self._apply_kill(spec)
 
-    def _drive_straggler(self, spec: StragglerGPU):
-        start = self.env.now
+    def _drive_straggler(self, index: int, spec: StragglerGPU):
         self._straggler_mult.setdefault(spec.rank, []).append(spec.slowdown)
         self.stats.applied += 1
+        key = self._open(index, spec, self.env.now)
         yield self.env.timeout(spec.duration_s)
-        self._straggler_mult[spec.rank].remove(spec.slowdown)
-        self.stats.reverted += 1
-        self._record(f"straggler_rank{spec.rank}_x{spec.slowdown:g}", start)
+        self._end(key)
 
-    def _drive_degraded_rail(self, spec: DegradedRail):
-        start = self.env.now
+    def _drive_degraded_rail(self, index: int, spec: DegradedRail):
         a, b = self._endpoints(spec)
         prior = self.topology.link_factor(a, b)
         self.topology.set_link_factor(a, b, prior * spec.factor)
         self.stats.applied += 1
+        key = self._open(index, spec, self.env.now, prior)
         yield self.env.timeout(spec.duration_s)
-        self.topology.set_link_factor(a, b, prior)
-        self.stats.reverted += 1
-        self._record(f"degraded_{a}--{b}_x{spec.factor:g}", start)
+        self._end(key)
 
-    def _drive_link_flap(self, spec: LinkFlap):
+    def _drive_link_flap(self, index: int, spec: LinkFlap):
         start = self.env.now
         a, b = self._endpoints(spec)
         self.stats.applied += 1
         prior = self.topology.link_factor(a, b)
+        key = self._open(index, spec, start, prior)
         end = start + spec.duration_s
         while self.env.now < end:
             # Down window (clipped at the fault's end).
@@ -153,8 +167,7 @@ class FaultInjector:
             if remainder <= 0 or self.env.now >= end:
                 break
             yield self.env.timeout(min(remainder, end - self.env.now))
-        self.stats.reverted += 1
-        self._record(f"flap_{a}--{b}", start)
+        self._end(key)
 
     def _apply_crash(self, spec: RankCrash) -> None:
         if self.trainer is not None:
@@ -196,16 +209,18 @@ class FaultInjector:
     def start_resumed(self) -> "FaultInjector":
         """Rejoin the schedule mid-flight at the current simulated time.
 
-        Used by :func:`repro.checkpoint.resume_training` after
-        :attr:`stats` has been restored from the checkpoint.  Replays the
-        schedule's link mutations up to ``env.now`` with the exact float
-        arithmetic of the live drivers, sets the resulting absolute
-        (factor, up) state on the fresh topology, re-applies straggler
-        multipliers for windows spanning the instant, and spawns
-        continuation processes that walk each in-flight window's
-        remaining edges at their original absolute times
-        (:meth:`~repro.sim.Environment.timeout_until` — no float drift).
-        Already-counted ``applied``/``flap_cycles`` are not re-counted.
+        :func:`repro.core.sweep.simulate` calls it instead of
+        :meth:`start` for a resumed run, after the trainer's ``restore``
+        put :attr:`stats` back.  Replays the schedule's link mutations up
+        to ``env.now`` with the exact float arithmetic of the live
+        drivers, sets the resulting absolute (factor, up) state on the
+        fresh topology, re-applies straggler multipliers for windows
+        spanning the instant, and spawns continuation processes that walk
+        each in-flight window's remaining edges at their original
+        absolute times (:meth:`~repro.sim.Environment.timeout_until` — no
+        float drift).  Those windows are open as in the uninterrupted
+        run, so :meth:`close` ends them the same way.  Already-counted
+        ``applied``/``flap_cycles`` are not re-counted.
         """
         if self._started:
             return self
@@ -217,40 +232,35 @@ class FaultInjector:
                 a, b = Device.parse(a_s), Device.parse(b_s)
                 self.topology.set_link_factor(a, b, factor)
                 self.topology.set_link_up(a, b, up)
-        for spec in self.schedule:
-            if isinstance(spec, StragglerGPU):
-                if spec.start_s <= now < spec.start_s + spec.duration_s:
-                    self._straggler_mult.setdefault(spec.rank, []).append(
-                        spec.slowdown
-                    )
         for i, spec in enumerate(self.schedule):
             if spec.start_s > now:
-                self.env.process(self._drive_pending_resumed(spec))
+                self.env.process(self._drive_pending_resumed(i, spec))
             elif isinstance(spec, StragglerGPU) and now < spec.start_s + spec.duration_s:
-                self.env.process(self._resume_straggler(spec))
+                self._straggler_mult.setdefault(spec.rank, []).append(
+                    spec.slowdown
+                )
+                key = self._open(i, spec, spec.start_s)
+                self.env.process(self._resume_straggler(key, spec))
             elif isinstance(spec, (DegradedRail, LinkFlap)):
                 w = windows[i]
                 if now < w.finish_t:
-                    self.env.process(self._resume_window(spec, w))
+                    key = self._open(i, spec, spec.start_s, w.prior)
+                    self.env.process(self._resume_window(key, spec, w))
         return self
 
-    def _drive_pending_resumed(self, spec):
+    def _drive_pending_resumed(self, index: int, spec):
         # timeout_until keeps the original absolute fire time exact
         # (0.0 + start_s == start_s, but now + (start_s - now) need not be).
         yield self.env.timeout_until(spec.start_s)
-        yield from self._fire(spec)
+        yield from self._fire(index, spec)
 
-    def _resume_straggler(self, spec: StragglerGPU):
+    def _resume_straggler(self, key, spec: StragglerGPU):
         # applied was counted (and the multiplier re-added) already —
         # only the revert remains.
         yield self.env.timeout_until(spec.start_s + spec.duration_s)
-        self._straggler_mult[spec.rank].remove(spec.slowdown)
-        self.stats.reverted += 1
-        self._record(
-            f"straggler_rank{spec.rank}_x{spec.slowdown:g}", spec.start_s
-        )
+        self._end(key)
 
-    def _resume_window(self, spec, w: "_Window"):
+    def _resume_window(self, key, spec, w: "_Window"):
         a, b = self._endpoints(spec)
         for t, op in w.ops:
             if t <= self.env.now:
@@ -265,19 +275,42 @@ class FaultInjector:
             elif op == "up":
                 self.topology.set_link_up(a, b, True)
                 self.topology.set_link_factor(a, b, w.prior)
-            elif op == "revert":
-                self.topology.set_link_factor(a, b, w.prior)
         if self.env.now < w.finish_t:
             yield self.env.timeout_until(w.finish_t)
-        self.stats.reverted += 1
-        label = (
-            f"degraded_{a}--{b}_x{spec.factor:g}"
-            if isinstance(spec, DegradedRail)
-            else f"flap_{a}--{b}"
-        )
-        self._record(label, spec.start_s)
+        self._end(key)
 
     # -- helpers ---------------------------------------------------------------
+    def _open(self, index: int, spec, start: float,
+              prior: float = 1.0) -> tuple[float, int]:
+        """Register an applied window; :meth:`_end` reverts it."""
+        key = (start, index)
+        self._windows[key] = (spec, prior)
+        return key
+
+    def _end(self, key: tuple[float, int], closing: bool = False) -> None:
+        """Revert one window, count it and record its FAULT span.
+
+        A flap's driver restores its link at every up edge, so its own
+        end leaves the link alone; ``closing`` (the run ended mid-window)
+        takes the up edge a flap may still owe.
+        """
+        spec, prior = self._windows.pop(key)
+        if isinstance(spec, StragglerGPU):
+            self._straggler_mult[spec.rank].remove(spec.slowdown)
+            label = f"straggler_rank{spec.rank}_x{spec.slowdown:g}"
+        else:
+            a, b = self._endpoints(spec)
+            if isinstance(spec, DegradedRail):
+                self.topology.set_link_factor(a, b, prior)
+                label = f"degraded_{a}--{b}_x{spec.factor:g}"
+            else:
+                if closing:
+                    self.topology.set_link_up(a, b, True)
+                    self.topology.set_link_factor(a, b, prior)
+                label = f"flap_{a}--{b}"
+        self.stats.reverted += 1
+        self._record(label, key[0])
+
     def _endpoints(self, spec) -> tuple[Device, Device]:
         if self.topology is None:
             raise RuntimeError(

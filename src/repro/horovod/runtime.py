@@ -43,7 +43,7 @@ from repro.horovod.fusion import FusionGroup, PendingTensor, pack_tensors
 from repro.horovod.timeline import Timeline
 from repro.mpi.communicator import Comm
 from repro.mpi.payload import VirtualBuffer
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Process
 
 __all__ = ["HorovodRuntime", "RuntimeStats"]
 
@@ -218,9 +218,13 @@ class HorovodRuntime:
                 self._release(rank)
         return event
 
-    def shutdown(self) -> None:
-        """Ask the coordinator loop to exit at its next tick."""
+    def shutdown(self) -> Process:
+        """Ask the coordinator loop to exit at its next tick.
+
+        Returns the coordinator's process, which ends at that tick.
+        """
         self._shutdown = True
+        return self._loop
 
     # -- elastic membership API -------------------------------------------------
     def report_crash(self, rank: int) -> None:

@@ -37,7 +37,7 @@ __all__ = ["OSUPoint", "SimPoint", "TrainPoint", "cache_salt"]
 #: Bump when simulation semantics change in a way that invalidates cached
 #: Measurements without a package-version bump (cost model recalibration,
 #: collective algorithm fixes, trainer scheduling changes, ...).
-SIM_SALT = "sim-2"
+SIM_SALT = "sim-3"
 
 
 def cache_salt() -> str:

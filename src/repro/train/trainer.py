@@ -73,17 +73,19 @@ class DistributedTrainer:
 
     The ``profile`` must have been computed at ``job.per_gpu_batch``
     (checked).  ``run()`` owns the simulation clock: it executes the whole
-    job, shuts the runtime's coordinator down, and returns statistics.
+    job, shuts the runtime's coordinator down, runs until the coordinator
+    exits (the run's end) and returns statistics.  A run continued from a
+    checkpoint is the same run after :meth:`restore`.
 
     ``faults`` is an optional duck-typed hook exposing
-    ``compute_multiplier(rank) -> float``; compute segments of that rank
-    are stretched by the returned factor (1.0 = healthy).
+    ``compute_multiplier(rank) -> float``, by which compute segments of
+    that rank are stretched (1.0 = healthy), and ``close()``, called once
+    when the run ends.
     """
 
     def __init__(self, runtime: HorovodRuntime, profile: IterationProfile,
                  job: TrainJob, faults: Any | None = None,
-                 checkpoint: Any | None = None,
-                 resume_state: dict | None = None) -> None:
+                 checkpoint: Any | None = None) -> None:
         if profile.batch_size != job.per_gpu_batch:
             raise ValueError(
                 f"profile computed at batch {profile.batch_size}, "
@@ -100,7 +102,6 @@ class DistributedTrainer:
         #: state capture at iteration boundaries (duck-typed: anything
         #: with ``every`` / ``stop_at`` works).
         self.checkpoint_plan = checkpoint
-        self._resume_state = resume_state
         #: The backward pass's (emission offset, tensor name, payload)
         #: triples.  Virtual buffers are immutable, so every rank and
         #: iteration submits the same one per tensor.
@@ -119,6 +120,8 @@ class DistributedTrainer:
         #: are skipped while any rank is in this limbo.
         self._rejoining: set[int] = set()
         self._capture_pending: dict[int, dict[int, dict]] = {}
+        #: Per-rank loop state to continue from (see :meth:`restore`).
+        self._captured: dict[int, dict] | None = None
         self._run_start_s = 0.0
         #: Iterations finished per rank (survivors end at ``job.iterations``).
         self.completed_iterations: dict[int, int] = {}
@@ -144,31 +147,15 @@ class DistributedTrainer:
 
     def run(self) -> TrainStats:
         """Execute the job and return measured statistics."""
-        if self._resume_state is not None:
-            return self._run_resumed()
-        self._run_start_s = self.env.now
-        self._alive = set(range(self.world_size))
-        for rank in range(self.world_size):
-            proc = self.env.process(self._rank_loop(rank))
-            self._rank_procs[rank] = proc
-            self._procs.append(proc)
-        return self._finish()
-
-    def _run_resumed(self) -> TrainStats:
-        """Continue a run from a checkpoint state dict (see ``resume_state``)."""
-        rs = self._resume_state
-        self._run_start_s = rs["run_start_s"]
-        self._alive = set(rs["alive"])
-        self._next_barrier = rs["barrier"]
-        self._iteration_marks = dict(rs["iteration_marks"])
-        self._input_stall = rs["input_stall"]
-        self.completed_iterations = dict(rs["completed_iterations"])
-        # Sorted spawn order mirrors the relative event ordering the
-        # uninterrupted run's ranks have at the barrier instant.
-        for rank in sorted(rs["ranks"]):
-            proc = self.env.process(
-                self._resumed_rank_loop(rank, rs["ranks"][rank])
-            )
+        captured = self._captured
+        if captured is None:
+            self._run_start_s = self.env.now
+        # Sorted spawn order: a resumed run's ranks keep the relative
+        # event order the uninterrupted run's have at the barrier instant.
+        for rank in sorted(self._alive):
+            proc = self.env.process(self._rank_loop(
+                rank, None if captured is None else captured[rank]
+            ))
             self._rank_procs[rank] = proc
             self._procs.append(proc)
         return self._finish()
@@ -181,8 +168,11 @@ class DistributedTrainer:
             if not pending:
                 break
             self.env.run(until=self.env.all_of(pending))
-        self.runtime.shutdown()
-        self.env.run()
+        # The run ends when the coordinator exits: a fault due later
+        # never fires, and a fault window still open closes now.
+        self.env.run(until=self.runtime.shutdown())
+        if self.faults is not None:
+            self.faults.close()
         marks = [self._run_start_s]
         marks += [t for _, t in sorted(self._iteration_marks.items())]
         return TrainStats(
@@ -250,7 +240,7 @@ class DistributedTrainer:
         return float(self.faults.compute_multiplier(rank))
 
     # -- per-rank process ------------------------------------------------------
-    def _rank_loop(self, rank: int):
+    def _rank_loop(self, rank: int, captured: dict | None):
         job = self.job
         streams = RandomStreams(job.seed).child(f"rank{rank}")
         jitter_gen = streams.get("compute-jitter")
@@ -260,7 +250,19 @@ class DistributedTrainer:
             else None
         )
         try:
-            for iteration in range(job.iterations):
+            if captured is not None:
+                jitter_gen.bit_generator.state = captured["rng_state"]
+                if captured["pipeline_ready_at"] is None:
+                    clock = None  # a restarted rank runs without one
+                elif clock is not None:
+                    clock._ready_at = list(captured["pipeline_ready_at"])
+                # The capture was taken at this iteration's barrier,
+                # before any of its optimizer time elapsed.
+                yield from self._optimizer_step(
+                    rank, captured["iteration"], captured["jitter"],
+                    captured["sample"],
+                )
+            for iteration in range(self._next_barrier, job.iterations):
                 yield from self._one_iteration(rank, iteration, jitter_gen, clock)
         except Interrupt:
             return
@@ -333,19 +335,23 @@ class DistributedTrainer:
             self._next_barrier = iteration + 1
         if self._boundary is not None and not self._boundary.triggered:
             self._boundary.succeed()
+        times = (start_s, stall_end_s, forward_end_s, last_emit_s, barrier_s)
         if self.checkpoint_plan is not None and self._capture_wanted(iteration + 1):
-            self._report_barrier(
-                rank, iteration, jitter, jitter_gen, clock,
-                (start_s, stall_end_s, forward_end_s, last_emit_s, barrier_s),
-            )
-        yield self.env.timeout(profile.optimizer_s * jitter * self._fault_mult(rank))
+            self._report_barrier(rank, iteration, jitter, jitter_gen, clock,
+                                 times)
+        yield from self._optimizer_step(rank, iteration, jitter, times)
+
+    def _optimizer_step(self, rank: int, iteration: int, jitter: float,
+                        times: tuple):
+        """An iteration's tail: the optimizer update after its barrier."""
+        yield self.env.timeout(
+            self.profile.optimizer_s * jitter * self._fault_mult(rank)
+        )
         self.completed_iterations[rank] = self.completed_iterations.get(rank, 0) + 1
         if self._alive and rank == min(self._alive):
             self._iteration_marks.setdefault(iteration, self.env.now)
         if self.tracer is not None:
-            self.tracer.on_iteration(rank, iteration, start_s, stall_end_s,
-                                     forward_end_s, last_emit_s, barrier_s,
-                                     self.env.now)
+            self.tracer.on_iteration(rank, iteration, *times, self.env.now)
 
     # -- checkpointing ---------------------------------------------------------
     def _capture_wanted(self, barrier: int) -> bool:
@@ -465,41 +471,52 @@ class DistributedTrainer:
             ),
         }
 
+    def restore(self, state: dict) -> None:
+        """Continue from ``state``, a snapshot :meth:`_snapshot_state` took.
+
+        The one reader of the snapshot format.  Call it before :meth:`run`
+        on a trainer over a freshly built stack whose environment starts
+        at ``state["clock"]``: it puts the runtime, communicator, fabric
+        and injector counters, the timeline and the span recorder
+        (:attr:`tracer`, not yet attached) back as captured, and
+        :meth:`run` then continues every alive rank from its loop state.
+        """
+        runtime = self.runtime
+        comm = runtime.comm
+        fabric = comm.fabric
+        r = state["runtime"]
+        runtime.stats = dataclasses.replace(r["stats"])
+        runtime._response_cache = set(r["response_cache"])
+        runtime.active = set(r["active"])
+        runtime._removed = set(r["removed"])
+        runtime._crash_reports = set(r["crash_reports"])
+        runtime._suspects = {
+            rank: dataclasses.replace(s) for rank, s in r["suspects"].items()
+        }
+        runtime.timeline.events = list(state["timeline"])
+        comm.messages_sent = state["comm"]["messages_sent"]
+        comm.transfer_retries = state["comm"]["transfer_retries"]
+        comm.transfer_timeouts = state["comm"]["transfer_timeouts"]
+        f = state["fabric"]
+        fabric.stats = dataclasses.replace(
+            f["stats"], bytes_by_link_type=dict(f["stats"].bytes_by_link_type)
+        )
+        for link, (carried, busy) in zip(fabric.topology.links(), f["links"]):
+            link.bytes_carried = carried
+            link.busy_seconds = busy
+        if state["injector"] is not None:
+            self.faults.stats = dataclasses.replace(state["injector"])
+        if state["trace"] is not None:
+            self.tracer = pickle.loads(state["trace"])
+        self._run_start_s = state["run_start_s"]
+        self._alive = set(state["alive"])
+        self._next_barrier = state["barrier"]
+        self._iteration_marks = dict(state["iteration_marks"])
+        self._input_stall = state["input_stall"]
+        self.completed_iterations = dict(state["completed_iterations"])
+        self._captured = state["ranks"]
+
     def _ckpt_count(self, name: str) -> None:
         if self.tracer is not None:
             self.tracer.registry.counter(
                 name, "checkpoint lifecycle events").inc()
-
-    def _resumed_rank_loop(self, rank: int, rec: dict):
-        job = self.job
-        profile = self.profile
-        streams = RandomStreams(job.seed).child(f"rank{rank}")
-        jitter_gen = streams.get("compute-jitter")
-        jitter_gen.bit_generator.state = rec["rng_state"]
-        if rec["pipeline_ready_at"] is not None and job.pipeline is not None:
-            clock = PipelineClock(job.pipeline, job.per_gpu_batch, self.env.now)
-            clock._ready_at = list(rec["pipeline_ready_at"])
-        else:
-            clock = None
-        try:
-            # Finish the interrupted iteration's tail: the checkpoint was
-            # captured at its barrier, before any optimizer time elapsed.
-            iteration = rec["iteration"]
-            jitter = rec["jitter"]
-            yield self.env.timeout(
-                profile.optimizer_s * jitter * self._fault_mult(rank)
-            )
-            self.completed_iterations[rank] = (
-                self.completed_iterations.get(rank, 0) + 1
-            )
-            if self._alive and rank == min(self._alive):
-                self._iteration_marks.setdefault(iteration, self.env.now)
-            if self.tracer is not None:
-                self.tracer.on_iteration(rank, iteration, *rec["sample"],
-                                         self.env.now)
-            while self._next_barrier < job.iterations:
-                yield from self._one_iteration(
-                    rank, self._next_barrier, jitter_gen, clock
-                )
-        except Interrupt:
-            return

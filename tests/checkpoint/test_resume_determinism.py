@@ -80,10 +80,14 @@ def test_faults_spanning_the_boundary_resume_bit_identical():
                      factor=0.5),
         LinkFlap(link=RAIL_B, start_s=0.8 * t, duration_s=3.0 * t,
                  period_s=0.6 * t, down_s=0.2 * t, severity=0.4),
+        # Still open when the run ends: it closes then, resumed or not.
+        DegradedRail(link=RAIL_A, start_s=4.0 * t, duration_s=1e6,
+                     factor=0.25),
     )
     baseline = measure_training(12, cfg, iterations=5, seed=2,
                                 schedule=schedule)
     assert baseline.fault_report["faults_applied"] >= 3
+    assert baseline.fault_report["fault_phase_seconds"]["FAULT"] < 1e3
     m = measure_training(12, cfg, iterations=5, seed=2, schedule=schedule,
                          checkpoint=CheckpointPlan(every=1, stop_at=2))
     assert m.interrupted

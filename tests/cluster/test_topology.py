@@ -258,7 +258,7 @@ def test_faults_on_a_memoized_topology(fresh_memo, count_searches):
     healthy = topo.route_info(src, dst).bottleneck_Bps
     assert len(count_searches) == 1  # the second topology hit the memo
 
-    topo.degrade_link(nic, switch, 0.25)
+    topo.set_link_factor(nic, switch, 0.25)
     assert topo.route(src, dst) == route
     assert topo.route_info(src, dst).bottleneck_Bps == pytest.approx(
         topo.link(nic, switch).bandwidth_Bps)
@@ -270,7 +270,8 @@ def test_faults_on_a_memoized_topology(fresh_memo, count_searches):
     with pytest.raises(LinkDownError):
         env.run()
 
-    topo.restore_link(nic, switch)
+    topo.set_link_up(nic, switch, True)
+    topo.set_link_factor(nic, switch, 1.0)
     assert topo.route(src, dst) == route
     assert topo.route_info(src, dst).bottleneck_Bps == healthy
     assert len(count_searches) == 1

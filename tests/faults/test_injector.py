@@ -94,6 +94,33 @@ class TestDegradedRail:
             env.run(until=2.0)
 
 
+class TestClose:
+    def test_close_ends_every_open_window_at_once(self):
+        """The run's end reverts each open window, latest first, counts it
+        and ends its FAULT span there; a fault not yet due stays off."""
+        timeline = Timeline()
+        sched = FaultSchedule.of(
+            StragglerGPU(rank=2, start_s=0.5, duration_s=10.0, slowdown=3.0),
+            LinkFlap(link=RAIL, start_s=1.0, duration_s=10.0,
+                     period_s=1.0, down_s=0.6),
+            DegradedRail(link=RAIL, start_s=1.2, duration_s=10.0, factor=0.5),
+            StragglerGPU(rank=0, start_s=5.0, duration_s=1.0, slowdown=2.0),
+        )
+        env, topo, inj = make(sched, timeline=timeline)
+        original = topo.link(NIC, SW).spec
+        inj.start()
+        env.run(until=1.5)  # the flap is down, the rail degraded under it
+        assert not topo.link(NIC, SW).up
+        inj.close()
+        for link in (topo.link(NIC, SW), topo.link(SW, NIC)):
+            assert link.up and link.spec == original
+        assert inj.compute_multiplier(2) == 1.0
+        assert inj.stats.applied == inj.stats.reverted == 3
+        spans = timeline.spans("FAULT")
+        assert [s.label.split("_")[0] for s in spans] == [
+            "degraded", "flap", "straggler"]
+        assert all(s.end_s == 1.5 for s in spans)
+
 class TestLinkFlap:
     def test_hard_down_cycles(self):
         sched = FaultSchedule.of(

@@ -14,6 +14,7 @@ import pytest
 from repro.core.knobs import paper_tuned_config
 from repro.core.sweep import measure_training
 from repro.faults import (
+    DegradedRail,
     FaultSchedule,
     LinkFlap,
     RankCrash,
@@ -167,6 +168,29 @@ class TestElasticShrink:
         assert report["rank_restarts"] == 1
         assert report["surviving_ranks"] == WORLD
         assert report["completed_iterations"].get(WORLD - 1, 0) > 0
+
+
+class TestRunEnd:
+    def test_run_ends_when_its_coordinator_exits(self, baseline):
+        """A window still open at the end closes then; a later fault never
+        fires.  The rail is one the single node never uses, so the run
+        measures exactly what the unfaulted one does."""
+        cfg = paper_tuned_config()
+        sched = FaultSchedule.of(
+            DegradedRail(link=("nic:0:0", "switch:-1:1"), start_s=0.0,
+                         duration_s=1e6, factor=0.5),
+            RankCrash(rank=1, start_s=1e5),
+        )
+        m = measure_training(WORLD, cfg, iterations=ITERS, jitter_std=0.0,
+                             schedule=sched)
+        assert m.stats == baseline.stats
+        assert m.link_utilization == baseline.link_utilization
+        report = m.fault_report
+        assert report["faults_applied"] == report["faults_reverted"] == 1
+        assert report["crashes"] == 0
+        # The coordinator exits at its first tick after the last rank.
+        run_s = sum(m.stats.iteration_seconds) + cfg.horovod.cycle_time_s
+        assert 0 < report["fault_phase_seconds"]["FAULT"] <= run_s
 
 
 class TestCombinedAcceptance:
